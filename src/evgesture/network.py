@@ -10,6 +10,13 @@ After training the banks are frozen and the network re-encodes events:
 an event's channel becomes the index of the nearest prototype to its
 time-surface. Invalid surfaces emit nothing, so streams only shrink as
 they pass through layers.
+
+Learning is strictly per event. A frozen layer's output for an event
+depends only on the latest earlier event at each pixel of its receptive
+field, so frozen layers evaluate the stream in blocks of arrays
+(``Layer.encode_block``) with the per-event semantics unchanged: the same
+surface arithmetic as ``surfaces.extract``, the same validity gate and the
+same nearest-row ids, ties included.
 """
 
 from __future__ import annotations
@@ -24,6 +31,11 @@ from .events import Event, EventStream, SensorGeometry
 from .surfaces import TimeSurfaceConfig, TimestampMemory, extract
 
 DEFAULT_REINIT_WINDOW = 10_000  # valid surfaces without a match before reseed
+
+# Transient working memory of one frozen block, in bytes. A block holds
+# about four (events x D) arrays of 8-byte values, so a layer with surface
+# length D takes BLOCK_BYTES // (32 D) events per block.
+BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -62,6 +74,35 @@ def nearest_prototype(prototypes: np.ndarray, flat_surface: np.ndarray) -> tuple
     return i, float(np.sqrt(d2[i]))
 
 
+def nearest_rows(bank: np.ndarray, surfaces: np.ndarray) -> np.ndarray:
+    """Nearest bank row of every surface row; ties go to the lowest index.
+
+    The ids equal ``argmin`` of the per-surface distance
+    ``einsum((bank - s)**2)`` bit for bit. One GEMM screens all pairs as
+    ``|s|^2 + |b|^2 - 2 s.b``. Whatever the summation order, the screened
+    and the einsum form of one squared distance each lie within
+    (D + 2) eps A of the exact value (A = |s|^2 + max |b|^2), so they differ
+    by less than a quarter of ``bound``. Where a row's two best screened
+    distances lie within twice ``bound`` of each other, the row is
+    recomputed with the einsum against the whole bank; elsewhere the
+    screened argmin is the einsum argmin, strictly.
+    """
+    ids = np.zeros(len(surfaces), dtype=np.int64)
+    if len(bank) < 2 or len(surfaces) == 0:
+        return ids
+    sq_s = np.einsum("ij,ij->i", surfaces, surfaces)
+    sq_b = np.einsum("ij,ij->i", bank, bank)
+    d2 = sq_s[:, None] + sq_b - 2.0 * (surfaces @ bank.T)
+    ids = d2.argmin(axis=1)
+    best_two = np.partition(d2, 1, axis=1)
+    bound = 8 * (bank.shape[1] + 2) * np.finfo(np.float64).eps * (sq_s + sq_b.max())
+    # ``not >`` also sends NaN rows to the exact recomputation.
+    for i in np.flatnonzero(~(best_two[:, 1] - best_two[:, 0] > 2 * bound)):
+        diff = bank - surfaces[i]
+        ids[i] = np.einsum("ij,ij->i", diff, diff).argmin()
+    return ids
+
+
 def learn_update(prototype: np.ndarray, match_count: int, flat_surface: np.ndarray) -> np.ndarray:
     """Pull a prototype toward a surface, weighted by cosine similarity.
 
@@ -94,6 +135,16 @@ class Layer:
         self.geometry = SensorGeometry(geometry.width, geometry.height, config.in_channels)
         self.memory = TimestampMemory(self.geometry)
         self._surface_config = config.surface_config
+        # Frozen blocks use an R-padded (channel, y, x) memory; these are the
+        # flat offsets of the receptive field from its centre pixel on
+        # channel 0, in the channel-major (p, dy, dx) order of surfaces.
+        R = config.radius
+        self._padded_shape = (config.in_channels, geometry.height + 2 * R,
+                              geometry.width + 2 * R)
+        c, dy, dx = np.meshgrid(np.arange(config.in_channels), np.arange(-R, R + 1),
+                                np.arange(-R, R + 1), indexing="ij")
+        height, width = self._padded_shape[1:]
+        self._offsets = ((c * height + dy) * width + dx).ravel()
         self._min_sum = 2 * config.radius  # validity threshold
         # Bank rows are flattened channel-major surfaces; only the first
         # n_filled rows are live.
@@ -159,8 +210,7 @@ class Layer:
         """
         self.tick += 1
         if not self.learning:
-            diff = self.bank - flat
-            return int(np.einsum("ij,ij->i", diff, diff).argmin())
+            return int(nearest_rows(self.bank, flat[None, :])[0])
 
         if not self.bank_full:
             self.bank[self.n_filled] = flat
@@ -180,6 +230,80 @@ class Layer:
         self.match_counts[idx] += 1
         self.last_match_tick[idx] = self.tick
         return idx
+
+    def padded_memory(self) -> np.ndarray:
+        """A copy of the timestamp memory with an R-wide border of -inf,
+        the carried state of ``encode_block``."""
+        R = self.config.radius
+        memory = np.full(self._padded_shape, -np.inf)
+        memory[:, R:-R, R:-R] = self.memory.last_t
+        return memory
+
+    def encode(self, t, x, y, p) -> tuple[np.ndarray, np.ndarray]:
+        """Frozen re-encoding of an event sequence given as arrays, in
+        blocks of BLOCK_BYTES working memory; continues from, and updates,
+        the timestamp memory. Returns the kept mask and the kept ids."""
+        memory = self.padded_memory()
+        step = max(1, BLOCK_BYTES // (32 * self._surface_config.size))
+        pieces = [self.encode_block(memory, t[a : a + step], x[a : a + step],
+                                    y[a : a + step], p[a : a + step])
+                  for a in range(0, len(t), step)]
+        R = self.config.radius
+        self.memory.last_t[...] = memory[:, R:-R, R:-R]
+        if not pieces:
+            return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
+        keep, ids = zip(*pieces)
+        return np.concatenate(keep), np.concatenate(ids)
+
+    def encode_block(self, memory: np.ndarray, t, x, y, p) -> tuple[np.ndarray, np.ndarray]:
+        """Frozen re-encoding of one block of consecutive events.
+
+        ``memory`` is as for ``block_surfaces``. Returns the mask of events
+        with valid surfaces and their prototype ids, equal to
+        ``forward_event`` on each event in turn.
+        """
+        if self.learning:
+            raise RuntimeError("encode_block needs a frozen layer")
+        surfaces = self.block_surfaces(memory, t, x, y, p)
+        valid = surfaces.sum(axis=1) >= self._min_sum
+        self.tick += int(valid.sum())
+        return valid, nearest_rows(self.bank, surfaces[valid])
+
+    def block_surfaces(self, memory: np.ndarray, t, x, y, p) -> np.ndarray:
+        """Flattened time-surfaces of one block of consecutive events, one
+        row each, equal bit for bit to ``extract`` after ``record``.
+
+        ``memory`` is a ``padded_memory()`` holding the latest timestamp of
+        every earlier event; it is updated in place to include the block.
+        Each surface reads, per receptive-field pixel, the latest event at
+        or before its own within the block, else ``memory``.
+        """
+        n = len(t)
+        R = self.config.radius
+        t = np.asarray(t, dtype=np.float64)
+        width = self._padded_shape[2]
+        centre = (np.asarray(y, dtype=np.int64) + R) * width + np.asarray(x) + R
+        keys = np.asarray(p, dtype=np.int64) * (self._padded_shape[1] * width) + centre
+        # Sorted (key, index) pairs, with a sentinel below every key.
+        index = np.arange(n)
+        ranked = np.concatenate(([-1], np.sort(keys * n + index)))
+        ranked_t = np.concatenate(([0.0], t[ranked[1:] % n]))
+        query = centre[:, None] + self._offsets  # (event, field pixel) keys
+        query_lo = query * n
+        at = np.searchsorted(ranked, query_lo + index[:, None], side="right") - 1
+        inside = ranked[at] >= query_lo  # the latest event is in this block
+        flat_memory = memory.reshape(-1)
+        surfaces = np.where(inside, ranked_t[at], flat_memory[query])
+        # extract's arithmetic: (last - t)/tau + 1, clamped at 0.
+        surfaces -= t[:, None]
+        surfaces /= self.config.tau_us
+        surfaces += 1.0
+        np.maximum(surfaces, 0.0, out=surfaces)
+        # Carry each key's last event of the block.
+        ranked_keys = ranked[1:] // n
+        last = np.diff(ranked_keys, append=-1) != 0  # keys are >= 0
+        flat_memory[ranked_keys[last]] = ranked_t[1:][last]
+        return surfaces
 
 
 @dataclass(frozen=True)
@@ -224,18 +348,36 @@ class Network:
 
         ``learn_upto`` bounds the cascade during sequential training: only
         layers [0, learn_upto] see events. Memories are reset first; streams
-        are always processed against fresh per-clip context.
+        are always processed against fresh per-clip context. The leading
+        frozen layers encode the whole stream in blocks, one layer after
+        the other; the rest, from the first learning layer on, take each
+        event through in turn.
         """
         self.reset_memories()
         layers = self.layers if learn_upto is None else self.layers[: learn_upto + 1]
+        t, x, y = stream.t, stream.x, stream.y
+        p = np.zeros(len(stream), dtype=np.int64) if self.config.merge_polarity else stream.p
+        n_frozen = next((i for i, layer in enumerate(layers) if layer.learning), len(layers))
+        for layer in layers[:n_frozen]:
+            keep, p = layer.encode(t, x, y, p)
+            t, x, y = t[keep], x[keep], y[keep]
+        if n_frozen < len(layers):
+            t, x, y, p = self._forward_events(layers[n_frozen:], t, x, y, p)
+        geom = SensorGeometry(
+            self.geometry.width, self.geometry.height, layers[-1].config.n_prototypes
+        )
+        if len(t) == 0:
+            return EventStream.empty(geom)
+        return EventStream(t, x, y, p, geom, validate=False)
+
+    @staticmethod
+    def _forward_events(layers, t, x, y, p):
+        """Each event through every layer before the next event: the
+        learning path."""
         out_t, out_x, out_y, out_p = [], [], [], []
-        merge = self.config.merge_polarity
-        ts, xs, ys, ps = (stream.t.tolist(), stream.x.tolist(),
-                          stream.y.tolist(), stream.p.tolist())
-        for t, x, y, p in zip(ts, xs, ys, ps):
-            ev = Event(t, x, y, 0 if merge else p)
+        for ev in zip(t.tolist(), x.tolist(), y.tolist(), p.tolist()):
             for layer in layers:
-                ev = layer.forward_event(ev.t, ev.x, ev.y, ev.p)
+                ev = layer.forward_event(*ev)
                 if ev is None:
                     break
             else:
@@ -243,12 +385,7 @@ class Network:
                 out_x.append(ev.x)
                 out_y.append(ev.y)
                 out_p.append(ev.p)
-        geom = SensorGeometry(
-            self.geometry.width, self.geometry.height, layers[-1].config.n_prototypes
-        )
-        if not out_t:
-            return EventStream.empty(geom)
-        return EventStream(out_t, out_x, out_y, out_p, geom, validate=False)
+        return out_t, out_x, out_y, out_p
 
 
 def train(network: Network, clips, epochs: int = 1, mode: str = "joint") -> Network:

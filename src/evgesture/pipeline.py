@@ -150,7 +150,8 @@ def evaluate_pipeline(pipeline: TrainedPipeline,
 
 @dataclass
 class BenchReport:
-    stages: dict[str, dict[str, float]]  # stage -> {events_per_s, spread, runs}
+    # stage -> {events_per_s, spread, runs, events_in, events_out}
+    stages: dict[str, dict[str, float]]
     total_events: int
     runs: int
 
@@ -158,6 +159,8 @@ class BenchReport:
         pairs = {"bench.events": str(self.total_events),
                  "bench.runs": str(self.runs)}
         for stage, m in self.stages.items():
+            pairs[f"bench.{stage}.events_in"] = str(int(m["events_in"]))
+            pairs[f"bench.{stage}.events_out"] = str(int(m["events_out"]))
             pairs[f"bench.{stage}.events_per_s"] = f"{m['events_per_s']:.1f}"
             pairs[f"bench.{stage}.spread"] = f"{m['spread']:.1f}"
         return pairs
@@ -168,7 +171,10 @@ def benchmark(pipeline: TrainedPipeline, clips: list[ClipRecord],
     """Median per-stage throughput over repeated single-threaded runs.
 
     Stages: dbs (filter alone), layers (cascade alone, on filtered
-    events), full (filter + cascade + signature).
+    events), full (filter + cascade + signature). Each stage's rate is
+    over the events that enter it: raw events for dbs and full, the
+    DBS-kept events for layers. Stages also report events in and out
+    (full's output is the end layer's events).
     """
     config = pipeline.config
     streams = [c.stream for c in clips]
@@ -176,6 +182,8 @@ def benchmark(pipeline: TrainedPipeline, clips: list[ClipRecord],
     if total == 0:
         return BenchReport(stages={}, total_events=0, runs=0)
     filtered = [suppress_background(config, s)[0] for s in streams]
+    kept = sum(len(s) for s in filtered)
+    emitted = sum(len(pipeline.network.forward_stream(s)) for s in filtered)
 
     def timed(fn) -> list[float]:
         times = []
@@ -198,14 +206,18 @@ def benchmark(pipeline: TrainedPipeline, clips: list[ClipRecord],
             clip_signature(config, pipeline.network, s)
 
     stages = {}
-    for name, fn in (("dbs", run_dbs), ("layers", run_layers), ("full", run_full)):
+    for name, fn, n_in, n_out in (("dbs", run_dbs, total, kept),
+                                  ("layers", run_layers, kept, emitted),
+                                  ("full", run_full, total, emitted)):
         if name == "dbs" and config.dbs is None:
             continue
         times = timed(fn)
         med = float(np.median(times))
         stages[name] = {
-            "events_per_s": total / med,
-            "spread": total / min(times) - total / max(times),
+            "events_per_s": n_in / med,
+            "spread": n_in / min(times) - n_in / max(times),
             "runs": float(runs),
+            "events_in": float(n_in),
+            "events_out": float(n_out),
         }
     return BenchReport(stages=stages, total_events=total, runs=runs)

@@ -3,9 +3,12 @@
 Everything here is a pure function of (spec, seed). Randomness comes from
 numpy's PCG64 generator (``np.random.default_rng(seed)``) and Poisson gaps
 are drawn by inversion (``-ln(1-U) / rate``), so streams are reproducible
-bit-for-bit across platforms. ``gen_composite`` draws its gaps, pixels and
-polarities in bulk arrays by the same inversion; the other generators
-draw one scalar at a time.
+bit-for-bit across platforms. ``gen_translating_blob`` (and so the gesture
+generators) takes all its uniforms from one array draw, in the same order
+as one scalar draw per value, and inverts the gaps with ``math.log``, so its
+streams equal an event-by-event generator's bit for bit. ``gen_composite``
+draws its gaps, pixels and polarities in bulk arrays by the same inversion,
+through ``np.log``; ``gen_moving_bar`` draws its jitter one event at a time.
 
 Moving stimuli emit events only along their contours, mimicking the
 sensor's native contour response; blobs emit on an annulus, bars on their
@@ -40,23 +43,10 @@ def _finalize(geometry, rows, label) -> LabeledStream:
     return LabeledStream(EventStream(t, x, y, p, geometry), list(tags), label)
 
 
-def _poisson_times(rate_hz: float, duration_us: int, rng: np.random.Generator):
-    """Homogeneous Poisson arrival times in [0, duration), by gap inversion."""
-    if rate_hz <= 0:
-        return []
-    times = []
-    t = 0.0
-    scale = US / rate_hz
-    while True:
-        t += -math.log(1.0 - rng.random()) * scale
-        if t >= duration_us:
-            return times
-        times.append(int(t))
-
-
 def _poisson_times_bulk(rate_hz: float, duration_us: int,
                         rng: np.random.Generator) -> np.ndarray:
-    """Array form of ``_poisson_times``: the same inversion, drawn in blocks.
+    """Homogeneous Poisson arrival times in [0, duration), by gap inversion
+    drawn in blocks.
 
     Each block holds the expected count plus a margin; a further block is
     drawn only while the running time has not yet passed ``duration_us``.
@@ -136,38 +126,77 @@ def gen_translating_blob(spec: BlobSpec, seed: int,
     """
     rng = np.random.default_rng(seed)
     g = spec.geometry
-    speed = math.hypot(spec.velocity_x_px_s, spec.velocity_y_px_s)
-    rows = []
-    for t in _poisson_times(spec.rate_hz, spec.duration_us, rng):
-        cx = spec.start_x + spec.velocity_x_px_s * t / US
-        cy = spec.start_y + spec.velocity_y_px_s * t / US
-        angle = rng.random() * 2 * math.pi
-        r = spec.radius_px * (0.9 + 0.2 * rng.random())
-        x = int(round(cx + r * math.cos(angle)))
-        y = int(round(cy + r * math.sin(angle)))
-        if not g.contains(x, y):
-            continue
-        if speed > 0:
-            along = (math.cos(angle) * spec.velocity_x_px_s
-                     + math.sin(angle) * spec.velocity_y_px_s)
-            p = 1 if along >= 0 else 0
-        else:
-            p = 1
-        rows.append((t, x, y, p, tag))
-    return _finalize(g, rows, label)
+    t, u_angle, u_radius = _blob_draws(spec.rate_hz, spec.duration_us, rng)
+    cx = spec.start_x + spec.velocity_x_px_s * t / US
+    cy = spec.start_y + spec.velocity_y_px_s * t / US
+    angle = u_angle * 2 * math.pi
+    r = spec.radius_px * (0.9 + 0.2 * u_radius)
+    # math.cos/sin, like math.log, keep the values independent of numpy's
+    # vectorised transcendental kernels.
+    cos = np.array(list(map(math.cos, angle.tolist())))
+    sin = np.array(list(map(math.sin, angle.tolist())))
+    x = np.rint(cx + r * cos).astype(np.int64)  # round half to even, as round()
+    y = np.rint(cy + r * sin).astype(np.int64)
+    inside = (0 <= x) & (x < g.width) & (0 <= y) & (y < g.height)
+    if math.hypot(spec.velocity_x_px_s, spec.velocity_y_px_s) > 0:
+        along = cos * spec.velocity_x_px_s + sin * spec.velocity_y_px_s
+        p = (along >= 0).astype(np.int64)
+    else:
+        p = np.ones(len(t), dtype=np.int64)
+    n = int(inside.sum())
+    if n == 0:
+        return LabeledStream(EventStream.empty(g), [], label)
+    # Times are non-decreasing already, so no sort is needed.
+    stream = EventStream(t[inside], x[inside], y[inside], p[inside], g)
+    return LabeledStream(stream, [tag] * n, label)
+
+
+def _blob_draws(rate_hz: float, duration_us: int, rng: np.random.Generator):
+    """Event times and per-event angle and radius uniforms of a blob.
+
+    The draw order is that of a scalar generator: k+1 gaps (the last one
+    passes ``duration_us``), then one (angle, radius) pair per event. All
+    of them come from one ``rng.random`` array; it is grown only while the
+    gaps have not yet reached ``duration_us``.
+    """
+    if rate_hz <= 0:
+        empty = np.empty(0)
+        return empty.astype(np.int64), empty, empty
+    scale = US / rate_hz
+    n = int(rate_hz * duration_us / US * 1.05) + 64  # candidate event count
+    u = rng.random(3 * n + 1)
+    while True:
+        # math.log, not np.log: the two differ in the last bit on some draws.
+        logs = np.array(list(map(math.log, (1.0 - u[: n + 1]).tolist())))
+        times = np.cumsum(-logs * scale)  # sequential, as t += gap
+        k = int(np.searchsorted(times, duration_us))  # first time past the end
+        if k <= n:
+            break
+        n *= 2
+        u = np.concatenate([u, rng.random(3 * n + 1 - len(u))])
+    return times[:k].astype(np.int64), u[k + 1 : 3 * k + 1 : 2], u[k + 2 : 3 * k + 2 : 2]
 
 
 GESTURE_CLASSES = ("up", "down", "left", "right")
 
 # Coordinate maps taking a canonical rightward clip to each class; "left"
-# is the exact x-mirror of "right" with identical parameters.
+# is the exact x-mirror of "right" with identical parameters. They act on
+# whole int64 coordinate arrays with integer (floor) arithmetic.
+def _to_down(x, y, w, h):
+    return ((y * (w - 1) // (h - 1)) if h > 1 else np.zeros_like(y),
+            (x * (h - 1) // (w - 1)) if w > 1 else np.zeros_like(x))
+
+
+def _to_up(x, y, w, h):
+    x_down, y_down = _to_down(x, y, w, h)
+    return x_down, h - 1 - y_down
+
+
 _CLASS_TRANSFORM = {
     "right": lambda x, y, w, h: (x, y),
     "left": lambda x, y, w, h: (w - 1 - x, y),
-    "down": lambda x, y, w, h: (y * (w - 1) // (h - 1) if h > 1 else 0,
-                                x * (h - 1) // (w - 1) if w > 1 else 0),
-    "up": lambda x, y, w, h: (y * (w - 1) // (h - 1) if h > 1 else 0,
-                              h - 1 - (x * (h - 1) // (w - 1) if w > 1 else 0)),
+    "down": _to_down,
+    "up": _to_up,
 }
 
 
@@ -198,13 +227,8 @@ def gen_gesture_clip(geometry: SensorGeometry, label: str, seed: int,
     )
     clip = gen_translating_blob(canonical, seed=int(rng.integers(2**32)),
                                 tag="gesture", label=label)
-    transform = _CLASS_TRANSFORM[label]
     s = clip.stream
-    xy = [transform(int(x), int(y), w, h) for x, y in zip(s.x, s.y)]
-    if xy:
-        xs, ys = zip(*xy)
-    else:
-        xs, ys = (), ()
+    xs, ys = _CLASS_TRANSFORM[label](s.x.astype(np.int64), s.y.astype(np.int64), w, h)
     return LabeledStream(
         EventStream(s.t, xs, ys, s.p, geometry, validate=False),
         clip.tags, label,
@@ -247,6 +271,12 @@ def gen_composite(spec: CompositeSpec, seed: int) -> LabeledStream:
     """
     g = spec.geometry
     x0, y0, x1, y1 = spec.fg_region
+    if x0 < 0 or y0 < 0 or x1 > g.width or y1 > g.height:
+        raise ValueError(f"fg_region {spec.fg_region} reaches outside the "
+                         f"{g.width}x{g.height} array")
+    if spec.fg_rate_hz > 0 and (x1 <= x0 or y1 <= y0):
+        raise ValueError(f"fg_region {spec.fg_region} is empty but "
+                         f"fg_rate_hz is {spec.fg_rate_hz:g}")
     if (spec.bg_rate_hz > 0 and x0 <= 0 and y0 <= 0
             and x1 >= g.width and y1 >= g.height):
         raise ValueError("fg_region covers the whole array: no pixel left "

@@ -169,6 +169,22 @@ class TestCli:
         for stage in ("dbs", "layers", "full"):
             assert float(pairs[f"bench.{stage}.events_per_s"]) > 0
 
+    def test_bench_stage_counts(self, dataset, capsys):
+        # each stage's rate is over its own input: layers see what DBS keeps
+        assert cli.main(["bench", str(dataset / "manifest.tsv"),
+                         str(dataset / "train.cfg"), "--runs", "1"]) == 0
+        out = capsys.readouterr().out
+        pairs = parse_kv("\n".join(l for l in out.splitlines()
+                                   if not l.startswith("#")))
+        count = {k: int(v) for k, v in pairs.items()
+                 if k.endswith((".events_in", ".events_out"))}
+        assert count["bench.dbs.events_in"] == int(pairs["bench.events"])
+        assert count["bench.full.events_in"] == int(pairs["bench.events"])
+        assert count["bench.layers.events_in"] == count["bench.dbs.events_out"]
+        assert count["bench.full.events_out"] == count["bench.layers.events_out"]
+        assert 0 < count["bench.layers.events_out"] <= count["bench.layers.events_in"]
+        assert count["bench.dbs.events_out"] <= count["bench.dbs.events_in"]
+
     def test_bench_empty_manifest(self, tmp_path, dataset, capsys):
         manifest = tmp_path / "empty.tsv"
         manifest.write_text("")

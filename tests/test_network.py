@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evgesture.events import EventStream, SensorGeometry
 from evgesture.network import (
     Layer, LayerConfig, Network, NetworkConfig, UndertrainedLayerError,
-    learn_update, load_network, nearest_prototype, save_network, train,
+    learn_update, load_network, nearest_prototype, nearest_rows, save_network,
+    train,
 )
+from evgesture.oracles import surfaces_bruteforce
+from evgesture.surfaces import TimestampMemory, extract
 from evgesture.synth import gen_gesture_set
 
 GEOM = SensorGeometry(32, 32, 2)
@@ -250,3 +254,276 @@ class TestSerialization:
     def test_rejects_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
             load_network(b"XXXX" + b"\x00" * 64)
+
+
+# ---------------------------------------------------------------------------
+# Frozen layers encode streams in blocks; these tests hold the block path to
+# the per-event path and to the brute-force surface oracle.
+
+# The oracle's 1 - dt/tau and extract's (last - t)/tau + 1, and sums or
+# distances over either, differ far below this.
+ROUNDING = 1e-9
+
+
+def frozen_network(geometry, specs, merge, seed, duplicate_rows=False):
+    """A network whose banks are seeded random rows, then frozen.
+
+    ``specs`` is one (n_prototypes, radius, tau_us) per layer."""
+    rng = np.random.default_rng(seed)
+    in_channels = 1 if merge else geometry.channels
+    configs = []
+    for n, radius, tau in specs:
+        configs.append(LayerConfig(n, radius, tau, in_channels))
+        in_channels = n
+    net = Network(NetworkConfig(tuple(configs), merge_polarity=merge), geometry)
+    for layer in net.layers:
+        n, d = layer.bank.shape
+        layer.bank = rng.random((n, d)) * (rng.random((n, d)) < 0.6)
+        if duplicate_rows and n > 1:
+            layer.bank[n - 1] = layer.bank[0]
+        layer.n_filled = n
+        layer.match_counts = [1] * n
+        layer.last_match_tick = [0] * n
+        layer.freeze()
+    return net
+
+
+def per_event_output(net, stream, upto):
+    """The cascade run one event at a time through ``forward_event``."""
+    net.reset_memories()
+    out = []
+    for t, x, y, p in zip(stream.t.tolist(), stream.x.tolist(),
+                          stream.y.tolist(), stream.p.tolist()):
+        ev = (t, x, y, 0 if net.config.merge_polarity else p)
+        for layer in net.layers[: upto + 1]:
+            ev = layer.forward_event(*ev)
+            if ev is None:
+                break
+        else:
+            out.append(tuple(ev))
+    return out
+
+
+def oracle_accepts(layer_in, out, layer) -> bool:
+    """Whether ``out`` is one frozen-layer output the oracle allows: an
+    event is kept iff its brute-force surface sums to >= 2R and labelled
+    with a nearest bank row; within ROUNDING of the threshold or of the
+    nearest distance either choice is allowed. Outputs are aligned to
+    inputs by a subsequence search, so repeated (t, x, y) stay unambiguous.
+    """
+    surfaces = surfaces_bruteforce(layer_in, layer.config.surface_config)
+    threshold = 2 * layer.config.radius
+    reachable = {0}  # output events consumed so far, over all alignments
+    for i, surface in enumerate(surfaces):
+        flat = surface.ravel()
+        total = float(flat.sum())
+        may_drop = total < threshold + ROUNDING
+        may_keep = total >= threshold - ROUNDING
+        diff = layer.bank - flat
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        allowed = set(np.flatnonzero(d2 <= d2.min() + ROUNDING).tolist())
+        here = (layer_in.t[i], layer_in.x[i], layer_in.y[i])
+        nxt = set()
+        for j in reachable:
+            if may_drop:
+                nxt.add(j)
+            if (may_keep and j < len(out)
+                    and (out.t[j], out.x[j], out.y[j]) == here
+                    and int(out.p[j]) in allowed):
+                nxt.add(j + 1)
+        reachable = nxt
+    return len(out) in reachable
+
+
+@st.composite
+def frozen_cases(draw):
+    """A small stream with bursts of repeated timestamps and pixels, and a
+    frozen 1- or 2-layer net with R in 1-3 on it; arrays may be smaller
+    than the receptive field."""
+    w, h = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    geometry = SensorGeometry(w, h, 2)
+    n = draw(st.integers(0, 70))
+    gaps = draw(st.lists(st.sampled_from([0, 0, 1, 3, 40, 700, 5000]),
+                         min_size=n, max_size=n))
+    xs = draw(st.lists(st.integers(0, w - 1), min_size=n, max_size=n))
+    ys = draw(st.lists(st.integers(0, h - 1), min_size=n, max_size=n))
+    ps = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    stream = EventStream(np.cumsum(gaps, dtype=np.int64), xs, ys, ps, geometry)
+    n_layers = draw(st.integers(1, 2))
+    specs = [(draw(st.integers(1, 5)), draw(st.integers(1, 3)),
+              draw(st.sampled_from([700.0, 3000.0, 20_000.0])))
+             for _ in range(n_layers)]
+    net = frozen_network(geometry, specs, draw(st.booleans()),
+                         draw(st.integers(0, 2**16)), draw(st.booleans()))
+    return net, stream
+
+
+def layer_input(net, stream):
+    if net.config.merge_polarity:
+        return stream.with_channels(np.zeros(len(stream), dtype=np.int32), 1)
+    return stream
+
+
+class TestFrozenBlocks:
+    @settings(max_examples=80, deadline=None)
+    @given(frozen_cases())
+    def test_equals_per_event_path(self, case):
+        net, stream = case
+        for upto in range(len(net.layers)):
+            out = net.forward_stream(stream, learn_upto=upto)
+            assert list(zip(out.t.tolist(), out.x.tolist(), out.y.tolist(),
+                            out.p.tolist())) == per_event_output(net, stream, upto)
+
+    @settings(max_examples=80, deadline=None)
+    @given(frozen_cases())
+    def test_equals_bruteforce_oracle(self, case):
+        net, stream = case
+        layer_in = layer_input(net, stream)
+        for upto, layer in enumerate(net.layers):
+            out = net.forward_stream(stream, learn_upto=upto)
+            assert oracle_accepts(layer_in, out, layer)
+            layer_in = out
+
+    @settings(max_examples=60, deadline=None)
+    @given(frozen_cases(), st.lists(st.integers(1, 12), min_size=1, max_size=30))
+    def test_any_block_boundaries(self, case, cuts):
+        net, stream = case
+        layer = net.layers[0]
+        s = layer_input(net, stream)
+        layer.reset_memory()
+        whole = layer.encode(s.t, s.x, s.y, s.p)
+        layer.reset_memory()
+        memory = layer.padded_memory()
+        keep, ids, a, k = [], [], 0, 0
+        while a < len(s):
+            b = a + cuts[k % len(cuts)]
+            kb, ib = layer.encode_block(memory, s.t[a:b], s.x[a:b], s.y[a:b], s.p[a:b])
+            keep.append(kb)
+            ids.append(ib)
+            a, k = b, k + 1
+        if keep:
+            assert np.array_equal(np.concatenate(keep), whole[0])
+            assert np.array_equal(np.concatenate(ids), whole[1])
+
+    def test_every_block_length(self):
+        geometry = SensorGeometry(16, 12, 2)
+        net = frozen_network(geometry, [(6, 2, 3000.0)], True, seed=3)
+        rng = np.random.default_rng(4)
+        n = 400
+        stream = EventStream(np.cumsum(rng.integers(0, 60, n)),
+                             np.clip(8 + rng.integers(-3, 4, n), 0, 15),
+                             np.clip(6 + rng.integers(-3, 4, n), 0, 11),
+                             rng.integers(0, 2, n), geometry)
+        layer = net.layers[0]
+        s = layer_input(net, stream)
+        layer.reset_memory()
+        whole_keep, whole_ids = layer.encode(s.t, s.x, s.y, s.p)
+        assert 0 < whole_keep.sum() < n
+        layer.reset_memory()
+        for step in range(1, n + 1):
+            memory = layer.padded_memory()
+            pieces = [layer.encode_block(memory, s.t[a:a + step], s.x[a:a + step],
+                                         s.y[a:a + step], s.p[a:a + step])
+                      for a in range(0, n, step)]
+            assert np.array_equal(np.concatenate([k for k, _ in pieces]), whole_keep)
+            assert np.array_equal(np.concatenate([i for _, i in pieces]), whole_ids)
+
+    def test_blocks_and_events_share_the_memory(self):
+        # encode reads what forward_event recorded and records its own
+        # events for the next forward_event
+        events = [(0, 3, 3), (10, 4, 3), (20, 3, 4), (30, 4, 4), (40, 4, 5), (50, 3, 3)]
+        twin, net = (frozen_network(SensorGeometry(8, 8, 2), [(3, 1, 5000.0)],
+                                    True, seed=5) for _ in range(2))
+        expected = [twin.layers[0].forward_event(t, x, y, 0) for t, x, y in events]
+        layer = net.layers[0]
+        got = [layer.forward_event(t, x, y, 0) for t, x, y in events[:2]]
+        t, x, y = (np.array(v) for v in zip(*events[2:4]))
+        keep, ids = layer.encode(t, x, y, np.zeros(2, dtype=np.int64))
+        got += [None] * 2
+        for k, i in zip(np.flatnonzero(keep), ids):
+            got[2 + k] = (t[k], x[k], y[k], i)
+        got += [layer.forward_event(t, x, y, 0) for t, x, y in events[4:]]
+        assert [None if e is None else tuple(int(v) for v in e) for e in got] == \
+            [None if e is None else tuple(e) for e in expected]
+        assert sum(e is not None for e in expected) >= 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(frozen_cases())
+    def test_surfaces_equal_extract(self, case):
+        # bit for bit, and so are the row sums the validity gate reads
+        net, stream = case
+        layer = net.layers[0]
+        s = layer_input(net, stream)
+        layer.reset_memory()
+        rows = layer.block_surfaces(layer.padded_memory(), s.t, s.x, s.y, s.p)
+        memory = TimestampMemory(layer.geometry)
+        expected = []
+        for t, x, y, p in zip(s.t.tolist(), s.x.tolist(), s.y.tolist(), s.p.tolist()):
+            memory.record(t, x, y, p)
+            expected.append(extract(memory, t, x, y, p, layer.config.surface_config)
+                            .values.ravel())
+        if expected:
+            assert np.array_equal(rows, np.array(expected))
+            assert np.array_equal(rows.sum(axis=1), [e.sum() for e in expected])
+
+    def test_block_needs_frozen_layer(self):
+        layer = make_layer()
+        with pytest.raises(RuntimeError, match="frozen"):
+            layer.encode_block(layer.padded_memory(), np.array([0]), np.array([1]),
+                               np.array([1]), np.array([0]))
+
+
+class TestNearestRows:
+    def test_duplicate_rows_take_lowest_index(self):
+        rng = np.random.default_rng(6)
+        bank = rng.random((6, 50))
+        bank[4] = bank[1]
+        surfaces = bank[[1, 4, 1]] + rng.normal(0, 1e-3, (3, 50))
+        assert nearest_rows(bank, surfaces).tolist() == [1, 1, 1]
+
+    def test_equidistant_surface_takes_lowest_index(self):
+        rng = np.random.default_rng(7)
+        s = rng.random(40)
+        bank = rng.random((8, 40)) + 2.0  # far rows
+        bank[2] = s
+        bank[2][5] += 0.25
+        bank[6] = s
+        bank[6][9] -= 0.25  # both exactly 0.0625 away
+        assert nearest_rows(bank, s[None, :]).tolist() == [2]
+        bank[[2, 6]] = bank[[6, 2]]
+        assert nearest_rows(bank, s[None, :]).tolist() == [2]
+
+    def test_process_surface_ties(self):
+        layer = make_layer(n=3)
+        for v in ([1.0] * 4 + [0.0] * 5, [0.0] * 5 + [1.0] * 4, [1.0] * 4 + [0.0] * 5):
+            layer.process_surface(np.array(v))
+        layer.freeze()
+        assert layer.process_surface(np.array([1.0] * 4 + [0.0] * 5)) == 0
+        assert layer.process_surface(np.array([0.5] * 9)) == 0  # all three equidistant
+
+    def test_frozen_stream_with_duplicate_rows(self):
+        net = frozen_network(SensorGeometry(32, 32, 2), [(4, 1, 5000.0)], True, seed=8)
+        layer = net.layers[0]
+        layer.bank[2] = layer.bank[0]
+        layer.bank[3] = layer.bank[1]
+        stream = simple_stream(n=500, seed=9)
+        out = net.forward_stream(stream)
+        assert len(out) > 0
+        assert set(out.p.tolist()) <= {0, 1}
+        assert list(zip(out.t.tolist(), out.x.tolist(), out.y.tolist(),
+                        out.p.tolist())) == per_event_output(net, stream, 0)
+
+    def test_matches_einsum_argmin_near_ties(self):
+        rng = np.random.default_rng(10)
+        for d, n in ((25, 8), (200, 64), (9, 2)):
+            bank = rng.random((n, d))
+            surfaces = np.concatenate([
+                rng.random((50, d)),
+                # rows a rounding error from a bank row
+                bank[rng.integers(0, n, 50)] * (1 + rng.normal(0, 1e-15, (50, d))),
+            ])
+            expected = [np.einsum("ij,ij->i", bank - s, bank - s).argmin() for s in surfaces]
+            assert nearest_rows(bank, surfaces).tolist() == expected
+
+    def test_single_row_bank(self):
+        assert nearest_rows(np.ones((1, 4)), np.zeros((3, 4))).tolist() == [0, 0, 0]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,76 @@ class TestComposite:
         quiet = CompositeSpec(SensorGeometry(30, 30, 2), 100_000,
                               (0, 0, 30, 30), 50_000.0, 0.0)
         assert set(gen_composite(quiet, seed=7).tags) == {"foreground"}
+
+    @pytest.mark.parametrize("region", [(25, 25, 40, 40), (-1, 0, 10, 10),
+                                        (0, 0, 31, 5), (0, 20, 5, 31)])
+    def test_region_outside_array_rejected(self, region):
+        spec = CompositeSpec(SensorGeometry(30, 30, 2), 100_000, region,
+                             50_000.0, 20_000.0)
+        with pytest.raises(ValueError, match=r"fg_region .* outside the 30x30"):
+            gen_composite(spec, seed=8)
+
+    @pytest.mark.parametrize("region", [(5, 5, 5, 10), (5, 9, 10, 3)])
+    def test_empty_region_with_foreground_rejected(self, region):
+        spec = CompositeSpec(SensorGeometry(30, 30, 2), 100_000, region,
+                             50_000.0, 20_000.0)
+        with pytest.raises(ValueError, match=r"fg_region .* is empty"):
+            gen_composite(spec, seed=9)
+        quiet = CompositeSpec(SensorGeometry(30, 30, 2), 100_000, region,
+                              0.0, 20_000.0)
+        assert set(gen_composite(quiet, seed=9).tags) == {"background"}
+
+
+def _digest(items) -> str:
+    """sha256 over each stream's (t, x, y, p) as little-endian int64 and its
+    text fields, one newline-joined block per stream."""
+    h = hashlib.sha256()
+    for stream, text in items:
+        for a in (stream.t, stream.x, stream.y, stream.p):
+            h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+        h.update("\n".join(text).encode())
+    return h.hexdigest()
+
+
+class TestGoldenStreams:
+    """Pinned digests of the generators' streams. Acceptance 6 and the
+    benchmark inputs are built from these streams, so any change to them
+    must be deliberate and show up here."""
+
+    @pytest.mark.parametrize("size, per_class, seed, events, digest", [
+        ((64, 64), 2, 0, 49381,
+         "6c349436952115aaae03970556d3e3273441fba6c9767c492dea83f9383326af"),
+        ((48, 48), 2, 1, 35911,
+         "cedaed3f4692c75675ed9d47140bee0db110a0987346884a426e9c6fc8084683"),
+        ((32, 20), 2, 2, 20846,
+         "6210a2644036321747a23f5af53b455254bd4290011481097dcf4a37c9c9ff17"),
+        ((1, 7), 3, 3, 0,
+         "422dfbdbd3aaeea5a5e87ce73b28ca451eb0bde0ab0ff17e42003b04e66175ec"),
+        ((9, 1), 3, 4, 168,
+         "5e83809c8dd59e0ba96b131f873f22b634cac69cb351154bf5fda465e517e164"),
+    ])
+    def test_gesture_set(self, size, per_class, seed, events, digest):
+        clips = gen_gesture_set(SensorGeometry(*size, 2), per_class, seed)
+        assert sum(len(c.stream) for c in clips) == events
+        assert _digest((c.stream, [c.source, c.label, c.subject])
+                       for c in clips) == digest
+
+    G = SensorGeometry(40, 30, 2)
+
+    @pytest.mark.parametrize("spec, seed, events, digest", [
+        (BlobSpec(G, 200_000, 5.0, 15.0, 150.0, 0.0, 4.0, 8000.0), 0, 1567,
+         "8529aaecca0613795c0a00df680ff9de90bbbb7988a8576f46ac30d2e220e7bf"),
+        (BlobSpec(G, 150_000, 35.0, 2.0, -90.0, 60.0, 6.5, 15000.0), 1, 1969,
+         "545c2e1eeed223fda047e8533c2c411da579a74c2b2adf5d1c1ec79e4db8ec87"),
+        (BlobSpec(G, 100_000, 20.0, 15.0, 0.0, 0.0, 3.0, 5000.0), 2, 504,
+         "55ecd979e24e77aecba777cc82dcb2f8ae38ab2faf389acbaf0d44d2970d0d21"),
+        (BlobSpec(G, 300_000, -5.0, 28.0, 40.0, -70.0, 9.0, 20000.0), 3, 3096,
+         "8ff5b94cf5a140090d4e98d0d79d142d70bea6fe4d56809404f6c75fd754c17f"),
+        (BlobSpec(SensorGeometry(1, 9, 2), 80_000, 0.0, 4.0, 0.0, 30.0, 2.0,
+                  4000.0), 4, 43,
+         "10b9a485c523d1c02c7d7a7f1fedd2cbe434ac888450294f66b82fee76228482"),
+    ])
+    def test_translating_blob(self, spec, seed, events, digest):
+        clip = gen_translating_blob(spec, seed, tag="t", label="l")
+        assert len(clip.stream) == events
+        assert _digest([(clip.stream, clip.tags + [clip.label])]) == digest
