@@ -44,11 +44,6 @@ def _parse_geometry(value: str) -> tuple[int, int]:
         raise StreamError(f"expected WIDTHxHEIGHT, got {value!r}") from None
 
 
-def _parse_grid(value: str) -> tuple[int, int]:
-    r, c = _parse_geometry(value)
-    return r, c
-
-
 def _read_events(path: str, geometry: str | None, channels: int):
     with open(path, "rb") as f:
         data = f.read()
@@ -110,7 +105,7 @@ def cmd_convert(args) -> int:
 
 def cmd_filter(args) -> int:
     stream = _read_events(args.input, args.geometry, args.channels)
-    rows, cols = _parse_grid(args.grid)
+    rows, cols = _parse_geometry(args.grid)
     config = DbsConfig(grid_rows=rows, grid_cols=cols,
                        tau_b_us=args.tau_b, alpha=args.alpha)
     kept, stats = filter_stream(DbsFilter(stream.geometry, config), stream)

@@ -11,12 +11,14 @@ an event's channel becomes the index of the nearest prototype to its
 time-surface. Invalid surfaces emit nothing, so streams only shrink as
 they pass through layers.
 
-Learning is strictly per event. A frozen layer's output for an event
-depends only on the latest earlier event at each pixel of its receptive
-field, so frozen layers evaluate the stream in blocks of arrays
-(``Layer.encode_block``) with the per-event semantics unchanged: the same
-surface arithmetic as ``surfaces.extract``, the same validity gate and the
-same nearest-row ids, ties included.
+An event's surface depends only on the latest earlier event at each pixel
+of its receptive field, never on the bank, and a layer reads nothing from
+the layers after it. So every layer takes the whole stream in blocks of
+arrays (``Layer.encode``), one layer after the other: the surfaces and the
+validity gate of a block are computed at once, with the same arithmetic
+as ``surfaces.extract``. Only the learning rule itself is sequential, one
+valid surface after the other; a frozen layer matches a whole block at
+once. Outputs equal the per-event semantics bit for bit, ties included.
 """
 
 from __future__ import annotations
@@ -28,14 +30,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import Event, EventStream, SensorGeometry
-from .surfaces import TimeSurfaceConfig, TimestampMemory, extract
+from .surfaces import TimeSurfaceConfig
 
 DEFAULT_REINIT_WINDOW = 10_000  # valid surfaces without a match before reseed
 
-# Transient working memory of one frozen block, in bytes. A block holds
-# about four (events x D) arrays of 8-byte values, so a layer with surface
+# Transient working memory of one block, in bytes. A block holds about
+# four (events x D) arrays of 8-byte values, so a layer with surface
 # length D takes BLOCK_BYTES // (32 D) events per block.
 BLOCK_BYTES = 512 * 1024
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -74,18 +78,29 @@ def nearest_prototype(prototypes: np.ndarray, flat_surface: np.ndarray) -> tuple
     return i, float(np.sqrt(d2[i]))
 
 
+def _screen_margin(d: int, sq_s, sq_b_max):
+    """The gap between the two best screened squared distances of a
+    surface at or below which its nearest row is recomputed exactly.
+
+    A screened distance ``|b|^2 - 2 s.b`` (plus ``|s|^2`` or not) and the
+    einsum form ``einsum((b - s)**2)`` of the same pair each lie within
+    (D + 2) eps A of the exact value, whatever the summation order
+    (A = |s|^2 + max |b|^2), so they differ by less than a quarter of
+    ``bound = 8 (D + 2) eps A``. Where the two best screened distances are
+    more than 2 ``bound`` apart, the screened argmin is the einsum argmin,
+    strictly; elsewhere the caller recomputes the einsum against the whole
+    bank. Callers test ``gap > margin``, so a NaN gap is recomputed too.
+    """
+    return 16 * (d + 2) * _EPS * (sq_s + sq_b_max)
+
+
 def nearest_rows(bank: np.ndarray, surfaces: np.ndarray) -> np.ndarray:
     """Nearest bank row of every surface row; ties go to the lowest index.
 
     The ids equal ``argmin`` of the per-surface distance
     ``einsum((bank - s)**2)`` bit for bit. One GEMM screens all pairs as
-    ``|s|^2 + |b|^2 - 2 s.b``. Whatever the summation order, the screened
-    and the einsum form of one squared distance each lie within
-    (D + 2) eps A of the exact value (A = |s|^2 + max |b|^2), so they differ
-    by less than a quarter of ``bound``. Where a row's two best screened
-    distances lie within twice ``bound`` of each other, the row is
-    recomputed with the einsum against the whole bank; elsewhere the
-    screened argmin is the einsum argmin, strictly.
+    ``|s|^2 + |b|^2 - 2 s.b``; rows whose two best screened distances lie
+    within ``_screen_margin`` are recomputed with the einsum.
     """
     ids = np.zeros(len(surfaces), dtype=np.int64)
     if len(bank) < 2 or len(surfaces) == 0:
@@ -95,9 +110,8 @@ def nearest_rows(bank: np.ndarray, surfaces: np.ndarray) -> np.ndarray:
     d2 = sq_s[:, None] + sq_b - 2.0 * (surfaces @ bank.T)
     ids = d2.argmin(axis=1)
     best_two = np.partition(d2, 1, axis=1)
-    bound = 8 * (bank.shape[1] + 2) * np.finfo(np.float64).eps * (sq_s + sq_b.max())
-    # ``not >`` also sends NaN rows to the exact recomputation.
-    for i in np.flatnonzero(~(best_two[:, 1] - best_two[:, 0] > 2 * bound)):
+    margin = _screen_margin(bank.shape[1], sq_s, sq_b.max())
+    for i in np.flatnonzero(~(best_two[:, 1] - best_two[:, 0] > margin)):
         diff = bank - surfaces[i]
         ids[i] = np.einsum("ij,ij->i", diff, diff).argmin()
     return ids
@@ -111,11 +125,11 @@ def learn_update(prototype: np.ndarray, match_count: int, flat_surface: np.ndarr
     leave the prototype untouched. Returns the updated prototype array.
     """
     rate = 1.0 / (1.0 + match_count)
-    ns2 = float(flat_surface @ flat_surface)
-    nc2 = float(prototype @ prototype)
+    ns2 = float(flat_surface.dot(flat_surface))
+    nc2 = float(prototype.dot(prototype))
     if ns2 == 0.0 or nc2 == 0.0:  # cannot occur for valid surfaces; guarded anyway
         return prototype.copy()
-    cos = float(flat_surface @ prototype) / math.sqrt(ns2 * nc2)
+    cos = float(flat_surface.dot(prototype)) / math.sqrt(ns2 * nc2)
     step = rate * cos
     # Surfaces and prototypes are componentwise non-negative, so cos >= 0;
     # clamp keeps the update a convex combination even if that ever breaks.
@@ -126,24 +140,27 @@ def learn_update(prototype: np.ndarray, match_count: int, flat_surface: np.ndarr
 class Layer:
     """One stage of the hierarchy: timestamp memory plus a prototype bank.
 
-    Strictly sequential during learning. ``memory`` is per-stream state and
-    must be reset between clips; the prototype bank persists.
+    While learning, the rule takes the valid surfaces one after the other;
+    surfaces and validity are computed a block at a time. ``memory`` is
+    per-stream state and must be reset between clips; the prototype bank
+    persists.
     """
 
     def __init__(self, config: LayerConfig, geometry: SensorGeometry):
         self.config = config
         self.geometry = SensorGeometry(geometry.width, geometry.height, config.in_channels)
-        self.memory = TimestampMemory(self.geometry)
         self._surface_config = config.surface_config
-        # Frozen blocks use an R-padded (channel, y, x) memory; these are the
-        # flat offsets of the receptive field from its centre pixel on
-        # channel 0, in the channel-major (p, dy, dx) order of surfaces.
+        # The latest timestamp of every (channel, y, x), -inf where nothing
+        # fired, inside an R-wide -inf border so that every receptive field
+        # lies within the array; these are the flat offsets of the field
+        # from its centre pixel on channel 0, in the channel-major
+        # (p, dy, dx) order of surfaces.
         R = config.radius
-        self._padded_shape = (config.in_channels, geometry.height + 2 * R,
-                              geometry.width + 2 * R)
+        self.memory = np.full((config.in_channels, geometry.height + 2 * R,
+                               geometry.width + 2 * R), -np.inf)
         c, dy, dx = np.meshgrid(np.arange(config.in_channels), np.arange(-R, R + 1),
                                 np.arange(-R, R + 1), indexing="ij")
-        height, width = self._padded_shape[1:]
+        height, width = self.memory.shape[1:]
         self._offsets = ((c * height + dy) * width + dx).ravel()
         self._min_sum = 2 * config.radius  # validity threshold
         # Bank rows are flattened channel-major surfaces; only the first
@@ -163,11 +180,8 @@ class Layer:
     def prototypes(self) -> list[np.ndarray]:
         return [self.bank[i].copy() for i in range(self.n_filled)]
 
-    def prototype_matrix(self) -> np.ndarray:
-        return self.bank[: self.n_filled].copy()
-
     def reset_memory(self) -> None:
-        self.memory.reset()
+        self.memory.fill(-np.inf)
 
     def freeze(self) -> None:
         if not self.bank_full:
@@ -177,28 +191,14 @@ class Layer:
             )
         self.learning = False
 
-    def _stalest(self) -> int | None:
-        window = self.config.reinit_window
-        worst, worst_age = None, window
-        for i, last in enumerate(self.last_match_tick):
-            age = self.tick - last
-            if age > worst_age:
-                worst, worst_age = i, age
-        return worst
-
     def forward_event(self, t: int, x: int, y: int, p: int) -> Event | None:
         """Process one event; returns the re-encoded event or None.
 
         None means the event was consumed: its surface was invalid, or the
         bank is still warming up (unstable ids are never emitted).
         """
-        self.memory.record(t, x, y, p)
-        surface = extract(self.memory, t, x, y, p, self._surface_config)
-        flat = surface.values.ravel()
-        if flat.sum() < self._min_sum:
-            return None  # invalid; the event stays recorded for later surfaces
-        idx = self.process_surface(flat)
-        return None if idx is None else Event(t, x, y, idx)
+        keep, ids = self.encode(*(np.array([v]) for v in (t, x, y, p)))
+        return Event(t, x, y, int(ids[0])) if keep[0] else None
 
     def process_surface(self, flat: np.ndarray) -> int | None:
         """Cluster one valid flattened surface; returns the assigned
@@ -208,48 +208,81 @@ class Layer:
         the stalest unmatched prototype, or pulls its nearest prototype
         toward itself. When frozen it is only matched.
         """
-        self.tick += 1
         if not self.learning:
+            self.tick += 1
             return int(nearest_rows(self.bank, flat[None, :])[0])
+        idx = int(self._learn(flat[None, :])[0])
+        return None if idx < 0 else idx
 
-        if not self.bank_full:
-            self.bank[self.n_filled] = flat
-            self.n_filled += 1
-            self.match_counts.append(1)
-            self.last_match_tick.append(self.tick)
-            return None  # warm-up: no stable ids yet
-        stale = self._stalest()
-        if stale is not None:
-            self.bank[stale] = flat
-            self.match_counts[stale] = 1
-            self.last_match_tick[stale] = self.tick
-            return stale
-        diff = self.bank - flat
-        idx = int(np.einsum("ij,ij->i", diff, diff).argmin())
-        self.bank[idx] = learn_update(self.bank[idx], self.match_counts[idx], flat)
-        self.match_counts[idx] += 1
-        self.last_match_tick[idx] = self.tick
-        return idx
+    def _learn(self, surfaces: np.ndarray) -> np.ndarray:
+        """The learning rule over valid surface rows, one after the other;
+        returns each row's prototype id, -1 while the bank warms up.
+
+        The stalest prototype is the first index of the least
+        ``last_match_tick``, reseeded if its age exceeds ``reinit_window``:
+        the first row of strictly largest age, ties included. The nearest
+        row is screened with one GEMV against the squared row norms, which
+        are refreshed whenever a row is written, and recomputed with the
+        einsum under the rule of ``_screen_margin``, as in ``nearest_rows``.
+        """
+        ids = np.full(len(surfaces), -1, dtype=np.int64)
+        bank, counts, last = self.bank, self.match_counts, self.last_match_tick
+        n, d = bank.shape
+        window = self.config.reinit_window
+        # The screen ``|b|^2/2 - s.b`` is half of ``|b|^2 - 2 s.b`` exactly.
+        # ``sq_b_max`` never falls, so it bounds every row's |b|^2.
+        sq_b = np.einsum("ij,ij->i", bank, bank)
+        half_sq_b = 0.5 * sq_b
+        sq_b_max = float(sq_b.max())
+        sq_s = np.einsum("ij,ij->i", surfaces, surfaces).tolist()
+        for k, flat in enumerate(surfaces):
+            self.tick += 1
+            if self.n_filled < n:  # warm-up: no stable ids yet
+                i = self.n_filled
+                bank[i] = flat
+                counts.append(1)
+                last.append(self.tick)
+                self.n_filled += 1
+            else:
+                oldest = min(last)
+                if self.tick - oldest > window:  # reseed the stalest prototype
+                    i = last.index(oldest)
+                    bank[i] = flat
+                    counts[i] = 1
+                else:
+                    i = 0
+                    if n > 1:
+                        screened = half_sq_b - bank.dot(flat)
+                        i = int(screened.argmin())
+                        screened.partition(1)
+                        gap = 2.0 * float(screened[1] - screened[0])
+                        if not gap > _screen_margin(d, sq_s[k], sq_b_max):
+                            diff = bank - flat
+                            i = int(np.einsum("ij,ij->i", diff, diff).argmin())
+                    bank[i] = learn_update(bank[i], counts[i], flat)
+                    counts[i] += 1
+                last[i] = self.tick
+                ids[k] = i
+            sq = float(bank[i].dot(bank[i]))
+            half_sq_b[i] = 0.5 * sq
+            sq_b_max = max(sq_b_max, sq)
+        return ids
 
     def padded_memory(self) -> np.ndarray:
-        """A copy of the timestamp memory with an R-wide border of -inf,
-        the carried state of ``encode_block``."""
-        R = self.config.radius
-        memory = np.full(self._padded_shape, -np.inf)
-        memory[:, R:-R, R:-R] = self.memory.last_t
-        return memory
+        """A copy of the timestamp memory, R-wide border of -inf included:
+        the carried state of ``encode_block`` and ``learn_block``."""
+        return self.memory.copy()
 
     def encode(self, t, x, y, p) -> tuple[np.ndarray, np.ndarray]:
-        """Frozen re-encoding of an event sequence given as arrays, in
-        blocks of BLOCK_BYTES working memory; continues from, and updates,
-        the timestamp memory. Returns the kept mask and the kept ids."""
-        memory = self.padded_memory()
+        """Re-encoding of an event sequence given as arrays, in blocks of
+        BLOCK_BYTES working memory; continues from, and updates, the
+        timestamp memory, and a learning layer learns from it. Returns the
+        mask of emitted events and their prototype ids."""
         step = max(1, BLOCK_BYTES // (32 * self._surface_config.size))
-        pieces = [self.encode_block(memory, t[a : a + step], x[a : a + step],
-                                    y[a : a + step], p[a : a + step])
+        block = self.learn_block if self.learning else self.encode_block
+        pieces = [block(self.memory, t[a : a + step], x[a : a + step],
+                        y[a : a + step], p[a : a + step])
                   for a in range(0, len(t), step)]
-        R = self.config.radius
-        self.memory.last_t[...] = memory[:, R:-R, R:-R]
         if not pieces:
             return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
         keep, ids = zip(*pieces)
@@ -269,9 +302,27 @@ class Layer:
         self.tick += int(valid.sum())
         return valid, nearest_rows(self.bank, surfaces[valid])
 
+    def learn_block(self, memory: np.ndarray, t, x, y, p) -> tuple[np.ndarray, np.ndarray]:
+        """Learning from one block of consecutive events.
+
+        ``memory`` is as for ``block_surfaces``. The valid surfaces go
+        through the learning rule in event order. Returns the mask of
+        events emitted (valid, and past the bank's warm-up) and their
+        prototype ids, equal to ``forward_event`` on each event in turn.
+        """
+        if not self.learning:
+            raise RuntimeError("learn_block needs a learning layer")
+        surfaces = self.block_surfaces(memory, t, x, y, p)
+        keep = surfaces.sum(axis=1) >= self._min_sum
+        ids = self._learn(surfaces[keep])
+        emitted = ids >= 0
+        keep[keep] = emitted
+        return keep, ids[emitted]
+
     def block_surfaces(self, memory: np.ndarray, t, x, y, p) -> np.ndarray:
         """Flattened time-surfaces of one block of consecutive events, one
-        row each, equal bit for bit to ``extract`` after ``record``.
+        row each, equal bit for bit to ``surfaces.extract`` after
+        ``record``.
 
         ``memory`` is a ``padded_memory()`` holding the latest timestamp of
         every earlier event; it is updated in place to include the block.
@@ -281,9 +332,9 @@ class Layer:
         n = len(t)
         R = self.config.radius
         t = np.asarray(t, dtype=np.float64)
-        width = self._padded_shape[2]
+        width = memory.shape[2]
         centre = (np.asarray(y, dtype=np.int64) + R) * width + np.asarray(x) + R
-        keys = np.asarray(p, dtype=np.int64) * (self._padded_shape[1] * width) + centre
+        keys = np.asarray(p, dtype=np.int64) * (memory.shape[1] * width) + centre
         # Sorted (key, index) pairs, with a sentinel below every key.
         index = np.arange(n)
         ranked = np.concatenate(([-1], np.sort(keys * n + index)))
@@ -321,7 +372,8 @@ class NetworkConfig:
 
 
 class Network:
-    """Cascade of layers; each event traverses all layers before the next."""
+    """Cascade of layers; each layer takes the whole stream emitted by the
+    one before it."""
 
     def __init__(self, config: NetworkConfig, geometry: SensorGeometry):
         self.config = config
@@ -340,29 +392,24 @@ class Network:
         for layer in self.layers:
             layer.reset_memory()
 
-    def _merge(self, p: int) -> int:
-        return 0 if self.config.merge_polarity else p
-
     def forward_stream(self, stream: EventStream, learn_upto: int | None = None) -> EventStream:
         """Push a stream through the cascade; returns the end layer's output.
 
         ``learn_upto`` bounds the cascade during sequential training: only
         layers [0, learn_upto] see events. Memories are reset first; streams
-        are always processed against fresh per-clip context. The leading
-        frozen layers encode the whole stream in blocks, one layer after
-        the other; the rest, from the first learning layer on, take each
-        event through in turn.
+        are always processed against fresh per-clip context. Each layer
+        encodes the whole stream, learning from it if it is still
+        learning, and hands the events it emits to the next. A layer's
+        state depends only on its own input sequence, so this equals
+        taking each event through every layer before the next event.
         """
         self.reset_memories()
         layers = self.layers if learn_upto is None else self.layers[: learn_upto + 1]
         t, x, y = stream.t, stream.x, stream.y
         p = np.zeros(len(stream), dtype=np.int64) if self.config.merge_polarity else stream.p
-        n_frozen = next((i for i, layer in enumerate(layers) if layer.learning), len(layers))
-        for layer in layers[:n_frozen]:
+        for layer in layers:
             keep, p = layer.encode(t, x, y, p)
             t, x, y = t[keep], x[keep], y[keep]
-        if n_frozen < len(layers):
-            t, x, y, p = self._forward_events(layers[n_frozen:], t, x, y, p)
         geom = SensorGeometry(
             self.geometry.width, self.geometry.height, layers[-1].config.n_prototypes
         )
@@ -370,28 +417,11 @@ class Network:
             return EventStream.empty(geom)
         return EventStream(t, x, y, p, geom, validate=False)
 
-    @staticmethod
-    def _forward_events(layers, t, x, y, p):
-        """Each event through every layer before the next event: the
-        learning path."""
-        out_t, out_x, out_y, out_p = [], [], [], []
-        for ev in zip(t.tolist(), x.tolist(), y.tolist(), p.tolist()):
-            for layer in layers:
-                ev = layer.forward_event(*ev)
-                if ev is None:
-                    break
-            else:
-                out_t.append(ev.t)
-                out_x.append(ev.x)
-                out_y.append(ev.y)
-                out_p.append(ev.p)
-        return out_t, out_x, out_y, out_p
-
 
 def train(network: Network, clips, epochs: int = 1, mode: str = "joint") -> Network:
     """Train the prototype banks online and freeze the network.
 
-    ``joint`` (default): every event traverses the full cascade with all
+    ``joint`` (default): every clip runs through the full cascade with all
     layers learning, in one or more passes. ``sequential``: layer 1 trains
     to completion and freezes, then layer 2, and so on.
 

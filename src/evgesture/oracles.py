@@ -2,9 +2,11 @@
 
 These deliberately share no state or bookkeeping with the production code
 paths: the background-suppression references derive every cell's activity
-from the event history sum (no lazy decay), and the time-surface reference
+from the event history sum (no lazy decay), the time-surface reference
 reconstructs each neighbor's latest timestamp from per-pixel event
-histories instead of a rolling memory array.
+histories instead of a rolling memory array, and the learning reference
+takes one event at a time through every layer with the rule written out
+plainly.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import numpy as np
 
 from .classify import Signature, TrainedModel
 from .dbs import DbsConfig
-from .events import EventStream
-from .surfaces import TimeSurfaceConfig
+from .events import EventStream, SensorGeometry
+from .network import NetworkConfig, learn_update
+from .surfaces import TimeSurfaceConfig, TimestampMemory, extract
 
 
 def dbs_decisions_history(stream: EventStream, config: DbsConfig) -> np.ndarray:
@@ -127,3 +130,101 @@ def knn_bruteforce(model: TrainedModel, signature: Signature) -> str:
         if model.labels[i] in tied:
             return model.labels[i]
     raise AssertionError("unreachable")
+
+
+class _LayerReference:
+    """One layer's per-event state and rule for ``learn_bruteforce``."""
+
+    def __init__(self, config, geometry: SensorGeometry):
+        self.config = config
+        self.memory = TimestampMemory(
+            SensorGeometry(geometry.width, geometry.height, config.in_channels))
+        self.bank = np.zeros((config.n_prototypes, config.surface_config.size))
+        self.n_filled = 0
+        self.match_counts: list[int] = []
+        self.last_match_tick: list[int] = []
+        self.tick = 0
+        self.learning = True
+
+    def step(self, t: int, x: int, y: int, p: int) -> int | None:
+        self.memory.record(t, x, y, p)
+        flat = extract(self.memory, t, x, y, p, self.config.surface_config).values.ravel()
+        if flat.sum() < 2 * self.config.radius:
+            return None
+        self.tick += 1
+        diff = self.bank - flat
+        nearest = int(np.einsum("ij,ij->i", diff, diff).argmin())
+        if not self.learning:
+            return nearest
+        if self.n_filled < self.config.n_prototypes:
+            self.bank[self.n_filled] = flat
+            self.n_filled += 1
+            self.match_counts.append(1)
+            self.last_match_tick.append(self.tick)
+            return None
+        stalest, worst_age = None, self.config.reinit_window
+        for i, last in enumerate(self.last_match_tick):
+            if self.tick - last > worst_age:
+                stalest, worst_age = i, self.tick - last
+        if stalest is not None:
+            self.bank[stalest] = flat
+            self.match_counts[stalest] = 1
+            self.last_match_tick[stalest] = self.tick
+            return stalest
+        self.bank[nearest] = learn_update(self.bank[nearest],
+                                          self.match_counts[nearest], flat)
+        self.match_counts[nearest] += 1
+        self.last_match_tick[nearest] = self.tick
+        return nearest
+
+
+def learn_bruteforce(config: NetworkConfig, geometry: SensorGeometry, streams,
+                     epochs: int = 1, mode: str = "joint"):
+    """Reference online learning of a cascade, one event at a time.
+
+    Follows ``network.train``'s schedule: ``joint`` passes every stream
+    through all layers, learning, ``epochs`` times; ``sequential`` trains
+    layer i with layers before it frozen, freezes it, and stops after the
+    first layer whose bank did not fill (where ``train`` raises). Each
+    event goes through every layer before the next event; each layer
+    records it, extracts its surface, gates on the sum >= 2R, and then
+    fills an empty slot, reseeds the stalest prototype found by a scan of
+    every row, or moves the einsum-nearest row by ``learn_update``. A
+    frozen layer labels with the einsum-nearest row.
+
+    Returns the layers, each with ``bank``, ``n_filled``,
+    ``match_counts``, ``last_match_tick`` and ``tick``, and the end
+    layer's output events (t, x, y, id) of every pass, in pass order.
+    """
+    layers = [_LayerReference(c, geometry) for c in config.layers]
+    outputs = []
+
+    def run(active, stream):
+        for layer in active:
+            layer.memory.reset()
+        out = []
+        for i in range(len(stream)):
+            event = (int(stream.t[i]), int(stream.x[i]), int(stream.y[i]),
+                     0 if config.merge_polarity else int(stream.p[i]))
+            for layer in active:
+                idx = layer.step(*event)
+                if idx is None:
+                    break
+                event = event[:3] + (idx,)
+            else:
+                out.append(event)
+        outputs.append(out)
+
+    if mode == "joint":
+        for _ in range(epochs):
+            for stream in streams:
+                run(layers, stream)
+    else:
+        for i, layer in enumerate(layers):
+            for _ in range(epochs):
+                for stream in streams:
+                    run(layers[: i + 1], stream)
+            if layer.n_filled < layer.config.n_prototypes:
+                break
+            layer.learning = False
+    return layers, outputs

@@ -8,7 +8,7 @@ deterministic given the configuration seed and input ordering.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +89,6 @@ class RunReport:
     retention_per_class: dict[str, float]  # empty when DBS is off
     wall_clock_s: float
     config_pairs: dict[str, str]
-    throughput_ev_s: dict[str, float] = field(default_factory=dict)
 
     def to_pairs(self) -> dict[str, str]:
         pairs = dict(self.config_pairs)
@@ -100,8 +99,6 @@ class RunReport:
                 str(int(v)) for v in self.confusion[i])
         for label, r in sorted(self.retention_per_class.items()):
             pairs[f"retention.{label}"] = f"{r:.4f}"
-        for stage, v in self.throughput_ev_s.items():
-            pairs[f"throughput.{stage}"] = f"{v:.1f}"
         pairs["wall_clock_s"] = f"{self.wall_clock_s:.3f}"
         return pairs
 
@@ -115,8 +112,6 @@ class RunReport:
             lines.append(f"  {l:>{width}} {row}")
         for label, r in sorted(self.retention_per_class.items()):
             lines.append(f"retention[{label}]: {100 * r:.2f}%")
-        for stage, v in self.throughput_ev_s.items():
-            lines.append(f"throughput[{stage}]: {v:.0f} ev/s")
         lines.append(f"wall clock: {self.wall_clock_s:.3f} s")
         return "\n".join(lines) + "\n"
 

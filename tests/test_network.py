@@ -1,14 +1,19 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evgesture.config import parse_config
 from evgesture.events import EventStream, SensorGeometry
 from evgesture.network import (
-    Layer, LayerConfig, Network, NetworkConfig, UndertrainedLayerError,
-    learn_update, load_network, nearest_prototype, nearest_rows, save_network,
-    train,
+    DEFAULT_REINIT_WINDOW, Layer, LayerConfig, Network, NetworkConfig,
+    UndertrainedLayerError, learn_update, load_network, nearest_prototype,
+    nearest_rows, save_network, train,
 )
-from evgesture.oracles import surfaces_bruteforce
+from evgesture.oracles import learn_bruteforce, surfaces_bruteforce
+from evgesture.pipeline import train_pipeline
 from evgesture.surfaces import TimestampMemory, extract
 from evgesture.synth import gen_gesture_set
 
@@ -132,6 +137,17 @@ class TestReinitStale:
         layer.process_surface(incoming.copy())
         replaced = [i for i in (1, 2) if np.array_equal(layer.bank[i], incoming)]
         assert len(replaced) == 1  # only the stalest
+
+    def test_equally_stale_take_lowest_index(self):
+        layer = make_layer(n=3, window=2)
+        for k in range(3):
+            v = np.zeros(9); v[3 * k : 3 * k + 3] = 1.0
+            layer.process_surface(v)
+        layer.last_match_tick = [0, 1, 0]
+        incoming = np.full(9, 0.5)
+        assert layer.process_surface(incoming.copy()) == 0
+        assert np.array_equal(layer.bank[0], incoming)
+        assert layer.last_match_tick == [4, 1, 0]
 
 
 def simple_stream(n=3000, seed=0):
@@ -527,3 +543,168 @@ class TestNearestRows:
 
     def test_single_row_bank(self):
         assert nearest_rows(np.ones((1, 4)), np.zeros((3, 4))).tolist() == [0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# Learning layers take streams in blocks too; only the learning rule runs
+# one valid surface after the other. These tests hold the block learner to
+# the per-event reference, which takes each event through every layer
+# before the next.
+
+@st.composite
+def learning_cases(draw):
+    """One or two small streams, a learning 1- or 2-layer net and a
+    training schedule. A stream may repeat its events after they have
+    decayed away, which repeats surfaces exactly and so ties bank rows."""
+    w, h = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    geometry = SensorGeometry(w, h, 2)
+    streams = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(0, 60))
+        gaps = draw(st.lists(st.sampled_from([0, 1, 3, 40, 700]), min_size=n, max_size=n))
+        t = np.cumsum(gaps, dtype=np.int64)
+        period = (int(t[-1]) if n else 0) + 100_000  # beyond every tau below
+        copies = draw(st.integers(1, 3))
+        xs, ys, ps = (np.tile(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)),
+                              copies) for top in (w - 1, h - 1, 1))
+        times = np.concatenate([t + k * period for k in range(copies)])
+        streams.append(EventStream(times, xs, ys, ps, geometry))
+    merge = draw(st.booleans())
+    in_channels = 1 if merge else 2
+    configs = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(1, 8))
+        configs.append(LayerConfig(
+            n, draw(st.integers(1, 3)), draw(st.sampled_from([700.0, 3000.0, 20_000.0])),
+            in_channels, draw(st.sampled_from([2, 5, 20, DEFAULT_REINIT_WINDOW]))))
+        in_channels = n
+    net = Network(NetworkConfig(tuple(configs), merge_polarity=merge), geometry)
+    return net, streams, draw(st.integers(1, 2)), draw(st.sampled_from(["joint", "sequential"]))
+
+
+def events_of(stream):
+    return list(zip(stream.t.tolist(), stream.x.tolist(), stream.y.tolist(),
+                    stream.p.tolist()))
+
+
+def assert_same_state(layers, reference):
+    for layer, ref in zip(layers, reference, strict=True):
+        assert layer.bank.tobytes() == ref.bank.tobytes()
+        assert layer.n_filled == ref.n_filled
+        assert layer.match_counts == ref.match_counts
+        assert layer.last_match_tick == ref.last_match_tick
+        assert layer.tick == ref.tick
+
+
+def train_recording(net, streams, epochs, mode):
+    """``train``, returning the end layer's output of every pass."""
+    outputs = []
+    forward = net.forward_stream
+
+    def recording(stream, learn_upto=None):
+        out = forward(stream, learn_upto)
+        outputs.append(events_of(out))
+        return out
+
+    net.forward_stream = recording
+    try:
+        train(net, streams, epochs=epochs, mode=mode)
+    except UndertrainedLayerError:
+        pass  # the reference stops where train raises
+    return outputs
+
+
+class TestLearnBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(learning_cases())
+    def test_train_equals_bruteforce(self, case):
+        net, streams, epochs, mode = case
+        outputs = train_recording(net, streams, epochs, mode)
+        reference, expected = learn_bruteforce(net.config, net.geometry, streams,
+                                               epochs=epochs, mode=mode)
+        assert_same_state(net.layers, reference)
+        assert outputs == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(learning_cases(), st.lists(st.integers(1, 200), min_size=1, max_size=20))
+    def test_any_block_boundaries(self, case, cuts):
+        net, streams, epochs, _ = case
+        layer = net.layers[0]
+        outputs = []
+        for _ in range(epochs):
+            for stream in streams:
+                s = layer_input(net, stream)
+                layer.reset_memory()
+                memory = layer.padded_memory()
+                a, k, out = 0, 0, []
+                while a < len(s):
+                    b = a + cuts[k % len(cuts)]
+                    keep, ids = layer.learn_block(memory, s.t[a:b], s.x[a:b], s.y[a:b], s.p[a:b])
+                    out += [(int(s.t[a + j]), int(s.x[a + j]), int(s.y[a + j]), int(i))
+                            for j, i in zip(np.flatnonzero(keep), ids)]
+                    a, k = b, k + 1
+                outputs.append(out)
+        one_layer = NetworkConfig((layer.config,), net.config.merge_polarity)
+        reference, expected = learn_bruteforce(one_layer, net.geometry, streams, epochs=epochs)
+        assert_same_state([layer], reference)
+        assert outputs == expected
+
+    def test_forward_event_learns(self):
+        # every event a block of its own, through both layers in turn
+        net = small_network(2)
+        stream = simple_stream(n=1500, seed=20)
+        out = per_event_output(net, stream, 1)
+        reference, expected = learn_bruteforce(net.config, GEOM, [stream])
+        assert_same_state(net.layers, reference)
+        assert out == expected[0]
+        assert len(out) > 0 and all(layer.bank_full for layer in net.layers)
+
+    def test_nearest_row_near_ties(self):
+        # surfaces a rounding error from a bank row, so the screen alone
+        # may misorder the two best rows
+        rng = np.random.default_rng(21)
+        for channels, n in ((3, 8), (22, 64), (1, 2)):
+            layer = Layer(LayerConfig(n, 1, 1000.0, channels), GEOM)
+            layer.bank = rng.random((n, layer.bank.shape[1]))
+            layer.bank[n - 1] = layer.bank[0]
+            layer.n_filled = n
+            layer.match_counts = [1] * n
+            layer.last_match_tick = list(range(n))
+            for j in rng.integers(0, n, 200):
+                s = layer.bank[j] * (1 + rng.normal(0, 1e-15, layer.bank.shape[1]))
+                expected = np.einsum("ij,ij->i", layer.bank - s, layer.bank - s).argmin()
+                assert layer.process_surface(s) == expected
+
+    def test_block_needs_learning_layer(self):
+        layer = make_layer()
+        layer.learning = False
+        with pytest.raises(RuntimeError, match="learning"):
+            layer.learn_block(layer.padded_memory(), np.array([0]), np.array([1]),
+                              np.array([1]), np.array([0]))
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+SMALL_WINDOWS = ("training.mode = sequential\nepochs = 2\n"
+                 "layers.1.reinit_window = 150\nlayers.2.reinit_window = 300\n")
+
+
+class TestGoldenModels:
+    """Pinned sha256 of the saved network and the k-NN signature matrix
+    trained on a small seeded swipe set, so that no change to the
+    learning path alters trained models silently. The last case trains
+    sequentially, twice over, with windows small enough to reseed
+    thousands of times."""
+
+    @pytest.mark.parametrize("name, extra, digest", [
+        ("e04", "", "ea7034e1b5416faeaf09cc16b11aac12adee621b8023b2998609311f40fa1ee5"),
+        ("e10", "", "f449e1bfca6bbe6f0f174d583446c97402f428e09982d9720dd8aea2059d2e56"),
+        ("e10", SMALL_WINDOWS,
+         "2806e5e2786e2c2ba986c81d7ac9dfcf0ef2a316d36cab9e71b28d339690380a"),
+    ])
+    def test_trained_model(self, name, extra, digest):
+        with open(os.path.join(CONFIG_DIR, f"{name}.cfg"), encoding="utf-8") as f:
+            config = parse_config(f.read() + extra)
+        clips = gen_gesture_set(SensorGeometry(32, 32, 2), 2, 7)
+        trained = train_pipeline(config, clips)
+        data = save_network(trained.network) + trained.model.signatures.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
