@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 
-from .events import EventStream, SensorGeometry
+from .events import EventStream, SensorGeometry, grid_cells
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,9 @@ def accumulate(stream: EventStream, geometry: SensorGeometry,
     size = pooling.cells * n_channels
     if len(stream) == 0:
         return Signature(np.zeros(size))
-    rows = np.minimum(
-        stream.y.astype(np.int64) * pooling.grid_rows // geometry.height,
-        pooling.grid_rows - 1,
-    )
-    cols = np.minimum(
-        stream.x.astype(np.int64) * pooling.grid_cols // geometry.width,
-        pooling.grid_cols - 1,
-    )
-    bins = (rows * pooling.grid_cols + cols) * n_channels + stream.p
+    cells = grid_cells(stream.x, stream.y, geometry, pooling.grid_rows,
+                       pooling.grid_cols)
+    bins = cells * n_channels + stream.p
     return Signature(np.bincount(bins, minlength=size).astype(float))
 
 

@@ -39,6 +39,16 @@ class SensorGeometry:
         return 0 <= x < self.width and 0 <= y < self.height
 
 
+def grid_cells(x, y, geometry: SensorGeometry, rows: int, cols: int) -> np.ndarray:
+    """Row-major cell id of each pixel on a ``rows`` x ``cols`` grid over
+    the array: ``min(v * cells // size, cells - 1)`` per axis, so remainder
+    pixels join the last row/col. The one tiling rule of the background
+    filter and the pooled signatures."""
+    row = np.minimum(np.asarray(y, dtype=np.int64) * rows // geometry.height, rows - 1)
+    col = np.minimum(np.asarray(x, dtype=np.int64) * cols // geometry.width, cols - 1)
+    return row * cols + col
+
+
 class StreamError(ValueError):
     """Malformed event data: bad syntax, ordering or bounds violations."""
 

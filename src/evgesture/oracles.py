@@ -2,11 +2,12 @@
 
 These deliberately share no state or bookkeeping with the production code
 paths: the background-suppression references derive every cell's activity
-from the event history sum (no lazy decay), the time-surface reference
-reconstructs each neighbor's latest timestamp from per-pixel event
-histories instead of a rolling memory array, and the learning reference
-takes one event at a time through every layer with the rule written out
-plainly.
+from the event history sum, decay every cell at every event, or take one
+event at a time through the scalar rule (no block arrays); the
+time-surface reference reconstructs each neighbor's latest timestamp from
+per-pixel event histories instead of a rolling memory array, and the
+learning reference takes one event at a time through every layer with the
+rule written out plainly.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from bisect import bisect_right
 import numpy as np
 
 from .classify import Signature, TrainedModel
-from .dbs import DbsConfig
+from .dbs import DbsConfig, update_activity
 from .events import EventStream, SensorGeometry
 from .network import NetworkConfig, learn_update
 from .surfaces import TimeSurfaceConfig, TimestampMemory, extract
@@ -46,6 +47,40 @@ def dbs_decisions_history(stream: EventStream, config: DbsConfig) -> np.ndarray:
         ]
         keep[i] = acts[idx] >= config.alpha * (sum(acts) / n_cells)
     return keep
+
+
+def dbs_scalar(stream: EventStream, config: DbsConfig):
+    """Scalar reference for ``DbsFilter``: one event at a time, the event's
+    cell brought forward by ``update_activity`` and then the running sum of
+    all cells, keep iff A_c >= alpha * (sum / cells). These are the block
+    filter's IEEE-754 operations in its order, so decisions and state are
+    bit-equal to it.
+
+    Returns the keep mask, the final state ``(activity, last_t, sum,
+    sum_t)`` as the filter holds it, and each event's relative margin
+    ``(A_c - alpha * mean) / A_c``: where it is within rounding of 0, a
+    reference that sums in another order may decide the other way.
+    """
+    g = stream.geometry
+    n_cells = config.grid_rows * config.grid_cols
+    activity = [0.0] * n_cells
+    last_t: list[int | None] = [None] * n_cells
+    total, total_t = 0.0, None
+    keep = np.zeros(len(stream), dtype=bool)
+    margin = np.zeros(len(stream))
+    for i, (t, x, y) in enumerate(zip(stream.t.tolist(), stream.x.tolist(),
+                                      stream.y.tolist())):
+        row = min(y * config.grid_rows // g.height, config.grid_rows - 1)
+        col = min(x * config.grid_cols // g.width, config.grid_cols - 1)
+        idx = row * config.grid_cols + col
+        a = update_activity(activity[idx], last_t[idx], t, config.tau_b_us)
+        activity[idx], last_t[idx] = a, t
+        total = update_activity(total, total_t, t, config.tau_b_us)
+        total_t = t
+        threshold = config.alpha * (total / n_cells)
+        keep[i] = a >= threshold
+        margin[i] = (a - threshold) / a
+    return keep, (activity, last_t, total, total_t), margin
 
 
 def dbs_decisions_eager(stream: EventStream, config: DbsConfig) -> np.ndarray:

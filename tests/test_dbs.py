@@ -1,15 +1,19 @@
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from evgesture import dbs
 from evgesture.dbs import (
     DbsConfig, DbsFilter, RetentionStats, cell_index, filter_stream,
     update_activity,
 )
 from evgesture.events import EventStream, SensorGeometry
-from evgesture.oracles import dbs_decisions_eager, dbs_decisions_history
-from evgesture.synth import CompositeSpec, gen_composite
+from evgesture.oracles import dbs_decisions_eager, dbs_decisions_history, dbs_scalar
+from evgesture.synth import CompositeSpec, gen_composite, gen_gesture_set
 
 DEFAULT_PARAMS = DbsConfig(grid_rows=3, grid_cols=3, tau_b_us=300.0, alpha=2.0)
 
@@ -190,3 +194,213 @@ class TestInvariants:
         assert bool(stats.keep_mask.all()) is expect
         if not expect:
             assert not stats.keep_mask.any()
+
+
+def _state(f: DbsFilter):
+    """A copy of the filter's state, in ``dbs_scalar``'s layout."""
+    return list(f.activity), list(f.last_t), f._sum, f._sum_t
+
+
+class TestTimeRegression:
+    """A block that goes back in time is refused before any state is
+    written: cells (0, 0) and (2, 2) of a 3x3 grid on 9x9 pixels."""
+
+    G = SensorGeometry(9, 9, 2)
+
+    def test_process_leaves_state(self):
+        f = DbsFilter(self.G, DEFAULT_PARAMS)
+        f.process(100, 0, 0)
+        f.process(200, 8, 8)
+        before = _state(f)
+        # cell (0, 0) alone would accept t=150; the running sum must not
+        with pytest.raises(ValueError, match="time regression: 150 < 200"):
+            f.process(150, 0, 0)
+        assert _state(f) == before
+
+    def test_filter_stream_leaves_state(self):
+        stream = EventStream([100, 200, 150], [0, 8, 0], [0, 8, 0], [0, 0, 0],
+                             self.G, validate=False)
+        f = DbsFilter(self.G, DEFAULT_PARAMS)
+        with pytest.raises(ValueError, match="time regression: 150 < 200"):
+            filter_stream(f, stream)
+        assert _state(f) == ([0.0] * 9, [None] * 9, 0.0, None)
+
+    def test_behind_carried_state(self):
+        f = DbsFilter(self.G, DEFAULT_PARAMS)
+        filter_stream(f, EventStream([5, 300], [4, 4], [4, 4], [0, 0], self.G))
+        before = _state(f)
+        with pytest.raises(ValueError, match="time regression: 299 < 300"):
+            filter_stream(f, EventStream([299], [8], [0], [0], self.G))
+        assert _state(f) == before
+
+
+class TestPixelBounds:
+    @pytest.mark.parametrize("x, y", [(-1, 0), (9, 0), (0, 12)])
+    def test_off_array_rejected(self, x, y):
+        f = DbsFilter(SensorGeometry(9, 9, 2), DEFAULT_PARAMS)
+        f.process(0, 4, 4)
+        before = _state(f)
+        with pytest.raises(ValueError, match=rf"pixel \({x}, {y}\) outside 9x9"):
+            f.process(1, x, y)
+        assert _state(f) == before
+
+
+# Gaps in microseconds: runs of equal timestamps, gaps from a small part of
+# tau to many tau, and 2e6, past 745 tau for every tau below, where the
+# decay underflows to 0.
+GAPS = st.one_of(st.sampled_from([0, 0, 0, 1, 7, 40, 260, 1500, 2_000_000]),
+                 st.integers(0, 2_500_000))
+
+
+@st.composite
+def dbs_cases(draw):
+    """A short stream, a grid of 1x1, 3x3, 5x5 or 1x7 cells and tau of 50,
+    300 or 2100 us. Pixels may keep to one corner, so some cells never
+    fire."""
+    rows, cols = draw(st.sampled_from([(1, 1), (3, 3), (5, 5), (1, 7)]))
+    config = DbsConfig(rows, cols, draw(st.sampled_from([50.0, 300.0, 2100.0])),
+                       draw(st.sampled_from([0.5, 1.0, 2.0, 3.5])))
+    geometry = SensorGeometry(draw(st.integers(1, 12)), draw(st.integers(1, 12)), 2)
+    span_x = draw(st.integers(1, geometry.width))
+    span_y = draw(st.integers(1, geometry.height))
+    n = draw(st.integers(0, 150))
+    t = draw(st.integers(0, 10**6)) + np.cumsum(
+        draw(st.lists(GAPS, min_size=n, max_size=n)), dtype=np.int64)
+    xs = draw(st.lists(st.integers(0, span_x - 1), min_size=n, max_size=n))
+    ys = draw(st.lists(st.integers(0, span_y - 1), min_size=n, max_size=n))
+    return config, EventStream(t, xs, ys, np.zeros(n, dtype=np.int64), geometry)
+
+
+class TestScalarReference:
+    """The block filter against ``oracles.dbs_scalar``, compared with ==."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dbs_cases(), st.integers(1, 160),
+           st.lists(st.integers(1, 160), min_size=1, max_size=12))
+    def test_bit_equal_under_any_cuts(self, case, block, pieces):
+        # BLOCK_EVENTS cuts inside each filter_stream call; ``pieces`` cuts
+        # the stream into calls that carry the filter's state.
+        config, stream = case
+        f = DbsFilter(stream.geometry, config)
+        idx = np.arange(len(stream))
+        masks, a, k = [], 0, 0
+        with mock.patch.object(dbs, "BLOCK_EVENTS", block):
+            while a < len(stream):
+                b = a + pieces[k % len(pieces)]
+                piece = stream.select((idx >= a) & (idx < b))
+                masks.append(filter_stream(f, piece)[1].keep_mask)
+                a, k = b, k + 1
+        mask = np.concatenate(masks) if masks else np.zeros(0, dtype=bool)
+        ref_mask, ref_state, _ = dbs_scalar(stream, config)
+        assert mask.tolist() == ref_mask.tolist()
+        assert _state(f) == ref_state
+
+    @settings(max_examples=100, deadline=None)
+    @given(dbs_cases())
+    def test_equals_eager_oracle(self, case):
+        # The eager oracle sums the cells in another order, so a decision
+        # within rounding of its threshold may go either way: e.g. two
+        # cells at 11 + O(e^-30) on a 1x7 grid with alpha 3.5. 2^-40 is far
+        # above 150 events' worth of float64 rounding.
+        config, stream = case
+        _, stats = filter_stream(DbsFilter(stream.geometry, config), stream)
+        clear = np.abs(dbs_scalar(stream, config)[2]) > 2.0**-40
+        eager = dbs_decisions_eager(stream, config)
+        assert stats.keep_mask[clear].tolist() == eager[clear].tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(dbs_cases())
+    def test_process_is_one_event_block(self, case):
+        config, stream = case
+        f = DbsFilter(stream.geometry, config)
+        decisions = [f.process(t, x, y) for t, x, y, _ in stream]
+        assert all(type(d) is bool for d in decisions)
+        ref_mask, ref_state, _ = dbs_scalar(stream, config)
+        assert decisions == ref_mask.tolist()
+        assert _state(f) == ref_state
+
+    def test_composite_at_scale(self):
+        stream = _composite(seed=23)
+        for config in (DEFAULT_PARAMS, DbsConfig(1, 7, 2100.0, 1.5)):
+            f = DbsFilter(stream.geometry, config)
+            _, stats = filter_stream(f, stream)
+            ref_mask, ref_state, _ = dbs_scalar(stream, config)
+            assert np.array_equal(stats.keep_mask, ref_mask)
+            assert _state(f) == ref_state
+
+
+def _mask_digest(masks) -> str:
+    h = hashlib.sha256()
+    for mask in masks:
+        h.update(np.asarray(mask, dtype=np.uint8).tobytes())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _cluttered_swipes(seed, clutter=4.0):
+    """One 64x64 swipe per class, each merged with uniform clutter at
+    ``clutter`` times the swipe's 12 kHz rate (swipe first on equal
+    times), as the ``cluttered-1l`` benchmark workload builds its clips."""
+    geometry = SensorGeometry(64, 64, 2)
+    rng = np.random.default_rng([seed, 1])
+    out = []
+    for clip in gen_gesture_set(geometry, 1, seed):
+        swipe = clip.stream
+        spec = CompositeSpec(geometry=geometry, duration_us=int(swipe.t[-1]) + 1,
+                             fg_region=(0, 0, 0, 0), fg_rate_hz=0.0,
+                             bg_rate_hz=clutter * 12_000.0)
+        bg = gen_composite(spec, int(rng.integers(2**32))).stream
+        t = np.concatenate([swipe.t, bg.t])
+        order = np.argsort(t, kind="stable")
+        out.append(EventStream(
+            t[order], np.concatenate([swipe.x, bg.x])[order],
+            np.concatenate([swipe.y, bg.y])[order],
+            np.concatenate([swipe.p, bg.p])[order], geometry))
+    return out
+
+
+class TestGoldenMasks:
+    """Pinned digests of keep masks (one uint8 per event, a newline after
+    each stream). Any change to a DBS decision must be deliberate and
+    show up here."""
+
+    @pytest.mark.parametrize("seed, events, kept, digest", [
+        (0, 100074, 75029, "87ca6d61a3386f89228e85459e7f33aa6708f562877c33d41b32f047a43e4ecf"),
+        (1, 100129, 74961, "4c57256b546f05f6dd67081e6e3ca71ce21052968b3fe3b375da6f5955045b4d"),
+        (2, 100207, 75005, "4f51bf6f64b57d1532ca44dd334a655a9cd941eebfc91a92ca433590ca17fdd8"),
+        (3, 100023, 75126, "917ef0f81d467a18b93b48035ae7c72ff9005c2dc809036ae0b141e5b8b18eac"),
+        (4, 100099, 74907, "31453131e8acab00af0bdb86717c8073c592f36a0db44d56a6660fdf620ebc70"),
+        (5, 99852, 74880, "db289e2a2c3689288b17f4f30f398ef5bd286479c0a33d8c1ce472d8d6a3fcf5"),
+        (6, 99961, 74953, "02ca252768e6c16ccfae204753e717989b6a4c271050d620a4df6726b2080e1f"),
+        (7, 100029, 74977, "5287fbf1e9cea1eb30c2d1f03a6f64805ea127948d0b393e439020167eeaacef"),
+        (8, 100281, 74874, "be86c1a4a95123f603432ff04fb0e4f0efe48f8a79aab2a9b84c3f07deb01e12"),
+        (9, 100225, 75190, "98514cb34a60483c955f06a663a7b38496542e6943f927ad5c4d99467b48325d"),
+    ])
+    def test_acceptance_composites(self, seed, events, kept, digest):
+        # acceptance 1's streams
+        spec = CompositeSpec(
+            geometry=SensorGeometry(36, 36, 2), duration_us=500_000,
+            fg_region=(12, 12, 24, 24), fg_rate_hz=150_000.0, bg_rate_hz=50_000.0,
+        )
+        stream = gen_composite(spec, seed).stream
+        _, stats = filter_stream(DbsFilter(stream.geometry, DEFAULT_PARAMS), stream)
+        assert (stats.total, stats.kept) == (events, kept)
+        assert _mask_digest([stats.keep_mask]) == digest
+
+    @pytest.mark.parametrize("seed, config, events, kept, digest", [
+        (0, DEFAULT_PARAMS, 118126, 27165,
+         "d6b0a5f5fed1aef624bbe295e42d63e96abd1b5dc07972155a3dff51e92f6031"),
+        (1, DEFAULT_PARAMS, 133304, 31894,
+         "30f95941b356d1dcc8318a5b4a06d88e31b04fb27df0f7153b193fbc43f73346"),
+        (2, DEFAULT_PARAMS, 110859, 27913,
+         "d9483ab67d08d3566d30c24518e755a001ef0bffe530faf58834f2af1ff01326"),
+        (5, DbsConfig(1, 7, 2100.0, 1.5), 116192, 26816,
+         "ec9322fca812b52e85c5df714f1a3400c7c59a1f8d9f3e16855905e08ad22c7b"),
+        (5, DbsConfig(5, 5, 300.0, 3.0), 116192, 33514,
+         "33bcf81a25dfabd95a5a49e042aa6eb9ba46ffff69e41cf7079adbbf782d160e"),
+    ])
+    def test_cluttered_swipes(self, seed, config, events, kept, digest):
+        masks = [filter_stream(DbsFilter(s.geometry, config), s)[1].keep_mask
+                 for s in _cluttered_swipes(seed)]
+        assert (sum(map(len, masks)), int(sum(m.sum() for m in masks))) == (events, kept)
+        assert _mask_digest(masks) == digest
