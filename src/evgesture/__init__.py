@@ -15,11 +15,11 @@ from .dbs import DbsConfig, DbsFilter, cell_index, filter_stream, update_activit
 from .surfaces import TimeSurface, TimeSurfaceConfig, TimestampMemory, extract, is_valid
 from .network import (
     Layer, LayerConfig, Network, NetworkConfig, UndertrainedLayerError,
-    learn_update, load_network, nearest_prototype, save_network, train,
+    learn_update, nearest_prototype, train,
 )
 from .classify import (
     PoolingConfig, Signature, TrainedModel, accumulate, cross_validate,
-    evaluate, knn_classify, load_model, normalize, save_model,
+    evaluate, knn_classify, normalize,
 )
 from .classify import split_by_class
 from .config import ConfigError, LayerSpec, PipelineConfig, parse_config
@@ -29,7 +29,8 @@ from .synth import (
 )
 from .pipeline import (
     RunReport, TrainedPipeline, benchmark, build_network, clip_signature,
-    evaluate_pipeline, train_pipeline,
+    evaluate_pipeline, load_pipeline, save_pipeline, stream_signature,
+    train_pipeline,
 )
 
 __version__ = "0.1.0"

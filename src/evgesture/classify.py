@@ -7,7 +7,6 @@ background filter), then L1-normalized so clip length drops out.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from collections import Counter
 
@@ -159,38 +158,3 @@ def cross_validate(signatures, labels, k: int, shuffles: int,
                           [labels[i] for i in test_idx])
         accuracies.append(result.accuracy)
     return float(np.mean(accuracies)), accuracies
-
-
-# ---------------------------------------------------------------------------
-# Model serialization: magic "KNN1"; u32 k; u32 count; u32 signature length;
-# then per record a u16 length-prefixed UTF-8 label and the signature as
-# little-endian f64.
-
-_MODEL_MAGIC = b"KNN1"
-
-
-def save_model(model: TrainedModel) -> bytes:
-    out = [_MODEL_MAGIC,
-           struct.pack("<III", model.k, len(model.labels), model.signatures.shape[1])]
-    for label, sig in zip(model.labels, model.signatures):
-        raw = label.encode("utf-8")
-        out.append(struct.pack("<H", len(raw)))
-        out.append(raw)
-        out.append(np.asarray(sig, dtype="<f8").tobytes())
-    return b"".join(out)
-
-
-def load_model(data: bytes) -> TrainedModel:
-    if data[:4] != _MODEL_MAGIC:
-        raise ValueError("bad magic: not a model file")
-    k, count, dim = struct.unpack_from("<III", data, 4)
-    off = 4 + 12
-    labels, sigs = [], []
-    for _ in range(count):
-        (ln,) = struct.unpack_from("<H", data, off)
-        off += 2
-        labels.append(data[off : off + ln].decode("utf-8"))
-        off += ln
-        sigs.append(np.frombuffer(data, dtype="<f8", count=dim, offset=off).copy())
-        off += dim * 8
-    return TrainedModel(signatures=np.stack(sigs), labels=labels, k=k)

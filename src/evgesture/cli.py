@@ -8,17 +8,15 @@ from __future__ import annotations
 
 import argparse
 import os
-import struct
 import sys
 
-from . import classify, pipeline as pl
-from .config import ConfigError, format_kv, parse_config
+from . import pipeline as pl
+from .config import ConfigError, format_kv, parse_config, parse_grid
 from .dbs import DbsConfig, DbsFilter, filter_stream
 from .events import (
     SensorGeometry, StreamError, load_manifest,
     read_binary_events, read_text_events, write_binary_events, write_text_events,
 )
-from .network import load_network, save_network
 from .synth import GESTURE_CLASSES, gen_gesture_clip
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
@@ -36,21 +34,13 @@ class SystemExit_(Exception):
         self.code = code
 
 
-def _parse_geometry(value: str) -> tuple[int, int]:
-    try:
-        w, h = value.lower().split("x")
-        return int(w), int(h)
-    except ValueError:
-        raise StreamError(f"expected WIDTHxHEIGHT, got {value!r}") from None
-
-
 def _read_events(path: str, geometry: str | None, channels: int):
     with open(path, "rb") as f:
         data = f.read()
     if path.endswith(".txt"):
         if geometry is None:
             raise StreamError(f"{path}: text input needs --geometry WxH")
-        w, h = _parse_geometry(geometry)
+        w, h = parse_grid("--geometry", geometry)
         return read_text_events(data, SensorGeometry(w, h, channels))
     try:
         return read_binary_events(data)
@@ -58,37 +48,13 @@ def _read_events(path: str, geometry: str | None, channels: int):
         raise StreamError(f"{path}: {e}") from None
 
 
-# ---------------------------------------------------------------------------
-# Combined model file: config echo + frozen network + k-NN model.
-
-_MODEL_MAGIC = b"EVGM"
-
-
-def _save_bundle(path, config_text, network, model):
-    net_bytes = save_network(network)
-    knn_bytes = classify.save_model(model)
-    cfg_bytes = config_text.encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MODEL_MAGIC)
-        for blob in (cfg_bytes, net_bytes, knn_bytes):
-            f.write(struct.pack("<I", len(blob)))
-            f.write(blob)
-
-
 def _load_bundle(path):
     with open(path, "rb") as f:
         data = f.read()
-    if data[:4] != _MODEL_MAGIC:
-        raise StreamError(f"{path}: bad magic: not a model bundle")
-    off = 4
-    blobs = []
-    for _ in range(3):
-        (n,) = struct.unpack_from("<I", data, off)
-        off += 4
-        blobs.append(data[off : off + n])
-        off += n
-    config = parse_config(blobs[0].decode("utf-8"))
-    return config, load_network(blobs[1]), classify.load_model(blobs[2])
+    try:
+        return pl.load_pipeline(data)
+    except StreamError as e:
+        raise StreamError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +71,7 @@ def cmd_convert(args) -> int:
 
 def cmd_filter(args) -> int:
     stream = _read_events(args.input, args.geometry, args.channels)
-    rows, cols = _parse_geometry(args.grid)
+    rows, cols = parse_grid("--grid", args.grid)
     config = DbsConfig(grid_rows=rows, grid_cols=cols,
                        tau_b_us=args.tau_b, alpha=args.alpha)
     kept, stats = filter_stream(DbsFilter(stream.geometry, config), stream)
@@ -125,21 +91,20 @@ def cmd_filter(args) -> int:
 
 def cmd_train(args) -> int:
     with open(args.config, "r", encoding="utf-8") as f:
-        config_text = f.read()
-    config = parse_config(config_text)
+        config = parse_config(f.read())
     clips = load_manifest(args.manifest)
     trained = pl.train_pipeline(config, clips)
-    _save_bundle(args.model, config_text, trained.network, trained.model)
+    data = pl.save_pipeline(trained)
+    with open(args.model, "wb") as f:
+        f.write(data)
     print(f"trained {len(config.layers)}-layer network on {len(clips)} clips "
           f"-> {args.model}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    config, network, model = _load_bundle(args.model)
-    clips = load_manifest(args.manifest)
-    trained = pl.TrainedPipeline(config=config, network=network, model=model)
-    report = pl.evaluate_pipeline(trained, clips)
+    trained = _load_bundle(args.model)
+    report = pl.evaluate_pipeline(trained, load_manifest(args.manifest))
     sys.stdout.write(report.to_text())
     if args.report:
         with open(args.report, "w", encoding="utf-8") as f:
@@ -149,8 +114,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     with open(args.config, "r", encoding="utf-8") as f:
-        config_text = f.read()
-    config = parse_config(config_text)
+        config = parse_config(f.read())
     clips = load_manifest(args.manifest)
     total = sum(len(c.stream) for c in clips)
     if total == 0:
@@ -167,7 +131,7 @@ def cmd_bench(args) -> int:
 def cmd_synth(args) -> int:
     import numpy as np
     os.makedirs(args.outdir, exist_ok=True)
-    w, h = _parse_geometry(args.geometry)
+    w, h = parse_grid("--geometry", args.geometry)
     geometry = SensorGeometry(w, h, 2)
     root = np.random.default_rng(args.seed)
     manifest_lines = []

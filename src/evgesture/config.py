@@ -45,10 +45,11 @@ def _parse_bool(key: str, value: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {value!r}")
 
 
-def _parse_grid(key: str, value: str) -> tuple[int, int]:
-    m = re.fullmatch(r"(\d+)x(\d+)", value)
+def parse_grid(key: str, value: str) -> tuple[int, int]:
+    """Two sizes written ``AxB`` (or ``AXB``), e.g. a grid or a geometry."""
+    m = re.fullmatch(r"(\d+)[xX](\d+)", value)
     if not m:
-        raise ConfigError(f"{key}: expected ROWSxCOLS like 3x3, got {value!r}")
+        raise ConfigError(f"{key}: expected AxB like 3x3, got {value!r}")
     return int(m.group(1)), int(m.group(2))
 
 
@@ -110,13 +111,13 @@ def parse_config(text: str) -> PipelineConfig:
 
     dbs = None
     if _parse_bool("dbs.enabled", scalars.get("dbs.enabled", "false")):
-        rows, cols = _parse_grid("dbs.grid", scalars.get("dbs.grid", "3x3"))
+        rows, cols = parse_grid("dbs.grid", scalars.get("dbs.grid", "3x3"))
         dbs = DbsConfig(
             grid_rows=rows, grid_cols=cols,
             tau_b_us=float(scalars.get("dbs.tau_b_us", "300")),
             alpha=float(scalars.get("dbs.alpha", "2.0")),
         )
-    prow, pcol = _parse_grid("pooling.grid", scalars.get("pooling.grid", "1x1"))
+    prow, pcol = parse_grid("pooling.grid", scalars.get("pooling.grid", "1x1"))
     mode = scalars.get("training.mode", "joint")
     if mode not in ("joint", "sequential"):
         raise ConfigError(f"training.mode: expected joint or sequential, got {mode!r}")
@@ -133,8 +134,15 @@ def parse_config(text: str) -> PipelineConfig:
     )
 
 
+def _float_text(value: float) -> str:
+    """``:g`` text where it reads back exactly, else ``repr``."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def config_echo(config: PipelineConfig) -> dict[str, str]:
-    """The config as flat key/value pairs, e.g. for report echoing."""
+    """The config as flat key/value pairs, e.g. for report echoing; they
+    parse back to an equal config."""
     pairs: dict[str, str] = {
         "seed": str(config.seed),
         "epochs": str(config.epochs),
@@ -144,12 +152,12 @@ def config_echo(config: PipelineConfig) -> dict[str, str]:
     }
     if config.dbs is not None:
         pairs["dbs.grid"] = f"{config.dbs.grid_rows}x{config.dbs.grid_cols}"
-        pairs["dbs.tau_b_us"] = f"{config.dbs.tau_b_us:g}"
-        pairs["dbs.alpha"] = f"{config.dbs.alpha:g}"
+        pairs["dbs.tau_b_us"] = _float_text(config.dbs.tau_b_us)
+        pairs["dbs.alpha"] = _float_text(config.dbs.alpha)
     for i, layer in enumerate(config.layers, start=1):
         pairs[f"layers.{i}.n"] = str(layer.n)
         pairs[f"layers.{i}.r"] = str(layer.r)
-        pairs[f"layers.{i}.tau_us"] = f"{layer.tau_us:g}"
+        pairs[f"layers.{i}.tau_us"] = _float_text(layer.tau_us)
         pairs[f"layers.{i}.reinit_window"] = str(layer.reinit_window)
     pairs["pooling.grid"] = f"{config.pooling.grid_rows}x{config.pooling.grid_cols}"
     pairs["knn.k"] = str(config.k)

@@ -24,12 +24,11 @@ once. Outputs equal the per-event semantics bit for bit, ties included.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .events import Event, EventStream, SensorGeometry
+from .events import Event, EventStream, SensorGeometry, StreamError
 from .surfaces import TimeSurfaceConfig
 
 DEFAULT_REINIT_WINDOW = 10_000  # valid surfaces without a match before reseed
@@ -402,7 +401,18 @@ class Network:
         learning, and hands the events it emits to the next. A layer's
         state depends only on its own input sequence, so this equals
         taking each event through every layer before the next event.
+
+        Raises StreamError if the stream's array size differs from the
+        network's, or, without polarity merge, if it has more channels
+        than layer 1 takes.
         """
+        g, own = stream.geometry, self.geometry
+        if (g.width, g.height) != (own.width, own.height):
+            raise StreamError(f"stream is {g.width}x{g.height}, the network "
+                              f"takes {own.width}x{own.height}")
+        if not self.config.merge_polarity and g.channels > self.layers[0].config.in_channels:
+            raise StreamError(f"stream has {g.channels} channels, the network "
+                              f"takes {self.layers[0].config.in_channels}")
         self.reset_memories()
         layers = self.layers if learn_upto is None else self.layers[: learn_upto + 1]
         t, x, y = stream.t, stream.x, stream.y
@@ -450,62 +460,3 @@ def train(network: Network, clips, epochs: int = 1, mode: str = "joint") -> Netw
             except UndertrainedLayerError as e:
                 raise UndertrainedLayerError(f"layer {i + 1}: {e}") from None
     return network
-
-
-# ---------------------------------------------------------------------------
-# Serialization: versioned little-endian binary, bit-exact round-trip.
-#
-# Layout: magic "HNW1"; u8 merge flag; u32 layer count; per layer a header
-# {u32 N, u32 R, f64 tau_us, u32 in_channels, u32 reinit_window} followed by
-# N flattened prototypes as f64 little-endian (channel-major) and N u64
-# match counts. Geometry {u16 w, u16 h} precedes the layer count.
-
-_NET_MAGIC = b"HNW1"
-
-
-def save_network(network: Network) -> bytes:
-    if not network.frozen:
-        raise ValueError("only frozen networks are serialized")
-    out = [_NET_MAGIC]
-    out.append(struct.pack("<BHHI", int(network.config.merge_polarity),
-                           network.geometry.width, network.geometry.height,
-                           len(network.layers)))
-    for layer in network.layers:
-        c = layer.config
-        out.append(struct.pack("<IIdII", c.n_prototypes, c.radius, c.tau_us,
-                               c.in_channels, c.reinit_window))
-        for proto in layer.prototypes:
-            out.append(np.asarray(proto, dtype="<f8").tobytes())
-        out.append(np.asarray(layer.match_counts, dtype="<u8").tobytes())
-    return b"".join(out)
-
-
-def load_network(data: bytes) -> Network:
-    if data[:4] != _NET_MAGIC:
-        raise ValueError("bad magic: not a network file")
-    off = 4
-    merge, width, height, n_layers = struct.unpack_from("<BHHI", data, off)
-    off += struct.calcsize("<BHHI")
-    layer_configs, banks, counts = [], [], []
-    for _ in range(n_layers):
-        n, r, tau, in_ch, window = struct.unpack_from("<IIdII", data, off)
-        off += struct.calcsize("<IIdII")
-        cfg = LayerConfig(n, r, tau, in_ch, window)
-        size = cfg.surface_config.size
-        protos = np.frombuffer(data, dtype="<f8", count=n * size, offset=off)
-        off += n * size * 8
-        mc = np.frombuffer(data, dtype="<u8", count=n, offset=off)
-        off += n * 8
-        layer_configs.append(cfg)
-        banks.append(protos.reshape(n, size).copy())
-        counts.append([int(v) for v in mc])
-    camera_channels = 2 if merge else layer_configs[0].in_channels
-    net = Network(NetworkConfig(tuple(layer_configs), merge_polarity=bool(merge)),
-                  SensorGeometry(width, height, camera_channels))
-    for layer, bank, mc in zip(net.layers, banks, counts):
-        layer.bank = bank
-        layer.n_filled = len(bank)
-        layer.match_counts = mc
-        layer.last_match_tick = [0] * len(mc)
-        layer.freeze()
-    return net

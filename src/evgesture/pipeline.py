@@ -7,16 +7,18 @@ deterministic given the configuration seed and input ordering.
 
 from __future__ import annotations
 
+import json
 import time
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import classify, network as net
 from .classify import Signature, TrainedModel
-from .config import PipelineConfig, config_echo
+from .config import PipelineConfig, config_echo, format_kv, parse_config
 from .dbs import DbsFilter, filter_stream
-from .events import ClipRecord, EventStream, SensorGeometry
+from .events import ClipRecord, EventStream, SensorGeometry, StreamError
 from .network import LayerConfig, Network, NetworkConfig
 
 
@@ -43,13 +45,17 @@ def suppress_background(config: PipelineConfig, stream: EventStream):
     return filter_stream(filt, stream)
 
 
+def stream_signature(config: PipelineConfig, network: Network,
+                     filtered: EventStream) -> Signature:
+    """The normalised pooled signature of a DBS-filtered stream."""
+    out = network.forward_stream(filtered)
+    return classify.normalize(classify.accumulate(
+        out, network.geometry, config.pooling, network.out_channels))
+
+
 def clip_signature(config: PipelineConfig, network: Network,
                    stream: EventStream) -> Signature:
-    filtered, _ = suppress_background(config, stream)
-    out = network.forward_stream(filtered)
-    sig = classify.accumulate(out, stream.geometry, config.pooling,
-                              network.out_channels)
-    return classify.normalize(sig)
+    return stream_signature(config, network, suppress_background(config, stream)[0])
 
 
 @dataclass
@@ -64,21 +70,108 @@ def train_pipeline(config: PipelineConfig, clips: list[ClipRecord]) -> TrainedPi
     from their signatures."""
     if not clips:
         raise ValueError("no training clips")
-    geometry = clips[0].stream.geometry
-    network = build_network(config, geometry)
+    network = build_network(config, clips[0].stream.geometry)
     filtered = [suppress_background(config, c.stream)[0] for c in clips]
     net.train(network, filtered, epochs=config.epochs, mode=config.training_mode)
-    signatures = []
-    for s in filtered:
-        out = network.forward_stream(s)
-        sig = classify.accumulate(out, geometry, config.pooling, network.out_channels)
-        signatures.append(classify.normalize(sig))
     model = TrainedModel(
-        signatures=np.stack([s.values for s in signatures]),
+        signatures=np.stack([stream_signature(config, network, s).values
+                             for s in filtered]),
         labels=[c.label for c in clips],
         k=min(config.k, len(clips)),
     )
     return TrainedPipeline(config=config, network=network, model=model)
+
+
+# ---------------------------------------------------------------------------
+# The model file, little-endian: magic "EVP1"; u32 CRC32 of all that
+# follows it; u32 header length; a UTF-8 JSON header {config (the
+# config_echo text), width, height, channels, k, labels}; then each
+# layer's N x D bank (f64) and N match counts (u64); then the signature
+# matrix (f64), one row per label. Every array's shape follows from the
+# config and the geometry, so a file is either read exactly or rejected.
+
+_MAGIC = b"EVP1"
+_HEADER_INTS = ("width", "height", "channels", "k")
+
+
+def save_pipeline(trained: TrainedPipeline) -> bytes:
+    network, model = trained.network, trained.model
+    if not network.frozen:
+        raise ValueError("only frozen networks are saved")
+    g = network.geometry
+    header = json.dumps({
+        "config": format_kv(config_echo(trained.config)),
+        "width": g.width, "height": g.height, "channels": g.channels,
+        "k": model.k, "labels": model.labels,
+    }).encode("utf-8")
+    parts = [len(header).to_bytes(4, "little"), header]
+    for layer in network.layers:
+        parts.append(layer.bank.astype("<f8").tobytes())
+        parts.append(np.asarray(layer.match_counts, dtype="<u8").tobytes())
+    parts.append(model.signatures.astype("<f8").tobytes())
+    body = b"".join(parts)
+    return _MAGIC + zlib.crc32(body).to_bytes(4, "little") + body
+
+
+def _read_header(raw: bytes) -> dict:
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError:  # bad UTF-8 or bad JSON
+        raise StreamError("model header is not UTF-8 JSON") from None
+    if not (isinstance(header, dict)
+            and set(header) == {"config", "labels", *_HEADER_INTS}
+            and isinstance(header["config"], str)
+            and all(type(header[key]) is int and header[key] >= 1
+                    for key in _HEADER_INTS)
+            and isinstance(header["labels"], list)
+            and all(isinstance(label, str) for label in header["labels"])
+            and header["k"] <= len(header["labels"])):
+        raise StreamError("model header is malformed")
+    return header
+
+
+def load_pipeline(data: bytes) -> TrainedPipeline:
+    """Read a ``save_pipeline`` file; raises StreamError on any byte
+    string that is not one."""
+    if data[:4] != _MAGIC:
+        raise StreamError("bad magic: not a model file")
+    if len(data) < 12:
+        raise StreamError("truncated model file")
+    if zlib.crc32(data[8:]) != int.from_bytes(data[4:8], "little"):
+        raise StreamError("model file fails its CRC32 check")
+    offset = 12 + int.from_bytes(data[8:12], "little")
+    if offset > len(data):
+        raise StreamError("truncated model file")
+    header = _read_header(data[12:offset])
+    try:  # ConfigError is a ValueError
+        config = parse_config(header["config"])
+        network = build_network(config, SensorGeometry(
+            header["width"], header["height"], header["channels"]))
+    except ValueError as e:
+        raise StreamError(f"model header: {e}") from None
+
+    def take(count: int, dtype: str) -> np.ndarray:  # 8-byte items
+        nonlocal offset
+        if offset + 8 * count > len(data):
+            raise StreamError("truncated model file")
+        values = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+        offset += 8 * count
+        return values
+
+    for layer in network.layers:
+        n, d = layer.bank.shape
+        layer.bank = take(n * d, "<f8").reshape(n, d).astype(np.float64)
+        layer.match_counts = take(n, "<u8").tolist()
+        layer.n_filled = n
+        layer.last_match_tick = [0] * n
+        layer.freeze()
+    labels = header["labels"]
+    width = config.pooling.cells * network.out_channels
+    signatures = take(len(labels) * width, "<f8").reshape(-1, width).astype(np.float64)
+    if offset != len(data):
+        raise StreamError(f"{len(data) - offset} trailing bytes after the model")
+    return TrainedPipeline(config=config, network=network,
+                           model=TrainedModel(signatures, labels, header["k"]))
 
 
 @dataclass
@@ -120,19 +213,14 @@ def evaluate_pipeline(pipeline: TrainedPipeline,
                       clips: list[ClipRecord]) -> RunReport:
     start = time.perf_counter()
     config = pipeline.config
-    signatures, labels = [], []
+    signatures = []
     retained: dict[str, list[float]] = {}
     for clip in clips:
-        stream = clip.stream
-        filtered, stats = suppress_background(config, stream)
+        filtered, stats = suppress_background(config, clip.stream)
         if stats is not None:
             retained.setdefault(clip.label, []).append(stats.retention)
-        out = pipeline.network.forward_stream(filtered)
-        sig = classify.accumulate(out, stream.geometry, config.pooling,
-                                  pipeline.network.out_channels)
-        signatures.append(classify.normalize(sig))
-        labels.append(clip.label)
-    result = classify.evaluate(pipeline.model, signatures, labels)
+        signatures.append(stream_signature(config, pipeline.network, filtered))
+    result = classify.evaluate(pipeline.model, signatures, [c.label for c in clips])
     return RunReport(
         accuracy=result.accuracy,
         labels=result.labels,

@@ -3,10 +3,14 @@ import pytest
 
 from evgesture.classify import (
     PoolingConfig, Signature, TrainedModel, accumulate, cross_validate,
-    evaluate, knn_classify, load_model, normalize, save_model, split_by_class,
+    evaluate, knn_classify, normalize, split_by_class,
 )
-from evgesture.events import EventStream, SensorGeometry
+from evgesture.config import parse_config
+from evgesture.events import EventStream, SensorGeometry, StreamError
 from evgesture.oracles import knn_bruteforce
+from evgesture.pipeline import (
+    TrainedPipeline, build_network, load_pipeline, save_pipeline,
+)
 
 GEOM = SensorGeometry(30, 30, 2)
 
@@ -189,17 +193,34 @@ class TestCrossValidate:
             split_by_class(["a"] * 3, 5, np.random.default_rng(9))
 
 
+def pipeline_of(model, config_text="layers.1.n = 7\nlayers.1.r = 1\nlayers.1.tau_us = 10000\n"
+                                  "pooling.grid = 1x1\n"):
+    """``model`` behind a one-layer frozen network whose signature width
+    (1 pooling cell x 7 prototypes) is the width of ``model``'s rows, so
+    that it can be written to a model file."""
+    config = parse_config(config_text)
+    network = build_network(config, GEOM)
+    layer = network.layers[0]
+    layer.bank = np.random.default_rng(11).random(layer.bank.shape)
+    layer.n_filled = layer.config.n_prototypes
+    layer.match_counts = [1] * layer.n_filled
+    layer.freeze()
+    return TrainedPipeline(config=config, network=network, model=model)
+
+
 class TestSerialization:
+    """The k-NN model (labels, k, signatures) through the model file."""
+
     def test_round_trip(self):
         rng = np.random.default_rng(10)
         m = model_of(rng.random((5, 7)), ["up", "down", "left", "right", "up"], 3)
-        data = save_model(m)
-        m2 = load_model(data)
+        data = save_pipeline(pipeline_of(m))
+        m2 = load_pipeline(data).model
         assert m2.k == 3
         assert m2.labels == m.labels
         assert np.array_equal(m2.signatures, m.signatures)
-        assert save_model(m2) == data
+        assert save_pipeline(pipeline_of(m2)) == data
 
     def test_bad_magic(self):
-        with pytest.raises(ValueError, match="magic"):
-            load_model(b"ZZZZ" + b"\x00" * 12)
+        with pytest.raises(StreamError, match="magic"):
+            load_pipeline(b"ZZZZ" + b"\x00" * 12)

@@ -2,11 +2,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from evgesture import cli
+from evgesture.classify import PoolingConfig
 from evgesture.config import (
-    ConfigError, config_echo, format_kv, parse_config, parse_kv,
+    ConfigError, LayerSpec, PipelineConfig, config_echo, format_kv, parse_config,
+    parse_grid, parse_kv,
 )
+from evgesture.dbs import DbsConfig
 from evgesture.events import (
     SensorGeometry, read_binary_events, read_text_events, write_binary_events,
 )
@@ -67,18 +71,55 @@ class TestConfigParsing:
         again = parse_config(format_kv(config_echo(config)))
         assert again == config
 
+    def test_echo_keeps_short_text_where_exact(self):
+        config = parse_config("layers.1.n = 8\nlayers.1.r = 2\nlayers.1.tau_us = 10000\n"
+                              "layers.2.n = 8\nlayers.2.r = 2\nlayers.2.tau_us = 1234567\n"
+                              "dbs.enabled = true\ndbs.alpha = 0.1\n")
+        echo = config_echo(config)
+        assert echo["layers.1.tau_us"] == "10000"
+        assert echo["layers.2.tau_us"] == "1234567.0"  # :g would say 1.23457e+06
+        assert (echo["dbs.tau_b_us"], echo["dbs.alpha"]) == ("300", "0.1")
+
+    @given(
+        taus=st.lists(st.floats(allow_nan=False), min_size=1, max_size=3),
+        dbs=st.none() | st.tuples(
+            st.floats(min_value=0.0, exclude_min=True, allow_nan=False),
+            st.floats(min_value=0.0, exclude_min=True, allow_nan=False)),
+    )
+    def test_echo_round_trips_any_float(self, taus, dbs):
+        config = PipelineConfig(
+            layers=tuple(LayerSpec(n=3, r=1, tau_us=tau) for tau in taus),
+            dbs=None if dbs is None else DbsConfig(tau_b_us=dbs[0], alpha=dbs[1]),
+            pooling=PoolingConfig(2, 3), k=5, seed=9, training_mode="sequential",
+        )
+        assert parse_config(format_kv(config_echo(config))) == config
+
+    def test_grid_parser(self):
+        assert parse_grid("g", "64x48") == (64, 48)
+        assert parse_grid("g", "64X48") == (64, 48)
+        for bad in ("64", "64x", "x64", "64*64", "-1x2", "1.5x2"):
+            with pytest.raises(ConfigError, match="g: expected AxB"):
+                parse_grid("g", bad)
+
+
+def write_set(root, geometry, clips_per_class, manifest="manifest.tsv",
+              prefix="clip", seed=123):
+    """Swipes written as EVS1 clips under ``root``, plus a manifest;
+    returns the manifest's path."""
+    root.mkdir(exist_ok=True)
+    lines = []
+    for i, clip in enumerate(gen_gesture_set(geometry, clips_per_class, seed=seed)):
+        name = f"{prefix}_{i:02d}.evs"
+        (root / name).write_bytes(write_binary_events(clip.stream))
+        lines.append(f"{name}\t{clip.label}\ts{i % 3}")
+    (root / manifest).write_text("".join(l + "\n" for l in lines))
+    return str(root / manifest)
+
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("data")
-    geometry = SensorGeometry(48, 48, 2)
-    clips = gen_gesture_set(geometry, 4, seed=123)
-    lines = []
-    for i, clip in enumerate(clips):
-        name = f"clip_{i:02d}.evs"
-        (root / name).write_bytes(write_binary_events(clip.stream))
-        lines.append(f"{name}\t{clip.label}\ts{i % 3}")
-    (root / "manifest.tsv").write_text("".join(l + "\n" for l in lines))
+    write_set(root, SensorGeometry(48, 48, 2), 4)
     (root / "train.cfg").write_text(
         "seed = 1\ndbs.enabled = true\nlayers.1.n = 4\nlayers.1.r = 2\n"
         "layers.1.tau_us = 10000\npooling.grid = 2x2\nknn.k = 3\n"
@@ -154,6 +195,34 @@ class TestCli:
         # confusion rows sum to per-class test counts (4 clips per class)
         for label in p1["labels"].split(","):
             assert sum(int(v) for v in p1[f"confusion.{label}"].split(",")) == 4
+
+    def test_model_on_other_geometry_exit_2(self, dataset, tmp_path, capsys):
+        small = write_set(tmp_path / "small", SensorGeometry(32, 32, 2), 1)
+        large = write_set(tmp_path / "large", SensorGeometry(64, 64, 2), 1)
+        model = str(tmp_path / "m.bin")
+        assert cli.main(["train", small, str(dataset / "train.cfg"), model]) == 0
+        assert cli.main(["eval", small, model]) == 0
+        capsys.readouterr()
+        assert cli.main(["eval", large, model]) == 2
+        assert "64x64" in capsys.readouterr().err
+
+    def test_train_mixed_geometries_exit_2(self, dataset, tmp_path, capsys):
+        write_set(tmp_path, SensorGeometry(32, 32, 2), 1, "a.tsv", "a")
+        write_set(tmp_path, SensorGeometry(40, 32, 2), 1, "b.tsv", "b")
+        mixed = tmp_path / "mixed.tsv"
+        mixed.write_text((tmp_path / "a.tsv").read_text()
+                         + (tmp_path / "b.tsv").read_text())
+        assert cli.main(["train", str(mixed), str(dataset / "train.cfg"),
+                         str(tmp_path / "m.bin")]) == 2
+        assert "40x32" in capsys.readouterr().err
+
+    def test_geometry_option(self, dataset, tmp_path):
+        txt = str(tmp_path / "a.txt")
+        assert cli.main(["convert", str(dataset / "clip_00.evs"), txt, "--to", "text"]) == 0
+        assert cli.main(["convert", txt, str(tmp_path / "b.evs"), "--geometry", "48X48"]) == 0
+        assert cli.main(["convert", txt, str(tmp_path / "c.evs"), "--geometry", "48by48"]) == 2
+        assert cli.main(["filter", str(dataset / "clip_00.evs"), str(tmp_path / "f.evs"),
+                         "--grid", "3"]) == 2
 
     def test_train_missing_manifest_exit_2(self, dataset, tmp_path):
         assert cli.main(["train", str(tmp_path / "none.tsv"),

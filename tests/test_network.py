@@ -1,19 +1,23 @@
 import hashlib
 import os
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evgesture import cli
 from evgesture.config import parse_config
-from evgesture.events import EventStream, SensorGeometry
+from evgesture.events import EventStream, SensorGeometry, StreamError, write_binary_events
 from evgesture.network import (
     DEFAULT_REINIT_WINDOW, Layer, LayerConfig, Network, NetworkConfig,
-    UndertrainedLayerError, learn_update, load_network, nearest_prototype,
-    nearest_rows, save_network, train,
+    UndertrainedLayerError, learn_update, nearest_prototype, nearest_rows, train,
 )
 from evgesture.oracles import learn_bruteforce, surfaces_bruteforce
-from evgesture.pipeline import train_pipeline
+from evgesture.pipeline import (
+    TrainedPipeline, build_network, evaluate_pipeline, load_pipeline,
+    save_pipeline, train_pipeline,
+)
 from evgesture.surfaces import TimestampMemory, extract
 from evgesture.synth import gen_gesture_set
 
@@ -254,22 +258,139 @@ class TestTrain:
         assert cost[rows, cols].max() < 0.1
 
 
+class TestGeometry:
+    def test_rejects_other_array_size(self):
+        net = train(small_network(), [simple_stream(seed=19)])
+        s = simple_stream(seed=20)
+        with pytest.raises(StreamError, match="64x32"):
+            net.forward_stream(EventStream(s.t, s.x, s.y, s.p, SensorGeometry(64, 32, 1)))
+
+    def test_merged_polarity_takes_any_channels(self):
+        net = train(small_network(), [simple_stream(seed=19)])  # (32, 32, 2) network
+        s = simple_stream(seed=20)
+        for channels in (1, 2, 3):
+            net.forward_stream(EventStream(s.t, s.x, s.y, s.p, SensorGeometry(32, 32, channels)))
+
+    def test_unmerged_rejects_more_channels(self):
+        layers = (LayerConfig(4, 1, 2000.0, 2),)
+        net = Network(NetworkConfig(layers, merge_polarity=False), GEOM)
+        s = simple_stream(seed=21)
+        net.forward_stream(EventStream(s.t, s.x, s.y, s.p, SensorGeometry(32, 32, 1)))
+        with pytest.raises(StreamError, match="3 channels"):
+            net.forward_stream(EventStream(s.t, s.x, s.y, s.p, SensorGeometry(32, 32, 3)))
+
+
+# Two of its floats are ones that ``:g`` text would round, so the round
+# trip below also checks that the file keeps the config exactly.
+MODEL_CONFIG = ("dbs.enabled = true\ndbs.tau_b_us = 1234.5678\n"
+                "layers.1.n = 4\nlayers.1.r = 1\nlayers.1.tau_us = 10000\n"
+                "layers.2.n = 3\nlayers.2.r = 1\nlayers.2.tau_us = 1234567\n"
+                "pooling.grid = 2x2\nknn.k = 3\n")
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A two-layer pipeline trained on 32x32 swipes, its model file, and an
+    eval manifest of the same swipes."""
+    clips = gen_gesture_set(SensorGeometry(32, 32, 2), 1, 5)
+    trained = train_pipeline(parse_config(MODEL_CONFIG), clips)
+    root = tmp_path_factory.mktemp("model")
+    lines = []
+    for i, clip in enumerate(clips):
+        (root / f"{i}.evs").write_bytes(write_binary_events(clip.stream))
+        lines.append(f"{i}.evs\t{clip.label}\ts0\n")
+    (root / "manifest.tsv").write_text("".join(lines))
+    return trained, save_pipeline(trained), clips, str(root / "manifest.tsv")
+
+
+def with_crc(data: bytes) -> bytes:
+    """``data`` with its CRC32 field recomputed, so that only the length
+    and header checks can reject it."""
+    return data[:4] + zlib.crc32(data[8:]).to_bytes(4, "little") + data[8:]
+
+
+def variants(data: bytes):
+    """Every truncation (also with the CRC recomputed), every single-byte
+    flip, and trailing bytes (also with the CRC recomputed)."""
+    for cut in range(len(data)):
+        yield data[:cut]
+        if cut >= 8:
+            yield with_crc(data[:cut])
+    for i in range(len(data)):
+        flipped = bytearray(data)
+        flipped[i] ^= 0xFF
+        yield bytes(flipped)
+    yield data + b"\x00junk"
+    yield with_crc(data + b"\x00junk")
+
+
 class TestSerialization:
-    def test_round_trip_bit_exact(self):
-        net = train(small_network(2), [simple_stream(seed=17, n=6000)])
-        data = save_network(net)
-        net2 = load_network(data)
-        assert save_network(net2) == data
-        s = simple_stream(seed=18)
-        assert net.forward_stream(s) == net2.forward_stream(s)
+    """``save_pipeline``/``load_pipeline``: the one model file."""
 
-    def test_rejects_unfrozen(self):
+    def test_round_trip_bit_exact(self, saved):
+        trained, data, clips, _ = saved
+        loaded = load_pipeline(data)
+        assert save_pipeline(loaded) == data
+        assert loaded.config == trained.config
+        assert loaded.network.geometry == trained.network.geometry
+        for a, b in zip(loaded.network.layers, trained.network.layers):
+            assert a.bank.tobytes() == b.bank.tobytes()
+            assert a.match_counts == b.match_counts
+        assert (loaded.model.labels, loaded.model.k) == (trained.model.labels, trained.model.k)
+        assert loaded.model.signatures.tobytes() == trained.model.signatures.tobytes()
+        stream = clips[0].stream
+        assert loaded.network.forward_stream(stream) == trained.network.forward_stream(stream)
+        reports = [evaluate_pipeline(p, clips).to_pairs() for p in (loaded, trained)]
+        for r in reports:
+            r.pop("wall_clock_s")
+        assert reports[0] == reports[1]
+
+    def test_rejects_unfrozen(self, saved):
+        trained = saved[0]
+        fresh = build_network(trained.config, trained.network.geometry)
         with pytest.raises(ValueError, match="frozen"):
-            save_network(small_network())
+            save_pipeline(TrainedPipeline(trained.config, fresh, trained.model))
 
-    def test_rejects_bad_magic(self):
-        with pytest.raises(ValueError, match="magic"):
-            load_network(b"XXXX" + b"\x00" * 64)
+    def test_rejects_bad_magic(self, saved):
+        with pytest.raises(StreamError, match="magic"):
+            load_pipeline(b"XXXX" + saved[1][4:])
+
+    def test_every_malformed_variant_rejected(self, saved):
+        for bad in variants(saved[1]):
+            with pytest.raises(StreamError):
+                load_pipeline(bad)
+
+    def test_trailing_bytes_named(self, saved):
+        with pytest.raises(StreamError, match="5 trailing bytes"):
+            load_pipeline(with_crc(saved[1] + b"\x00junk"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_flip_with_crc_recomputed(self, saved, data):
+        # With the CRC made to agree, a flip either still reads as a model
+        # (e.g. a changed bank value) or is a StreamError, never another
+        # exception.
+        model = saved[1]
+        i = data.draw(st.integers(8, len(model) - 1))
+        mask = data.draw(st.integers(1, 255))
+        flipped = bytearray(model)
+        flipped[i] ^= mask
+        try:
+            load_pipeline(with_crc(bytes(flipped)))
+        except StreamError:
+            pass
+
+    def test_cli_eval_exits_2(self, saved, tmp_path, capsys, monkeypatch):
+        _, data, _, manifest = saved
+        parser = cli.build_parser()  # built once: it is most of a call's cost
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        path = tmp_path / "model.bin"
+        path.write_bytes(data)
+        assert cli.main(["eval", manifest, str(path)]) == 0
+        for bad in variants(data):
+            path.write_bytes(bad)
+            assert cli.main(["eval", manifest, str(path)]) == 2
+        assert "model.bin" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -689,22 +810,26 @@ SMALL_WINDOWS = ("training.mode = sequential\nepochs = 2\n"
 
 
 class TestGoldenModels:
-    """Pinned sha256 of the saved network and the k-NN signature matrix
-    trained on a small seeded swipe set, so that no change to the
-    learning path alters trained models silently. The last case trains
-    sequentially, twice over, with windows small enough to reseed
-    thousands of times."""
+    """Pinned sha256 of the learned state (each layer's bank as <f8 and
+    match counts as <u8, then the k-NN signature matrix as <f8) trained on
+    a small seeded swipe set, so that no change to the learning path
+    alters trained models silently. The last case trains sequentially,
+    twice over, with windows small enough to reseed thousands of times."""
 
     @pytest.mark.parametrize("name, extra, digest", [
-        ("e04", "", "ea7034e1b5416faeaf09cc16b11aac12adee621b8023b2998609311f40fa1ee5"),
-        ("e10", "", "f449e1bfca6bbe6f0f174d583446c97402f428e09982d9720dd8aea2059d2e56"),
+        ("e04", "", "087c37954c93ea1dabe1ad65daecb675058157c29da18448cba9c8209f5153bc"),
+        ("e10", "", "844528ef86728546bd95b81928864fba7bdccfba10943b49ddadc6d5b7360b7a"),
         ("e10", SMALL_WINDOWS,
-         "2806e5e2786e2c2ba986c81d7ac9dfcf0ef2a316d36cab9e71b28d339690380a"),
-    ])
+         "47177e121e7995660af43e2bb69b174a06b858927f9dedfcd81296cd94d643ff"),
+    ], ids=["e04", "e10", "e10-sequential-small-windows"])
     def test_trained_model(self, name, extra, digest):
         with open(os.path.join(CONFIG_DIR, f"{name}.cfg"), encoding="utf-8") as f:
             config = parse_config(f.read() + extra)
         clips = gen_gesture_set(SensorGeometry(32, 32, 2), 2, 7)
         trained = train_pipeline(config, clips)
-        data = save_network(trained.network) + trained.model.signatures.tobytes()
-        assert hashlib.sha256(data).hexdigest() == digest
+        h = hashlib.sha256()
+        for layer in trained.network.layers:
+            h.update(layer.bank.astype("<f8").tobytes())
+            h.update(np.asarray(layer.match_counts, dtype="<u8").tobytes())
+        h.update(trained.model.signatures.astype("<f8").tobytes())
+        assert h.hexdigest() == digest
