@@ -8,20 +8,19 @@ and brute-force reference implementations for verification.
 
 from .events import (
     ClipRecord, Event, EventStream, SensorGeometry, StreamError,
-    load_manifest, read_binary_events, read_text_events, validate_stream,
+    load_manifest, read_binary_events, read_text_events,
     write_binary_events, write_text_events,
 )
-from .dbs import DbsConfig, DbsFilter, cell_index, filter_stream, update_activity
+from .dbs import DbsConfig, DbsFilter, filter_stream, update_activity
 from .surfaces import TimeSurface, TimeSurfaceConfig, TimestampMemory, extract, is_valid
 from .network import (
     Layer, LayerConfig, Network, NetworkConfig, UndertrainedLayerError,
-    learn_update, nearest_prototype, train,
+    learn_update, train,
 )
 from .classify import (
-    PoolingConfig, Signature, TrainedModel, accumulate, cross_validate,
-    evaluate, knn_classify, normalize,
+    PoolingConfig, Signature, TrainedModel, accumulate, evaluate,
+    knn_classify, normalize, split_by_class,
 )
-from .classify import split_by_class
 from .config import ConfigError, LayerSpec, PipelineConfig, parse_config
 from .synth import (
     BlobSpec, CompositeSpec, LabeledStream, MovingBarSpec, gen_composite,

@@ -32,7 +32,6 @@ class PoolingConfig:
 @dataclass
 class Signature:
     values: np.ndarray
-    normalized: bool = False
 
 
 def accumulate(stream: EventStream, geometry: SensorGeometry,
@@ -58,8 +57,8 @@ def normalize(signature: Signature) -> Signature:
     """L1-normalize globally; all-zero signatures pass through unchanged."""
     total = signature.values.sum()
     if total == 0:
-        return Signature(signature.values.copy(), normalized=True)
-    return Signature(signature.values / total, normalized=True)
+        return Signature(signature.values.copy())
+    return Signature(signature.values / total)
 
 
 @dataclass
@@ -139,22 +138,3 @@ def split_by_class(labels, train_per_class: int, rng: np.random.Generator):
     test_idx = [i for i in range(len(labels)) if i not in train_set]
     return sorted(train_idx), test_idx
 
-
-def cross_validate(signatures, labels, k: int, shuffles: int,
-                   train_per_class: int, seed: int):
-    """Repeated random-shuffle validation; returns (mean, per-shuffle list)."""
-    rng = np.random.default_rng(seed)
-    sigs = list(signatures)
-    labels = list(labels)
-    accuracies = []
-    for _ in range(shuffles):
-        train_idx, test_idx = split_by_class(labels, train_per_class, rng)
-        model = TrainedModel(
-            signatures=np.stack([sigs[i].values for i in train_idx]),
-            labels=[labels[i] for i in train_idx],
-            k=k,
-        )
-        result = evaluate(model, [sigs[i] for i in test_idx],
-                          [labels[i] for i in test_idx])
-        accuracies.append(result.accuracy)
-    return float(np.mean(accuracies)), accuracies

@@ -42,18 +42,10 @@ class DbsConfig:
     def __post_init__(self):
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise ValueError("grid must be at least 1x1")
-        if self.tau_b_us <= 0:
-            raise ValueError("tau_b must be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-
-
-def cell_index(x: int, y: int, geometry: SensorGeometry, config: DbsConfig) -> tuple[int, int]:
-    """Map a pixel to its (row, col) cell; remainder pixels join the last row/col."""
-    if not geometry.contains(x, y):
-        raise ValueError(f"pixel ({x}, {y}) outside {geometry.width}x{geometry.height}")
-    cell = int(grid_cells(x, y, geometry, config.grid_rows, config.grid_cols))
-    return divmod(cell, config.grid_cols)
+        if not 0 < self.tau_b_us < math.inf:
+            raise ValueError(f"tau_b_us must be finite and > 0, got {self.tau_b_us}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
 
 def update_activity(activity: float, last_t: int | None, t: int, tau_b_us: float) -> float:

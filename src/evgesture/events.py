@@ -35,9 +35,6 @@ class SensorGeometry:
                 f"{self.width}x{self.height}x{self.channels}"
             )
 
-    def contains(self, x: int, y: int) -> bool:
-        return 0 <= x < self.width and 0 <= y < self.height
-
 
 def grid_cells(x, y, geometry: SensorGeometry, rows: int, cols: int) -> np.ndarray:
     """Row-major cell id of each pixel on a ``rows`` x ``cols`` grid over
@@ -218,42 +215,6 @@ def write_binary_events(stream: EventStream) -> bytes:
     rec["y"] = stream.y
     rec["p"] = stream.p
     return _MAGIC + header.tobytes() + rec.tobytes()
-
-
-# ---------------------------------------------------------------------------
-# Validation report.
-
-@dataclass
-class ValidationReport:
-    event_count: int
-    duration_us: int
-    per_channel_counts: dict
-    monotonicity_violations: list
-    bounds_violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.monotonicity_violations and not self.bounds_violations
-
-
-def validate_stream(stream: EventStream) -> ValidationReport:
-    """Check ordering and bounds; reports violations, never raises."""
-    t, x, y, p = stream.t, stream.x, stream.y, stream.p
-    g = stream.geometry
-    mono = [int(i) + 1 for i in np.nonzero(np.diff(t) < 0)[0]]
-    bounds = []
-    for name, arr, hi in (("x", x, g.width), ("y", y, g.height), ("p", p, g.channels)):
-        for i in np.nonzero((arr < 0) | (arr >= hi))[0]:
-            bounds.append((int(i), name, int(arr[i])))
-    bounds.sort()
-    channels, counts = np.unique(p, return_counts=True) if len(p) else ((), ())
-    return ValidationReport(
-        event_count=len(stream),
-        duration_us=stream.duration_us,
-        per_channel_counts={int(c): int(n) for c, n in zip(channels, counts)},
-        monotonicity_violations=mono,
-        bounds_violations=bounds,
-    )
 
 
 # ---------------------------------------------------------------------------

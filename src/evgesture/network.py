@@ -19,6 +19,9 @@ validity gate of a block are computed at once, with the same arithmetic
 as ``surfaces.extract``. Only the learning rule itself is sequential, one
 valid surface after the other; a frozen layer matches a whole block at
 once. Outputs equal the per-event semantics bit for bit, ties included.
+``Layer.encode`` is the one block entry point; it carries the timestamp
+memory from call to call, so events that arrive a few at a time are
+encoded by calling it on each slice in turn.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ class LayerConfig:
     def __post_init__(self):
         if self.n_prototypes < 1:
             raise ValueError("prototype count must be >= 1")
+        if not self.reinit_window >= 1:
+            raise ValueError(f"reinit_window must be >= 1, got {self.reinit_window}")
 
     @property
     def surface_config(self) -> TimeSurfaceConfig:
@@ -60,21 +65,8 @@ class LayerConfig:
         )
 
 
-class UndertrainedLayerError(RuntimeError):
+class UndertrainedLayerError(ValueError):
     """A layer saw fewer valid surfaces than it has prototype slots."""
-
-
-def nearest_prototype(prototypes: np.ndarray, flat_surface: np.ndarray) -> tuple[int, float]:
-    """Index and L2 distance of the closest prototype; ties go to the lowest index.
-
-    ``prototypes`` is the (n, d) stacked bank of flattened prototype values.
-    """
-    if len(prototypes) == 0:
-        raise ValueError("empty prototype bank")
-    diff = prototypes - flat_surface
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    i = int(np.argmin(d2))  # argmin returns the first minimum: lowest index wins
-    return i, float(np.sqrt(d2[i]))
 
 
 def _screen_margin(d: int, sq_s, sq_b_max):
@@ -139,10 +131,12 @@ def learn_update(prototype: np.ndarray, match_count: int, flat_surface: np.ndarr
 class Layer:
     """One stage of the hierarchy: timestamp memory plus a prototype bank.
 
-    While learning, the rule takes the valid surfaces one after the other;
-    surfaces and validity are computed a block at a time. ``memory`` is
-    per-stream state and must be reset between clips; the prototype bank
-    persists.
+    ``encode`` computes surfaces and validity a block at a time, then
+    matches the valid surfaces (frozen) or takes them through the learning
+    rule one after the other (learning); ``forward_event`` and
+    ``process_surface`` are its one-event and one-surface calls.
+    ``memory`` is per-stream state and must be reset between clips; the
+    prototype bank persists.
     """
 
     def __init__(self, config: LayerConfig, geometry: SensorGeometry):
@@ -174,10 +168,6 @@ class Layer:
     @property
     def bank_full(self) -> bool:
         return self.n_filled == self.config.n_prototypes
-
-    @property
-    def prototypes(self) -> list[np.ndarray]:
-        return [self.bank[i].copy() for i in range(self.n_filled)]
 
     def reset_memory(self) -> None:
         self.memory.fill(-np.inf)
@@ -267,67 +257,43 @@ class Layer:
             sq_b_max = max(sq_b_max, sq)
         return ids
 
-    def padded_memory(self) -> np.ndarray:
-        """A copy of the timestamp memory, R-wide border of -inf included:
-        the carried state of ``encode_block`` and ``learn_block``."""
-        return self.memory.copy()
-
     def encode(self, t, x, y, p) -> tuple[np.ndarray, np.ndarray]:
         """Re-encoding of an event sequence given as arrays, in blocks of
         BLOCK_BYTES working memory; continues from, and updates, the
-        timestamp memory, and a learning layer learns from it. Returns the
-        mask of emitted events and their prototype ids."""
+        timestamp memory, so consecutive slices of a stream give the same
+        output as the whole. A frozen layer matches each block's valid
+        surfaces at once; a learning layer takes them through the learning
+        rule in event order. Returns the mask of emitted events (valid,
+        and past the bank's warm-up) and their prototype ids, equal to
+        ``forward_event`` on each event in turn."""
         step = max(1, BLOCK_BYTES // (32 * self._surface_config.size))
-        block = self.learn_block if self.learning else self.encode_block
-        pieces = [block(self.memory, t[a : a + step], x[a : a + step],
-                        y[a : a + step], p[a : a + step])
-                  for a in range(0, len(t), step)]
-        if not pieces:
-            return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
-        keep, ids = zip(*pieces)
+        keep, ids = [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=np.int64)]
+        for a in range(0, len(t), step):
+            surfaces = self.block_surfaces(t[a : a + step], x[a : a + step],
+                                           y[a : a + step], p[a : a + step])
+            valid = surfaces.sum(axis=1) >= self._min_sum
+            if self.learning:
+                found = self._learn(surfaces[valid])
+                emitted = found >= 0
+                valid[valid] = emitted
+                found = found[emitted]
+            else:
+                self.tick += int(valid.sum())
+                found = nearest_rows(self.bank, surfaces[valid])
+            keep.append(valid)
+            ids.append(found)
         return np.concatenate(keep), np.concatenate(ids)
 
-    def encode_block(self, memory: np.ndarray, t, x, y, p) -> tuple[np.ndarray, np.ndarray]:
-        """Frozen re-encoding of one block of consecutive events.
-
-        ``memory`` is as for ``block_surfaces``. Returns the mask of events
-        with valid surfaces and their prototype ids, equal to
-        ``forward_event`` on each event in turn.
-        """
-        if self.learning:
-            raise RuntimeError("encode_block needs a frozen layer")
-        surfaces = self.block_surfaces(memory, t, x, y, p)
-        valid = surfaces.sum(axis=1) >= self._min_sum
-        self.tick += int(valid.sum())
-        return valid, nearest_rows(self.bank, surfaces[valid])
-
-    def learn_block(self, memory: np.ndarray, t, x, y, p) -> tuple[np.ndarray, np.ndarray]:
-        """Learning from one block of consecutive events.
-
-        ``memory`` is as for ``block_surfaces``. The valid surfaces go
-        through the learning rule in event order. Returns the mask of
-        events emitted (valid, and past the bank's warm-up) and their
-        prototype ids, equal to ``forward_event`` on each event in turn.
-        """
-        if not self.learning:
-            raise RuntimeError("learn_block needs a learning layer")
-        surfaces = self.block_surfaces(memory, t, x, y, p)
-        keep = surfaces.sum(axis=1) >= self._min_sum
-        ids = self._learn(surfaces[keep])
-        emitted = ids >= 0
-        keep[keep] = emitted
-        return keep, ids[emitted]
-
-    def block_surfaces(self, memory: np.ndarray, t, x, y, p) -> np.ndarray:
+    def block_surfaces(self, t, x, y, p) -> np.ndarray:
         """Flattened time-surfaces of one block of consecutive events, one
         row each, equal bit for bit to ``surfaces.extract`` after
         ``record``.
 
-        ``memory`` is a ``padded_memory()`` holding the latest timestamp of
-        every earlier event; it is updated in place to include the block.
         Each surface reads, per receptive-field pixel, the latest event at
-        or before its own within the block, else ``memory``.
+        or before its own within the block, else the timestamp memory,
+        which is then updated to include the block.
         """
+        memory = self.memory
         n = len(t)
         R = self.config.radius
         t = np.asarray(t, dtype=np.float64)
@@ -440,6 +406,8 @@ def train(network: Network, clips, epochs: int = 1, mode: str = "joint") -> Netw
     """
     if mode not in ("joint", "sequential"):
         raise ValueError(f"unknown training mode: {mode!r}")
+    if not epochs >= 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     streams = [c.stream if hasattr(c, "stream") else c for c in clips]
     if mode == "joint":
         for _ in range(epochs):

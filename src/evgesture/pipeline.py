@@ -91,7 +91,9 @@ def train_pipeline(config: PipelineConfig, clips: list[ClipRecord]) -> TrainedPi
 # config and the geometry, so a file is either read exactly or rejected.
 
 _MAGIC = b"EVP1"
-_HEADER_INTS = ("width", "height", "channels", "k")
+# Each header integer's upper bound: an EVS1 stream's width and height
+# are u16 and its channel count u8, so no stream matches a larger model.
+_HEADER_INTS = {"width": 0xFFFF, "height": 0xFFFF, "channels": 0xFF, "k": float("inf")}
 
 
 def save_pipeline(trained: TrainedPipeline) -> bytes:
@@ -121,8 +123,8 @@ def _read_header(raw: bytes) -> dict:
     if not (isinstance(header, dict)
             and set(header) == {"config", "labels", *_HEADER_INTS}
             and isinstance(header["config"], str)
-            and all(type(header[key]) is int and header[key] >= 1
-                    for key in _HEADER_INTS)
+            and all(type(header[key]) is int and 1 <= header[key] <= top
+                    for key, top in _HEADER_INTS.items())
             and isinstance(header["labels"], list)
             and all(isinstance(label, str) for label in header["labels"])
             and header["k"] <= len(header["labels"])):

@@ -9,6 +9,7 @@ little information and are discarded by the validity check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,8 @@ class TimeSurfaceConfig:
     def __post_init__(self):
         if self.radius < 1:
             raise ValueError("radius must be >= 1")
-        if self.tau_us <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau_us < math.inf:
+            raise ValueError(f"tau_us must be finite and > 0, got {self.tau_us}")
         if self.channels < 1:
             raise ValueError("channels must be >= 1")
 
@@ -74,9 +75,6 @@ class TimeSurface:
     x: int
     y: int
     p: int
-
-    def flat(self) -> np.ndarray:
-        return self.values.ravel()
 
 
 def extract(memory: TimestampMemory, t: int, x: int, y: int, p: int,

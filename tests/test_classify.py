@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evgesture.classify import (
-    PoolingConfig, Signature, TrainedModel, accumulate, cross_validate,
+    PoolingConfig, Signature, TrainedModel, accumulate,
     evaluate, knn_classify, normalize, split_by_class,
 )
 from evgesture.config import parse_config
@@ -81,12 +81,10 @@ class TestNormalize:
     def test_basic(self):
         sig = normalize(Signature(np.array([2.0, 2.0])))
         assert np.array_equal(sig.values, [0.5, 0.5])
-        assert sig.normalized
 
     def test_all_zero_passthrough(self):
         sig = normalize(Signature(np.zeros(4)))
         assert not sig.values.any()
-        assert sig.normalized
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(2)
@@ -102,17 +100,17 @@ def model_of(sigs, labels, k):
 class TestKnn:
     def test_exact_match_k1(self):
         m = model_of(np.eye(3), ["a", "b", "c"], 1)
-        label, _ = knn_classify(m, Signature(np.array([0.0, 1.0, 0.0]), True))
+        label, _ = knn_classify(m, Signature(np.array([0.0, 1.0, 0.0])))
         assert label == "b"
 
     def test_majority(self):
         m = model_of([[0.0], [0.1], [1.0]], ["A", "A", "B"], 3)
-        label, _ = knn_classify(m, Signature(np.array([0.0]), True))
+        label, _ = knn_classify(m, Signature(np.array([0.0])))
         assert label == "A"
 
     def test_vote_tie_breaks_by_nearest(self):
         m = model_of([[0.0], [0.2], [0.3], [0.5]], ["B", "A", "A", "B"], 4)
-        label, _ = knn_classify(m, Signature(np.array([0.01]), True))
+        label, _ = knn_classify(m, Signature(np.array([0.01])))
         assert label == "B"  # 2-2 tie, nearest neighbor is B
 
     def test_scaling_invariance(self):
@@ -122,8 +120,8 @@ class TestKnn:
         q = rng.random(6)
         m1 = model_of(sigs, labels, 5)
         m2 = model_of(sigs * 3.5, labels, 5)
-        l1, _ = knn_classify(m1, Signature(q, True))
-        l2, _ = knn_classify(m2, Signature(q * 3.5, True))
+        l1, _ = knn_classify(m1, Signature(q))
+        l2, _ = knn_classify(m2, Signature(q * 3.5))
         assert l1 == l2
 
     def test_matches_bruteforce(self):
@@ -132,7 +130,7 @@ class TestKnn:
         labels = [f"c{i}" for i in rng.integers(0, 5, 60)]
         m = model_of(sigs, labels, 7)
         for _ in range(1000):
-            q = Signature(rng.random(8), True)
+            q = Signature(rng.random(8))
             assert knn_classify(m, q)[0] == knn_bruteforce(m, q)
 
     def test_empty_model(self):
@@ -142,14 +140,14 @@ class TestKnn:
 
 class TestEvaluate:
     def test_self_classification(self):
-        sig = Signature(np.array([0.2, 0.8]), True)
+        sig = Signature(np.array([0.2, 0.8]))
         m = model_of([sig.values], ["left"], 1)
         result = evaluate(m, [sig], ["left"])
         assert result.accuracy == 1.0
 
     def test_confusion_row_sums(self):
         rng = np.random.default_rng(5)
-        sigs = [Signature(rng.random(4), True) for _ in range(30)]
+        sigs = [Signature(rng.random(4)) for _ in range(30)]
         labels = [f"c{i % 3}" for i in range(30)]
         m = model_of([s.values for s in sigs[:15]], labels[:15], 3)
         result = evaluate(m, sigs[15:], labels[15:])
@@ -158,27 +156,33 @@ class TestEvaluate:
 
 
 class TestCrossValidate:
+    """Repeated random splits: ``split_by_class``, then ``evaluate``."""
+
     def _data(self, per_class=24, classes=4, dim=6, seed=6):
         rng = np.random.default_rng(seed)
         sigs, labels = [], []
         for c in range(classes):
             center = rng.random(dim)
             for _ in range(per_class):
-                sigs.append(Signature(center + rng.normal(0, 0.01, dim), True))
+                sigs.append(Signature(center + rng.normal(0, 0.01, dim)))
                 labels.append(f"c{c}")
         return sigs, labels
 
     def test_faces_protocol_split(self):
+        # 5 training clips per class, the rest tested, over 10 shuffles
         sigs, labels = self._data()
-        mean, accs = cross_validate(sigs, labels, k=1, shuffles=10,
-                                    train_per_class=5, seed=0)
-        assert len(accs) == 10
-        assert mean > 0.95  # trivially separable clusters
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            train, test = split_by_class(labels, 5, rng)
+            assert sorted(labels[i] for i in train) == sorted([*set(labels)] * 5)
+            m = model_of([sigs[i].values for i in train], [labels[i] for i in train], 1)
+            result = evaluate(m, [sigs[i] for i in test], [labels[i] for i in test])
+            assert result.accuracy > 0.95  # trivially separable clusters
 
     def test_same_seed_same_result(self):
-        sigs, labels = self._data()
-        a = cross_validate(sigs, labels, k=1, shuffles=3, train_per_class=5, seed=7)
-        b = cross_validate(sigs, labels, k=1, shuffles=3, train_per_class=5, seed=7)
+        _, labels = self._data()
+        a = split_by_class(labels, 5, np.random.default_rng(7))
+        b = split_by_class(labels, 5, np.random.default_rng(7))
         assert a == b
 
     def test_split_disjoint_and_covering(self):

@@ -1,4 +1,6 @@
+import json
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -83,8 +85,8 @@ class TestConfigParsing:
     @given(
         taus=st.lists(st.floats(allow_nan=False), min_size=1, max_size=3),
         dbs=st.none() | st.tuples(
-            st.floats(min_value=0.0, exclude_min=True, allow_nan=False),
-            st.floats(min_value=0.0, exclude_min=True, allow_nan=False)),
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
     )
     def test_echo_round_trips_any_float(self, taus, dbs):
         config = PipelineConfig(
@@ -125,6 +127,62 @@ def dataset(tmp_path_factory):
         "layers.1.tau_us = 10000\npooling.grid = 2x2\nknn.k = 3\n"
     )
     return root
+
+
+@pytest.fixture(scope="module")
+def swipes32(tmp_path_factory):
+    """12 swipes on a 32x32 array, a one-layer config with DBS and a model
+    trained on them."""
+    root = tmp_path_factory.mktemp("swipes32")
+    manifest = write_set(root, SensorGeometry(32, 32, 2), 3)
+    config = root / "base.cfg"
+    config.write_text("dbs.enabled = true\nlayers.1.n = 4\nlayers.1.r = 1\n"
+                      "layers.1.tau_us = 10000\n")
+    model = root / "model.bin"
+    assert cli.main(["train", manifest, str(config), str(model)]) == 0
+    return manifest, config, model
+
+
+def with_header(model: bytes, **fields) -> bytes:
+    """``model`` with header fields replaced and its CRC recomputed."""
+    end = 12 + int.from_bytes(model[8:12], "little")
+    header = json.dumps({**json.loads(model[12:end]), **fields}).encode()
+    body = len(header).to_bytes(4, "little") + header + model[end:]
+    return model[:4] + zlib.crc32(body).to_bytes(4, "little") + body
+
+
+# Bad values in a config or a model header, each a data error (exit 2):
+# the config line appended, or the header fields replaced; and a text
+# the error message must hold.
+BAD_INPUTS = {
+    "epochs-0": ("epochs = 0", "epochs"),
+    "epochs-negative": ("epochs = -1", "epochs"),
+    "tau-nan": ("layers.1.tau_us = nan", "tau_us"),
+    "tau-inf": ("layers.1.tau_us = inf", "tau_us"),
+    "alpha-nan": ("dbs.alpha = nan", "alpha"),
+    "tau-b-inf": ("dbs.tau_b_us = inf", "tau_b_us"),
+    "reinit-window-negative": ("layers.1.reinit_window = -5", "reinit_window"),
+    "bank-larger-than-training-set": ("layers.1.n = 100000", "saw only"),
+    "header-huge-array": ({"width": 10**6, "height": 10**6}, "malformed"),
+    "header-width-above-u16": ({"width": 65536}, "malformed"),
+    "header-height-above-u16": ({"height": 65536}, "malformed"),
+    "header-channels-above-u8": ({"channels": 256}, "malformed"),
+}
+
+
+@pytest.mark.parametrize("fault, named", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_value_exit_2(swipes32, tmp_path, capsys, fault, named):
+    manifest, config, model = swipes32
+    if isinstance(fault, dict):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(with_header(model.read_bytes(), **fault))
+        code = cli.main(["eval", manifest, str(bad)])
+    else:
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(config.read_text() + fault + "\n")
+        code = cli.main(["train", manifest, str(bad), str(tmp_path / "m.bin")])
+    assert code == 2
+    assert named in capsys.readouterr().err
 
 
 class TestCli:

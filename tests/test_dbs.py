@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from evgesture import dbs
 from evgesture.dbs import (
-    DbsConfig, DbsFilter, RetentionStats, cell_index, filter_stream,
-    update_activity,
+    DbsConfig, DbsFilter, RetentionStats, filter_stream, update_activity,
 )
-from evgesture.events import EventStream, SensorGeometry
+from evgesture.events import EventStream, SensorGeometry, grid_cells
 from evgesture.oracles import dbs_decisions_eager, dbs_decisions_history, dbs_scalar
 from evgesture.synth import CompositeSpec, gen_composite, gen_gesture_set
 
@@ -19,28 +18,23 @@ DEFAULT_PARAMS = DbsConfig(grid_rows=3, grid_cols=3, tau_b_us=300.0, alpha=2.0)
 
 
 class TestCellIndex:
+    """``grid_cells``, the filter's tiling rule: row-major cell ids on a
+    3x3 grid. Off-array pixels are rejected by the filter
+    (``TestPixelBounds``)."""
+
     def test_origin(self):
-        g = SensorGeometry(304, 240, 2)
-        assert cell_index(0, 0, g, DEFAULT_PARAMS) == (0, 0)
+        assert grid_cells(0, 0, SensorGeometry(304, 240, 2), 3, 3) == 0
 
     def test_far_corner(self):
-        g = SensorGeometry(304, 240, 2)
-        assert cell_index(303, 239, g, DEFAULT_PARAMS) == (2, 2)
+        assert grid_cells(303, 239, SensorGeometry(304, 240, 2), 3, 3) == 8
 
     def test_center(self):
-        g = SensorGeometry(9, 9, 2)
-        assert cell_index(4, 4, g, DEFAULT_PARAMS) == (1, 1)
-
-    def test_out_of_bounds(self):
-        with pytest.raises(ValueError):
-            cell_index(9, 0, SensorGeometry(9, 9, 2), DEFAULT_PARAMS)
+        assert grid_cells(4, 4, SensorGeometry(9, 9, 2), 3, 3) == 4
 
     def test_cells_tile_the_array(self):
         g = SensorGeometry(10, 7, 2)
-        config = DbsConfig(grid_rows=3, grid_cols=3)
-        seen = {cell_index(x, y, g, config)
-                for x in range(g.width) for y in range(g.height)}
-        assert seen == {(r, c) for r in range(3) for c in range(3)}
+        x, y = np.meshgrid(np.arange(g.width), np.arange(g.height))
+        assert set(grid_cells(x.ravel(), y.ravel(), g, 3, 3).tolist()) == set(range(9))
 
 
 class TestUpdateActivity:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from evgesture.events import (
     ClipRecord, EventStream, SensorGeometry, StreamError, load_manifest,
-    read_binary_events, read_text_events, validate_stream,
+    read_binary_events, read_text_events,
     write_binary_events, write_text_events,
 )
 
@@ -87,25 +87,22 @@ class TestBinaryCodec:
 
 
 class TestValidate:
+    """The checks every ``EventStream(..., validate=True)`` runs."""
+
     def test_valid_stream(self):
-        report = validate_stream(random_stream(np.random.default_rng(4), 100))
-        assert report.ok
-        assert report.event_count == 100
+        # equal times and the last pixel and channel are in bounds
+        s = EventStream([0, 5, 5], [0, GEOM.width - 1, 3], [0, GEOM.height - 1, 2],
+                        [0, GEOM.channels - 1, 0], GEOM)
+        assert len(s) == 3
 
     def test_bounds_violation(self):
-        s = EventStream([0], [GEOM.width], [0], [0], GEOM, validate=False)
-        report = validate_stream(s)
-        assert report.bounds_violations == [(0, "x", GEOM.width)]
+        with pytest.raises(StreamError, match=r"y=-1 out of bounds \[0, 12\) at index 1"):
+            EventStream([0, 1], [0, 0], [0, -1], [0, 0], GEOM)
 
     def test_duration(self):
         s = EventStream([0, 40, 100], [0] * 3, [0] * 3, [0] * 3, GEOM)
-        assert validate_stream(s).duration_us == 100
-
-    def test_does_not_mutate(self):
-        s = random_stream(np.random.default_rng(5), 50)
-        before = s.t.copy()
-        validate_stream(s)
-        assert np.array_equal(s.t, before)
+        assert s.duration_us == 100
+        assert EventStream.empty(GEOM).duration_us == 0
 
 
 class TestManifest:

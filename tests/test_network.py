@@ -11,7 +11,7 @@ from evgesture.config import parse_config
 from evgesture.events import EventStream, SensorGeometry, StreamError, write_binary_events
 from evgesture.network import (
     DEFAULT_REINIT_WINDOW, Layer, LayerConfig, Network, NetworkConfig,
-    UndertrainedLayerError, learn_update, nearest_prototype, nearest_rows, train,
+    UndertrainedLayerError, learn_update, nearest_rows, train,
 )
 from evgesture.oracles import learn_bruteforce, surfaces_bruteforce
 from evgesture.pipeline import (
@@ -25,25 +25,11 @@ GEOM = SensorGeometry(32, 32, 2)
 
 
 class TestNearestPrototype:
-    def test_exact_match(self):
-        bank = np.eye(5)
-        idx, dist = nearest_prototype(bank, bank[3].copy())
-        assert (idx, dist) == (3, 0.0)
+    """One surface against a hand-made bank."""
 
     def test_tie_goes_to_lowest_index(self):
         bank = np.array([[1.0, 0.0], [0.0, 1.0]])
-        idx, _ = nearest_prototype(bank, np.array([0.5, 0.5]))
-        assert idx == 0
-
-    def test_hand_evaluated_distance(self):
-        bank = np.array([[1.0, 0.0], [0.0, 1.0]])
-        idx, dist = nearest_prototype(bank, np.array([0.9, 0.1]))
-        assert idx == 0
-        assert dist == pytest.approx(np.sqrt(0.02), abs=1e-12)
-
-    def test_empty_bank(self):
-        with pytest.raises(ValueError, match="empty"):
-            nearest_prototype(np.empty((0, 4)), np.zeros(4))
+        assert nearest_rows(bank, np.array([[0.5, 0.5]])).tolist() == [0]
 
 
 class TestLearnUpdate:
@@ -530,11 +516,10 @@ class TestFrozenBlocks:
         layer.reset_memory()
         whole = layer.encode(s.t, s.x, s.y, s.p)
         layer.reset_memory()
-        memory = layer.padded_memory()
         keep, ids, a, k = [], [], 0, 0
         while a < len(s):
             b = a + cuts[k % len(cuts)]
-            kb, ib = layer.encode_block(memory, s.t[a:b], s.x[a:b], s.y[a:b], s.p[a:b])
+            kb, ib = layer.encode(s.t[a:b], s.x[a:b], s.y[a:b], s.p[a:b])
             keep.append(kb)
             ids.append(ib)
             a, k = b, k + 1
@@ -556,11 +541,10 @@ class TestFrozenBlocks:
         layer.reset_memory()
         whole_keep, whole_ids = layer.encode(s.t, s.x, s.y, s.p)
         assert 0 < whole_keep.sum() < n
-        layer.reset_memory()
         for step in range(1, n + 1):
-            memory = layer.padded_memory()
-            pieces = [layer.encode_block(memory, s.t[a:a + step], s.x[a:a + step],
-                                         s.y[a:a + step], s.p[a:a + step])
+            layer.reset_memory()
+            pieces = [layer.encode(s.t[a:a + step], s.x[a:a + step],
+                                   s.y[a:a + step], s.p[a:a + step])
                       for a in range(0, n, step)]
             assert np.array_equal(np.concatenate([k for k, _ in pieces]), whole_keep)
             assert np.array_equal(np.concatenate([i for _, i in pieces]), whole_ids)
@@ -592,7 +576,7 @@ class TestFrozenBlocks:
         layer = net.layers[0]
         s = layer_input(net, stream)
         layer.reset_memory()
-        rows = layer.block_surfaces(layer.padded_memory(), s.t, s.x, s.y, s.p)
+        rows = layer.block_surfaces(s.t, s.x, s.y, s.p)
         memory = TimestampMemory(layer.geometry)
         expected = []
         for t, x, y, p in zip(s.t.tolist(), s.x.tolist(), s.y.tolist(), s.p.tolist()):
@@ -603,14 +587,12 @@ class TestFrozenBlocks:
             assert np.array_equal(rows, np.array(expected))
             assert np.array_equal(rows.sum(axis=1), [e.sum() for e in expected])
 
-    def test_block_needs_frozen_layer(self):
-        layer = make_layer()
-        with pytest.raises(RuntimeError, match="frozen"):
-            layer.encode_block(layer.padded_memory(), np.array([0]), np.array([1]),
-                               np.array([1]), np.array([0]))
-
 
 class TestNearestRows:
+    def test_exact_match(self):
+        bank = np.eye(5)
+        assert nearest_rows(bank, bank[[3]]).tolist() == [3]
+
     def test_duplicate_rows_take_lowest_index(self):
         rng = np.random.default_rng(6)
         bank = rng.random((6, 50))
@@ -756,11 +738,10 @@ class TestLearnBlocks:
             for stream in streams:
                 s = layer_input(net, stream)
                 layer.reset_memory()
-                memory = layer.padded_memory()
                 a, k, out = 0, 0, []
                 while a < len(s):
                     b = a + cuts[k % len(cuts)]
-                    keep, ids = layer.learn_block(memory, s.t[a:b], s.x[a:b], s.y[a:b], s.p[a:b])
+                    keep, ids = layer.encode(s.t[a:b], s.x[a:b], s.y[a:b], s.p[a:b])
                     out += [(int(s.t[a + j]), int(s.x[a + j]), int(s.y[a + j]), int(i))
                             for j, i in zip(np.flatnonzero(keep), ids)]
                     a, k = b, k + 1
@@ -795,13 +776,6 @@ class TestLearnBlocks:
                 s = layer.bank[j] * (1 + rng.normal(0, 1e-15, layer.bank.shape[1]))
                 expected = np.einsum("ij,ij->i", layer.bank - s, layer.bank - s).argmin()
                 assert layer.process_surface(s) == expected
-
-    def test_block_needs_learning_layer(self):
-        layer = make_layer()
-        layer.learning = False
-        with pytest.raises(RuntimeError, match="learning"):
-            layer.learn_block(layer.padded_memory(), np.array([0]), np.array([1]),
-                              np.array([1]), np.array([0]))
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")

@@ -3,13 +3,19 @@ import hashlib
 import numpy as np
 import pytest
 
-from evgesture.events import SensorGeometry, validate_stream
+from evgesture.events import EventStream, SensorGeometry
 from evgesture.synth import (
     BlobSpec, CompositeSpec, MovingBarSpec, gen_composite, gen_gesture_clip,
     gen_gesture_set, gen_moving_bar, gen_translating_blob,
 )
 
 GEOM = SensorGeometry(64, 64, 2)
+
+
+def assert_valid(stream):
+    """Rebuild ``stream`` with validation, which raises StreamError on
+    any fault of order or bounds (swipes are built unvalidated)."""
+    EventStream(stream.t, stream.x, stream.y, stream.p, stream.geometry, validate=True)
 
 
 class TestMovingBar:
@@ -41,8 +47,7 @@ class TestMovingBar:
         assert set(np.unique(clip.stream.p)) == {0, 1}
 
     def test_stream_is_valid(self):
-        clip = gen_moving_bar(self.spec(), seed=5)
-        assert validate_stream(clip.stream).ok
+        assert_valid(gen_moving_bar(self.spec(), seed=5).stream)
 
 
 class TestGestureSet:
@@ -66,9 +71,8 @@ class TestGestureSet:
 
     def test_streams_validate(self):
         for clip in gen_gesture_set(GEOM, 2, seed=3):
-            report = validate_stream(clip.stream)
-            assert report.ok
-            assert report.event_count > 0
+            assert_valid(clip.stream)
+            assert len(clip.stream) > 0
 
 
 class TestBlob:
@@ -105,7 +109,7 @@ class TestComposite:
         assert a.stream == b.stream and a.tags == b.tags
 
     def test_validates(self):
-        assert validate_stream(gen_composite(self.SPEC, seed=3).stream).ok
+        assert_valid(gen_composite(self.SPEC, seed=3).stream)
 
     def test_regions(self):
         clip = gen_composite(self.SPEC, seed=4)
