@@ -27,9 +27,8 @@ from .synth import (
     gen_gesture_clip, gen_gesture_set, gen_moving_bar, gen_translating_blob,
 )
 from .pipeline import (
-    RunReport, TrainedPipeline, benchmark, build_network, clip_signature,
-    evaluate_pipeline, load_pipeline, save_pipeline, stream_signature,
-    train_pipeline,
+    RunReport, TrainedPipeline, benchmark, build_network, evaluate_pipeline,
+    load_pipeline, save_pipeline, stream_signature, train_pipeline,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import pipeline as pl
-from .config import ConfigError, format_kv, parse_config, parse_grid
+from .config import ConfigError, float_text, format_kv, parse_config, parse_grid
 from .dbs import DbsConfig, DbsFilter, filter_stream
 from .events import (
     SensorGeometry, StreamError, load_manifest,
@@ -79,8 +79,8 @@ def cmd_filter(args) -> int:
         f.write(write_binary_events(kept))
     report = {
         "filter.grid": f"{rows}x{cols}",
-        "filter.tau_b_us": f"{args.tau_b:g}",
-        "filter.alpha": f"{args.alpha:g}",
+        "filter.tau_b_us": float_text(config.tau_b_us),
+        "filter.alpha": float_text(config.alpha),
         "filter.total": str(stats.total),
         "filter.kept": str(stats.kept),
         "filter.retention": f"{stats.retention:.4f}",
@@ -168,9 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="dynamic background suppression")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--grid", default="3x3")
-    p.add_argument("--tau-b", type=float, default=300.0, help="microseconds")
-    p.add_argument("--alpha", type=float, default=2.0)
+    p.add_argument("--grid", default=f"{DbsConfig.grid_rows}x{DbsConfig.grid_cols}")
+    p.add_argument("--tau-b", type=float, default=DbsConfig.tau_b_us, help="microseconds")
+    p.add_argument("--alpha", type=float, default=DbsConfig.alpha)
     p.add_argument("--geometry")
     p.add_argument("--channels", type=int, default=2)
     p.set_defaults(fn=cmd_filter)

@@ -8,11 +8,11 @@ and '#' comments are ignored. Unknown configuration keys are errors.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .classify import PoolingConfig
 from .dbs import DbsConfig
-from .network import DEFAULT_REINIT_WINDOW
+from .network import DEFAULT_REINIT_WINDOW, TRAINING_MODES
 
 
 class ConfigError(ValueError):
@@ -20,8 +20,10 @@ class ConfigError(ValueError):
 
 
 def parse_kv(text: str) -> dict[str, str]:
-    """Parse "key = value" lines into an ordered dict of strings."""
+    """Parse "key = value" lines into an ordered dict of strings; a key
+    set twice is an error."""
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -29,20 +31,16 @@ def parse_kv(text: str) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {lines[key]}")
+        lines[key] = lineno
+        out[key] = value.strip()
     return out
 
 
 def format_kv(pairs: dict[str, str]) -> str:
     return "".join(f"{k} = {v}\n" for k, v in pairs.items())
-
-
-def _parse_bool(key: str, value: str) -> bool:
-    if value.lower() in ("true", "1", "yes"):
-        return True
-    if value.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
 
 
 def parse_grid(key: str, value: str) -> tuple[int, int]:
@@ -64,32 +62,62 @@ class LayerSpec:
 @dataclass(frozen=True)
 class PipelineConfig:
     layers: tuple[LayerSpec, ...]
-    dbs: DbsConfig | None = DbsConfig()
+    dbs: DbsConfig | None = None
     merge_polarity: bool = True
     pooling: PoolingConfig = PoolingConfig()
     k: int = 7
     epochs: int = 1
     seed: int = 0
-    training_mode: str = "joint"
+    training_mode: str = TRAINING_MODES[0]
+
+    def __post_init__(self):
+        if not self.k >= 1:
+            raise ConfigError(f"knn.k must be >= 1, got {self.k}")
+        if self.training_mode not in TRAINING_MODES:
+            raise ConfigError(f"training.mode: expected {' or '.join(TRAINING_MODES)}, "
+                              f"got {self.training_mode!r}")
 
 
-_SCALAR_KEYS = {
-    "seed", "epochs", "merge_polarity", "training.mode", "knn.k",
-    "pooling.grid", "dbs.enabled", "dbs.grid", "dbs.tau_b_us", "dbs.alpha",
+# Each scalar key's field and how its text reads: a "dbs."/"pooling." key
+# sets a DbsConfig/PoolingConfig field, any other a PipelineConfig field.
+# Absent keys take those classes' defaults, and layer keys LayerSpec's.
+_SCALARS = {
+    "seed": ("seed", int), "epochs": ("epochs", int),
+    "merge_polarity": ("merge_polarity", bool),
+    "training.mode": ("training_mode", str), "knn.k": ("k", int),
+    "dbs.enabled": ("enabled", bool), "dbs.grid": (None, "grid"),
+    "dbs.tau_b_us": ("tau_b_us", float), "dbs.alpha": ("alpha", float),
+    "pooling.grid": (None, "grid"),
 }
-_LAYER_KEY = re.compile(r"layers\.(\d+)\.(n|r|tau_us|reinit_window)")
+_LAYER_FIELDS = {"n": int, "r": int, "tau_us": float, "reinit_window": int}
+_LAYER_KEY = re.compile(rf"layers\.(\d+)\.({'|'.join(_LAYER_FIELDS)})")
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _read(key: str, text: str, name: str, kind) -> dict:
+    """``{name: value}`` of ``text`` read as ``kind``: int, float, str or
+    bool; a "grid" (``AxB``) sets grid_rows and grid_cols. Bad text is a
+    ConfigError naming the key."""
+    if kind == "grid":
+        return dict(zip(("grid_rows", "grid_cols"), parse_grid(key, text)))
+    try:
+        return {name: _BOOLS[text.lower()] if kind is bool else kind(text)}
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {text!r}") from None
 
 
 def parse_config(text: str) -> PipelineConfig:
-    pairs = parse_kv(text)
-    layer_fields: dict[int, dict[str, str]] = {}
-    scalars: dict[str, str] = {}
-    for key, value in pairs.items():
+    layer_fields: dict[int, dict] = {}
+    fields: dict[str, dict] = {"": {}, "dbs": {}, "pooling": {}}
+    for key, value in parse_kv(text).items():
         m = _LAYER_KEY.fullmatch(key)
         if m:
-            layer_fields.setdefault(int(m.group(1)), {})[m.group(2)] = value
-        elif key in _SCALAR_KEYS:
-            scalars[key] = value
+            name = m.group(2)
+            layer_fields.setdefault(int(m.group(1)), {}).update(
+                _read(key, value, name, _LAYER_FIELDS[name]))
+        elif key in _SCALARS:
+            section = fields.get(key.partition(".")[0], fields[""])
+            section.update(_read(key, value, *_SCALARS[key]))
         else:
             raise ConfigError(f"unknown key: {key}")
 
@@ -104,37 +132,16 @@ def parse_config(text: str) -> PipelineConfig:
         for required in ("n", "r", "tau_us"):
             if required not in f:
                 raise ConfigError(f"layers.{i}.{required} is missing")
-        layers.append(LayerSpec(
-            n=int(f["n"]), r=int(f["r"]), tau_us=float(f["tau_us"]),
-            reinit_window=int(f.get("reinit_window", DEFAULT_REINIT_WINDOW)),
-        ))
+        layers.append(LayerSpec(**f))
 
-    dbs = None
-    if _parse_bool("dbs.enabled", scalars.get("dbs.enabled", "false")):
-        rows, cols = parse_grid("dbs.grid", scalars.get("dbs.grid", "3x3"))
-        dbs = DbsConfig(
-            grid_rows=rows, grid_cols=cols,
-            tau_b_us=float(scalars.get("dbs.tau_b_us", "300")),
-            alpha=float(scalars.get("dbs.alpha", "2.0")),
-        )
-    prow, pcol = parse_grid("pooling.grid", scalars.get("pooling.grid", "1x1"))
-    mode = scalars.get("training.mode", "joint")
-    if mode not in ("joint", "sequential"):
-        raise ConfigError(f"training.mode: expected joint or sequential, got {mode!r}")
-    return PipelineConfig(
-        layers=tuple(layers),
-        dbs=dbs,
-        merge_polarity=_parse_bool(
-            "merge_polarity", scalars.get("merge_polarity", "true")),
-        pooling=PoolingConfig(grid_rows=prow, grid_cols=pcol),
-        k=int(scalars.get("knn.k", "7")),
-        epochs=int(scalars.get("epochs", "1")),
-        seed=int(scalars.get("seed", "0")),
-        training_mode=mode,
-    )
+    top, dbs = fields[""], fields["dbs"]
+    if "enabled" in dbs:  # other dbs.* keys are read but unused while disabled
+        top["dbs"] = DbsConfig(**dbs) if dbs.pop("enabled") else None
+    return PipelineConfig(layers=tuple(layers), pooling=PoolingConfig(**fields["pooling"]),
+                          **top)
 
 
-def _float_text(value: float) -> str:
+def float_text(value: float) -> str:
     """``:g`` text where it reads back exactly, else ``repr``."""
     text = f"{value:g}"
     return text if float(text) == value else repr(value)
@@ -152,12 +159,12 @@ def config_echo(config: PipelineConfig) -> dict[str, str]:
     }
     if config.dbs is not None:
         pairs["dbs.grid"] = f"{config.dbs.grid_rows}x{config.dbs.grid_cols}"
-        pairs["dbs.tau_b_us"] = _float_text(config.dbs.tau_b_us)
-        pairs["dbs.alpha"] = _float_text(config.dbs.alpha)
+        pairs["dbs.tau_b_us"] = float_text(config.dbs.tau_b_us)
+        pairs["dbs.alpha"] = float_text(config.dbs.alpha)
     for i, layer in enumerate(config.layers, start=1):
         pairs[f"layers.{i}.n"] = str(layer.n)
         pairs[f"layers.{i}.r"] = str(layer.r)
-        pairs[f"layers.{i}.tau_us"] = _float_text(layer.tau_us)
+        pairs[f"layers.{i}.tau_us"] = float_text(layer.tau_us)
         pairs[f"layers.{i}.reinit_window"] = str(layer.reinit_window)
     pairs["pooling.grid"] = f"{config.pooling.grid_rows}x{config.pooling.grid_cols}"
     pairs["knn.k"] = str(config.k)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventStream, SensorGeometry, grid_cells
+from .events import EventStream, SensorGeometry, check_events, check_grid, grid_cells
 
 # Events per process_block call in filter_stream. A block's working arrays
 # peak at about 140 bytes an event, so a long input is filtered in about
@@ -68,27 +68,6 @@ class RetentionStats:
         return self.kept / self.total if self.total else 0.0
 
 
-def _check_block(t: np.ndarray, x, y, since: int | None,
-                 geometry: SensorGeometry) -> None:
-    """Raise ``ValueError`` at the first event earlier than the one before
-    it (``since`` before the first), or at the first pixel off the array."""
-    x, y = np.asarray(x), np.asarray(y)
-    if not len(t) == len(x) == len(y):
-        raise ValueError("t, x and y must have equal length")
-    if since is not None and len(t) and t[0] < since:
-        raise ValueError(f"time regression: {int(t[0])} < {since}")
-    back = np.flatnonzero(t[1:] < t[:-1])
-    if len(back):
-        i = int(back[0])
-        raise ValueError(f"time regression: {int(t[i + 1])} < {int(t[i])}")
-    off = np.flatnonzero((x < 0) | (x >= geometry.width)
-                         | (y < 0) | (y >= geometry.height))
-    if len(off):
-        i = int(off[0])
-        raise ValueError(f"pixel ({int(x[i])}, {int(y[i])}) outside "
-                         f"{geometry.width}x{geometry.height}")
-
-
 def _decays(gaps: np.ndarray, tau: float) -> np.ndarray:
     """``math.exp(-gap / tau)`` per gap, evaluated once per distinct gap.
     ``np.exp`` may differ from ``math.exp`` in the last bit."""
@@ -106,6 +85,7 @@ class DbsFilter:
     """
 
     def __init__(self, geometry: SensorGeometry, config: DbsConfig = DbsConfig()):
+        check_grid(config.grid_rows, config.grid_cols, geometry, "DBS grid")
         self.geometry = geometry
         self.config = config
         n = config.grid_rows * config.grid_cols
@@ -124,12 +104,12 @@ class DbsFilter:
         Each event's own cell is updated first; the mean then includes the
         just-updated cell. Keep iff A_c >= alpha * mean. The block must not
         go back in time, within itself or behind the last event already
-        taken, nor leave the array; otherwise ``ValueError`` is raised and
+        taken, nor leave the array; otherwise ``StreamError`` is raised and
         no state changes.
         """
         t = np.asarray(t, dtype=np.int64)
         n = len(t)
-        _check_block(t, x, y, self._sum_t, self.geometry)
+        check_events(t, x, y, None, self.geometry, self._sum_t)
         if n == 0:
             return np.zeros(0, dtype=bool)
         cfg = self.config

@@ -50,6 +50,47 @@ class StreamError(ValueError):
     """Malformed event data: bad syntax, ordering or bounds violations."""
 
 
+def check_grid(rows: int, cols: int, geometry: SensorGeometry, what: str) -> None:
+    """Reject a grid with more rows than the array has pixel rows, or more
+    columns than pixel columns: some of its cells would hold no pixel.
+    Callers check before they size anything by the grid."""
+    if rows > geometry.height or cols > geometry.width:
+        raise ValueError(f"{what} {rows}x{cols} is finer than the {geometry.width}x"
+                         f"{geometry.height} array: at most {geometry.height} rows "
+                         f"and {geometry.width} columns")
+
+
+def check_events(t, x, y, p, geometry: SensorGeometry, since: int | None = None) -> None:
+    """The one check of raw event arrays: raise StreamError at the first
+    event earlier than the one before it (``since``, the latest time
+    already taken, before the first), at a negative time, or at the first
+    coordinate outside ``geometry``; ``p`` None skips the channel bound."""
+    t, x, y = np.asarray(t), np.asarray(x), np.asarray(y)
+    fields = (("x", x, geometry.width), ("y", y, geometry.height))
+    if p is not None:
+        fields += (("p", np.asarray(p), geometry.channels),)
+    if any(len(v) != len(t) for _, v, _ in fields):
+        raise StreamError("event field arrays must have equal length")
+    if len(t) == 0:
+        return
+    if since is not None and t[0] < since:
+        raise StreamError(f"time regression: {int(t[0])} < {since} at index 0")
+    back = np.flatnonzero(t[1:] < t[:-1])
+    if len(back):
+        i = int(back[0]) + 1
+        raise StreamError(f"time regression: {int(t[i])} < {int(t[i - 1])} at index {i}")
+    if t[0] < 0:
+        raise StreamError(f"negative timestamp {int(t[0])} at index 0")
+    for name, v, hi in fields:
+        off = np.flatnonzero((v < 0) | (v >= hi))
+        if len(off):
+            i = int(off[0])
+            pixel = (f"pixel ({int(x[i])}, {int(y[i])}) outside "
+                     f"{geometry.width}x{geometry.height}: " if name != "p" else "")
+            raise StreamError(f"{pixel}{name}={int(v[i])} out of bounds [0, {hi}) "
+                              f"at index {i}")
+
+
 # Packed little-endian record layout of the EVS1 binary format: 13 bytes.
 _RECORD_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1")])
 _MAGIC = b"EVS1"
@@ -74,16 +115,9 @@ class EventStream:
         if not (len(self.x) == len(self.y) == len(self.p) == n):
             raise ValueError("field arrays must have equal length")
         if validate:
-            _check_stream(self.t, self.x, self.y, self.p, geometry)
+            check_events(self.t, self.x, self.y, self.p, geometry)
         for a in (self.t, self.x, self.y, self.p):
             a.flags.writeable = False
-
-    @classmethod
-    def from_events(cls, events, geometry: SensorGeometry, validate: bool = True):
-        if len(events) == 0:
-            return cls.empty(geometry)
-        t, x, y, p = zip(*events)
-        return cls(t, x, y, p, geometry, validate=validate)
 
     @classmethod
     def empty(cls, geometry: SensorGeometry) -> "EventStream":
@@ -129,27 +163,6 @@ class EventStream:
         if len(self) == 0:
             return 0
         return int(self.t[-1] - self.t[0])
-
-
-def _check_stream(t, x, y, p, geometry: SensorGeometry) -> None:
-    if len(t) == 0:
-        return
-    bad = np.nonzero(np.diff(t) < 0)[0]
-    if bad.size:
-        i = int(bad[0]) + 1
-        raise StreamError(
-            f"non-monotonic timestamp at index {i}: {int(t[i])} < {int(t[i - 1])}"
-        )
-    if t[0] < 0:
-        raise StreamError("negative timestamp at index 0")
-    for name, arr, hi in (("x", x, geometry.width), ("y", y, geometry.height),
-                          ("p", p, geometry.channels)):
-        bad = np.nonzero((arr < 0) | (arr >= hi))[0]
-        if bad.size:
-            i = int(bad[0])
-            raise StreamError(
-                f"{name}={int(arr[i])} out of bounds [0, {hi}) at index {i}"
-            )
 
 
 # ---------------------------------------------------------------------------

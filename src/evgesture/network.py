@@ -28,13 +28,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .events import Event, EventStream, SensorGeometry, StreamError
+from .events import Event, EventStream, SensorGeometry, StreamError, check_events
 from .surfaces import TimeSurfaceConfig
 
 DEFAULT_REINIT_WINDOW = 10_000  # valid surfaces without a match before reseed
+TRAINING_MODES = ("joint", "sequential")
 
 # Transient working memory of one block, in bytes. A block holds about
 # four (events x D) arrays of 8-byte values, so a layer with surface
@@ -57,6 +59,7 @@ class LayerConfig:
             raise ValueError("prototype count must be >= 1")
         if not self.reinit_window >= 1:
             raise ValueError(f"reinit_window must be >= 1, got {self.reinit_window}")
+        self.surface_config  # checks radius, tau_us and in_channels
 
     @property
     def surface_config(self) -> TimeSurfaceConfig:
@@ -143,18 +146,15 @@ class Layer:
         self.config = config
         self.geometry = SensorGeometry(geometry.width, geometry.height, config.in_channels)
         self._surface_config = config.surface_config
-        # The latest timestamp of every (channel, y, x), -inf where nothing
-        # fired, inside an R-wide -inf border so that every receptive field
-        # lies within the array; these are the flat offsets of the field
-        # from its centre pixel on channel 0, in the channel-major
-        # (p, dy, dx) order of surfaces.
+        # The flat offsets of a receptive field in ``memory`` from its
+        # centre pixel on channel 0, in the channel-major (p, dy, dx) order
+        # of surfaces.
         R = config.radius
-        self.memory = np.full((config.in_channels, geometry.height + 2 * R,
-                               geometry.width + 2 * R), -np.inf)
         c, dy, dx = np.meshgrid(np.arange(config.in_channels), np.arange(-R, R + 1),
                                 np.arange(-R, R + 1), indexing="ij")
-        height, width = self.memory.shape[1:]
+        height, width = geometry.height + 2 * R, geometry.width + 2 * R
         self._offsets = ((c * height + dy) * width + dx).ravel()
+        self._since: int | None = None  # the latest event time in memory
         self._min_sum = 2 * config.radius  # validity threshold
         # Bank rows are flattened channel-major surfaces; only the first
         # n_filled rows are live.
@@ -169,8 +169,18 @@ class Layer:
     def bank_full(self) -> bool:
         return self.n_filled == self.config.n_prototypes
 
+    @cached_property
+    def memory(self) -> np.ndarray:
+        """The latest timestamp of every (channel, y, x), -inf where nothing
+        fired, inside an R-wide -inf border so that every receptive field
+        lies within the array. Allocated on first use, then reused."""
+        R = self.config.radius
+        g = self.geometry
+        return np.full((g.channels, g.height + 2 * R, g.width + 2 * R), -np.inf)
+
     def reset_memory(self) -> None:
         self.memory.fill(-np.inf)
+        self._since = None
 
     def freeze(self) -> None:
         if not self.bank_full:
@@ -265,7 +275,14 @@ class Layer:
         surfaces at once; a learning layer takes them through the learning
         rule in event order. Returns the mask of emitted events (valid,
         and past the bank's warm-up) and their prototype ids, equal to
-        ``forward_event`` on each event in turn."""
+        ``forward_event`` on each event in turn.
+
+        Raises StreamError, before the memory changes, if an event is
+        earlier than the one before it or than the memory's latest, or
+        lies outside the layer's pixels or input channels."""
+        check_events(t, x, y, p, self.geometry, self._since)
+        if len(t):
+            self._since = int(t[-1])
         step = max(1, BLOCK_BYTES // (32 * self._surface_config.size))
         keep, ids = [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=np.int64)]
         for a in range(0, len(t), step):
@@ -291,7 +308,8 @@ class Layer:
 
         Each surface reads, per receptive-field pixel, the latest event at
         or before its own within the block, else the timestamp memory,
-        which is then updated to include the block.
+        which is then updated to include the block. The events are not
+        checked here; ``encode`` checks them first.
         """
         memory = self.memory
         n = len(t)
@@ -395,7 +413,8 @@ class Network:
 
 
 def train(network: Network, clips, epochs: int = 1, mode: str = "joint") -> Network:
-    """Train the prototype banks online and freeze the network.
+    """Train the prototype banks online on ``clips``, a list of event
+    streams, and freeze the network.
 
     ``joint`` (default): every clip runs through the full cascade with all
     layers learning, in one or more passes. ``sequential``: layer 1 trains
@@ -404,27 +423,21 @@ def train(network: Network, clips, epochs: int = 1, mode: str = "joint") -> Netw
     Raises UndertrainedLayerError (naming the layer) if any bank never
     filled.
     """
-    if mode not in ("joint", "sequential"):
+    if mode not in TRAINING_MODES:
         raise ValueError(f"unknown training mode: {mode!r}")
     if not epochs >= 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    streams = [c.stream if hasattr(c, "stream") else c for c in clips]
-    if mode == "joint":
+    layers = network.layers
+    # Each stage learns in layers [0, last], then freezes them; freezing
+    # a layer again is a no-op.
+    stages = [len(layers) - 1] if mode == "joint" else range(len(layers))
+    for last in stages:
         for _ in range(epochs):
-            for s in streams:
-                network.forward_stream(s)
-        for i, layer in enumerate(network.layers):
+            for s in clips:
+                network.forward_stream(s, learn_upto=last)
+        for i, layer in enumerate(layers[: last + 1], start=1):
             try:
                 layer.freeze()
             except UndertrainedLayerError as e:
-                raise UndertrainedLayerError(f"layer {i + 1}: {e}") from None
-    else:
-        for i, layer in enumerate(network.layers):
-            for _ in range(epochs):
-                for s in streams:
-                    network.forward_stream(s, learn_upto=i)
-            try:
-                layer.freeze()
-            except UndertrainedLayerError as e:
-                raise UndertrainedLayerError(f"layer {i + 1}: {e}") from None
+                raise UndertrainedLayerError(f"layer {i}: {e}") from None
     return network

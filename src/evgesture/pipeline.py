@@ -2,7 +2,9 @@
 
 A pipeline is: optional background suppression -> polarity merge ->
 layer cascade -> pooled histogram signature -> k-NN. All stages are
-deterministic given the configuration seed and input ordering.
+deterministic given their inputs and input ordering. No stage reads the
+config's ``seed``; it is there for callers that draw their own train/test
+split from it.
 """
 
 from __future__ import annotations
@@ -16,20 +18,30 @@ import numpy as np
 
 from . import classify, network as net
 from .classify import Signature, TrainedModel
-from .config import PipelineConfig, config_echo, format_kv, parse_config
+from .config import ConfigError, PipelineConfig, config_echo, format_kv, parse_config
 from .dbs import DbsFilter, filter_stream
-from .events import ClipRecord, EventStream, SensorGeometry, StreamError
+from .events import (
+    _HEADER_DTYPE, ClipRecord, EventStream, SensorGeometry, StreamError, check_grid,
+)
 from .network import LayerConfig, Network, NetworkConfig
 
 
 def build_network(config: PipelineConfig, geometry: SensorGeometry) -> Network:
+    """The untrained layer cascade for streams of ``geometry``; raises
+    ConfigError, naming the layer, on a value out of its range, and
+    ValueError on a pooling grid finer than the array."""
+    check_grid(config.pooling.grid_rows, config.pooling.grid_cols, geometry,
+               "pooling grid")
     in_channels = 1 if config.merge_polarity else geometry.channels
     layer_configs = []
-    for spec in config.layers:
-        layer_configs.append(LayerConfig(
-            n_prototypes=spec.n, radius=spec.r, tau_us=spec.tau_us,
-            in_channels=in_channels, reinit_window=spec.reinit_window,
-        ))
+    for i, spec in enumerate(config.layers, start=1):
+        try:
+            layer_configs.append(LayerConfig(
+                n_prototypes=spec.n, radius=spec.r, tau_us=spec.tau_us,
+                in_channels=in_channels, reinit_window=spec.reinit_window,
+            ))
+        except ValueError as e:
+            raise ConfigError(f"layers.{i}: {e}") from None
         in_channels = spec.n
     return Network(
         NetworkConfig(tuple(layer_configs), merge_polarity=config.merge_polarity),
@@ -51,11 +63,6 @@ def stream_signature(config: PipelineConfig, network: Network,
     out = network.forward_stream(filtered)
     return classify.normalize(classify.accumulate(
         out, network.geometry, config.pooling, network.out_channels))
-
-
-def clip_signature(config: PipelineConfig, network: Network,
-                   stream: EventStream) -> Signature:
-    return stream_signature(config, network, suppress_background(config, stream)[0])
 
 
 @dataclass
@@ -91,9 +98,10 @@ def train_pipeline(config: PipelineConfig, clips: list[ClipRecord]) -> TrainedPi
 # config and the geometry, so a file is either read exactly or rejected.
 
 _MAGIC = b"EVP1"
-# Each header integer's upper bound: an EVS1 stream's width and height
-# are u16 and its channel count u8, so no stream matches a larger model.
-_HEADER_INTS = {"width": 0xFFFF, "height": 0xFFFF, "channels": 0xFF, "k": float("inf")}
+# Each header integer's upper bound: no EVS1 stream matches a model wider,
+# taller or with more channels than the stream header can say.
+_HEADER_INTS = {name: int(np.iinfo(_HEADER_DTYPE[name]).max)
+                for name in _HEADER_DTYPE.names} | {"k": float("inf")}
 
 
 def save_pipeline(trained: TrainedPipeline) -> bytes:
@@ -288,7 +296,8 @@ def benchmark(pipeline: TrainedPipeline, clips: list[ClipRecord],
 
     def run_full():
         for s in streams:
-            clip_signature(config, pipeline.network, s)
+            stream_signature(config, pipeline.network,
+                             suppress_background(config, s)[0])
 
     stages = {}
     for name, fn, n_in, n_out in (("dbs", run_dbs, total, kept),

@@ -8,7 +8,8 @@ generators) takes all its uniforms from one array draw, in the same order
 as one scalar draw per value, and inverts the gaps with ``math.log``, so its
 streams equal an event-by-event generator's bit for bit. ``gen_composite``
 draws its gaps, pixels and polarities in bulk arrays by the same inversion,
-through ``np.log``; ``gen_moving_bar`` draws its jitter one event at a time.
+through ``np.log``. ``gen_moving_bar`` draws its jitter as one array, which
+on PCG64 equals one ``rng.integers`` call per event in the same order.
 
 Moving stimuli emit events only along their contours, mimicking the
 sensor's native contour response; blobs emit on an annulus, bars on their
@@ -32,15 +33,6 @@ class LabeledStream:
     stream: EventStream
     tags: list[str]  # one provenance tag per event, aligned with order
     label: str = ""
-
-
-def _finalize(geometry, rows, label) -> LabeledStream:
-    """Sort (t, x, y, p, tag) rows by time and pack into a LabeledStream."""
-    if not rows:
-        return LabeledStream(EventStream.empty(geometry), [], label)
-    rows.sort(key=lambda r: r[0])
-    t, x, y, p, tags = zip(*rows)
-    return LabeledStream(EventStream(t, x, y, p, geometry), list(tags), label)
 
 
 def _poisson_times_bulk(rate_hz: float, duration_us: int,
@@ -85,23 +77,22 @@ def gen_moving_bar(spec: MovingBarSpec, seed: int) -> LabeledStream:
         raise ValueError("degenerate trajectory: zero velocity")
     rng = np.random.default_rng(seed)
     g = spec.geometry
-    step = abs(spec.velocity_px_s)
     direction = 1 if spec.velocity_px_s > 0 else -1
     travel = spec.travel_px
     if travel is None:
         travel = (g.width - 1 - spec.start_x) if direction > 0 else spec.start_x
-    rows = []
-    y_range = range(spec.bar_top, min(spec.bar_top + spec.bar_height, g.height))
-    for i in range(travel + 1):
-        x = spec.start_x + direction * i
-        t_cross = i * US / step
-        for y in y_range:
-            for p, dx in ((1, 0), (0, -direction)):  # leading ON, trailing OFF
-                xe = x + dx
-                if 0 <= xe < g.width:
-                    t = int(t_cross) + int(rng.integers(0, spec.jitter_us + 1))
-                    rows.append((t, xe, y, p, "bar"))
-    return _finalize(g, rows, "bar")
+    # Crossings in draw order: column step, row, leading ON before trailing OFF.
+    rows = np.arange(spec.bar_top, min(spec.bar_top + spec.bar_height, g.height))
+    i, y, p = (a.ravel() for a in np.meshgrid(np.arange(travel + 1), rows, [1, 0],
+                                              indexing="ij"))
+    x = spec.start_x + direction * (i - 1 + p)  # OFF one column behind ON
+    on = (0 <= x) & (x < g.width)
+    i, x, y, p = i[on], x[on], y[on], p[on]
+    t = (i * US / abs(spec.velocity_px_s)).astype(np.int64)
+    t += rng.integers(0, spec.jitter_us + 1, len(t))
+    order = np.argsort(t, kind="stable")
+    stream = EventStream(t[order], x[order], y[order], p[order], g)
+    return LabeledStream(stream, ["bar"] * len(t), "bar")
 
 
 @dataclass(frozen=True)
@@ -179,6 +170,11 @@ def _blob_draws(rate_hz: float, duration_us: int, rng: np.random.Generator):
 
 GESTURE_CLASSES = ("up", "down", "left", "right")
 
+# A swipe's mean speed and blob radius, and its contour event rate.
+SWIPE_SPEED_PX_S = 120.0
+SWIPE_RADIUS_PX = 6.0
+SWIPE_RATE_HZ = 12_000.0
+
 # Coordinate maps taking a canonical rightward clip to each class; "left"
 # is the exact x-mirror of "right" with identical parameters. They act on
 # whole int64 coordinate arrays with integer (floor) arithmetic.
@@ -200,10 +196,7 @@ _CLASS_TRANSFORM = {
 }
 
 
-def gen_gesture_clip(geometry: SensorGeometry, label: str, seed: int,
-                     base_speed_px_s: float = 120.0,
-                     base_radius_px: float = 6.0,
-                     rate_hz: float = 12_000.0) -> LabeledStream:
+def gen_gesture_clip(geometry: SensorGeometry, label: str, seed: int) -> LabeledStream:
     """One directional swipe clip: a blob crossing the array.
 
     Speed, start offset and blob size are randomized (+-30%) from the seed.
@@ -215,15 +208,15 @@ def gen_gesture_clip(geometry: SensorGeometry, label: str, seed: int,
         raise ValueError(f"unknown gesture class {label!r}")
     rng = np.random.default_rng(seed)
     w, h = geometry.width, geometry.height
-    speed = base_speed_px_s * (0.7 + 0.6 * rng.random())
-    radius = base_radius_px * (0.7 + 0.6 * rng.random())
+    speed = SWIPE_SPEED_PX_S * (0.7 + 0.6 * rng.random())
+    radius = SWIPE_RADIUS_PX * (0.7 + 0.6 * rng.random())
     y0 = h / 2 + (rng.random() - 0.5) * h * 0.3
     duration = int((w - 1) / speed * US)
     canonical = BlobSpec(
         geometry=geometry, duration_us=duration,
         start_x=0.0, start_y=y0,
         velocity_x_px_s=speed, velocity_y_px_s=0.0,
-        radius_px=radius, rate_hz=rate_hz,
+        radius_px=radius, rate_hz=SWIPE_RATE_HZ,
     )
     clip = gen_translating_blob(canonical, seed=int(rng.integers(2**32)),
                                 tag="gesture", label=label)

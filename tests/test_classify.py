@@ -16,7 +16,7 @@ GEOM = SensorGeometry(30, 30, 2)
 
 
 def stream_of(events, geometry=GEOM):
-    return EventStream.from_events(events, geometry)
+    return EventStream(*np.array(events, dtype=np.int64).reshape(-1, 4).T, geometry)
 
 
 class TestAccumulate:

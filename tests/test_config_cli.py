@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -19,6 +21,7 @@ from evgesture.events import (
 from evgesture.synth import gen_gesture_set
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 class TestConfigParsing:
@@ -152,22 +155,49 @@ def with_header(model: bytes, **fields) -> bytes:
 
 
 # Bad values in a config or a model header, each a data error (exit 2):
-# the config line appended, or the header fields replaced; and a text
-# the error message must hold.
+# the config lines that replace the lines setting the same keys (or are
+# appended), or the header fields replaced; and the text of the check's
+# own message.
 BAD_INPUTS = {
-    "epochs-0": ("epochs = 0", "epochs"),
-    "epochs-negative": ("epochs = -1", "epochs"),
-    "tau-nan": ("layers.1.tau_us = nan", "tau_us"),
-    "tau-inf": ("layers.1.tau_us = inf", "tau_us"),
-    "alpha-nan": ("dbs.alpha = nan", "alpha"),
-    "tau-b-inf": ("dbs.tau_b_us = inf", "tau_b_us"),
-    "reinit-window-negative": ("layers.1.reinit_window = -5", "reinit_window"),
-    "bank-larger-than-training-set": ("layers.1.n = 100000", "saw only"),
-    "header-huge-array": ({"width": 10**6, "height": 10**6}, "malformed"),
-    "header-width-above-u16": ({"width": 65536}, "malformed"),
-    "header-height-above-u16": ({"height": 65536}, "malformed"),
-    "header-channels-above-u8": ({"channels": 256}, "malformed"),
+    "epochs-0": ("epochs = 0", "epochs must be >= 1, got 0"),
+    "epochs-negative": ("epochs = -1", "epochs must be >= 1, got -1"),
+    "tau-nan": ("layers.1.tau_us = nan", "layers.1: tau_us must be finite and > 0, got nan"),
+    "tau-inf": ("layers.1.tau_us = inf", "layers.1: tau_us must be finite and > 0, got inf"),
+    "alpha-nan": ("dbs.alpha = nan", "alpha must be finite and > 0, got nan"),
+    "tau-b-inf": ("dbs.tau_b_us = inf", "tau_b_us must be finite and > 0, got inf"),
+    "reinit-window-negative": ("layers.1.reinit_window = -5",
+                               "layers.1: reinit_window must be >= 1, got -5"),
+    "bank-larger-than-training-set": ("layers.1.n = 100000", "layer 1: layer with N=100000 saw only"),
+    "k-not-int": ("knn.k = seven", "knn.k: expected int, got 'seven'"),
+    "n-not-int": ("layers.1.n = 2.5", "layers.1.n: expected int, got '2.5'"),
+    "tau-not-float": ("layers.1.tau_us = abc", "layers.1.tau_us: expected float, got 'abc'"),
+    "epochs-not-int": ("epochs = two", "epochs: expected int, got 'two'"),
+    "seed-not-int": ("seed = x", "seed: expected int, got 'x'"),
+    "merge-not-bool": ("merge_polarity = maybe", "merge_polarity: expected bool, got 'maybe'"),
+    "radius-0": ("layers.1.r = 0", "layers.1: radius must be >= 1"),
+    "key-repeated": ("knn.k = 3\nknn.k = 5", "line 6: knn.k is already set on line 5"),
+    "k-0": ("knn.k = 0", "knn.k must be >= 1, got 0"),
+    "dbs-grid-finer-than-array": ("dbs.grid = 64x64",
+                                  "DBS grid 64x64 is finer than the 32x32 array"),
+    "pooling-grid-finer-than-array": ("pooling.grid = 33x1",
+                                      "pooling grid 33x1 is finer than the 32x32 array"),
+    "header-huge-array": ({"width": 10**6, "height": 10**6}, "model header is malformed"),
+    "header-width-above-u16": ({"width": 65536}, "model header is malformed"),
+    "header-height-above-u16": ({"height": 65536}, "model header is malformed"),
+    "header-channels-above-u8": ({"channels": 256}, "model header is malformed"),
+    "header-pooling-finer-than-array": (
+        {"width": 2, "height": 2, "config": "layers.1.n = 4\nlayers.1.r = 1\n"
+         "layers.1.tau_us = 10000\npooling.grid = 3x3\nknn.k = 1\n"},
+        "model header: pooling grid 3x3 is finer than the 2x2 array"),
 }
+
+
+def replace_lines(text: str, lines: str) -> str:
+    """``text`` without the lines that set the keys ``lines`` sets, then
+    ``lines``."""
+    keys = {line.partition("=")[0].strip() for line in lines.splitlines()}
+    kept = [line for line in text.splitlines() if line.partition("=")[0].strip() not in keys]
+    return "".join(line + "\n" for line in kept + lines.splitlines())
 
 
 @pytest.mark.parametrize("fault, named", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
@@ -179,10 +209,32 @@ def test_bad_value_exit_2(swipes32, tmp_path, capsys, fault, named):
         code = cli.main(["eval", manifest, str(bad)])
     else:
         bad = tmp_path / "bad.cfg"
-        bad.write_text(config.read_text() + fault + "\n")
+        bad.write_text(replace_lines(config.read_text(), fault))
         code = cli.main(["train", manifest, str(bad), str(tmp_path / "m.bin")])
     assert code == 2
     assert named in capsys.readouterr().err
+
+
+def test_header_geometry_allocates_nothing(swipes32, tmp_path):
+    """A model header that claims a 65535x256 array costs ``eval`` no more
+    memory than the true header: no layer memory is sized before the
+    geometry check."""
+    manifest, _, model = swipes32
+    tampered = tmp_path / "tampered.bin"
+    tampered.write_bytes(with_header(model.read_bytes(), width=65535, height=256))
+    script = ("import resource, sys\n"
+              "from evgesture import cli\n"
+              "code = cli.main(['eval', sys.argv[1], sys.argv[2]])\n"
+              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    peak = {}
+    for name, path in (("true", model), ("tampered", tampered)):
+        done = subprocess.run([sys.executable, "-c", script, manifest, str(path)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": SRC_DIR})
+        code, kib = done.stdout.split()[-2:]
+        peak[name] = (int(code), int(kib) / 1024)
+    assert peak["true"][0] == 0 and peak["tampered"][0] == 2
+    assert peak["tampered"][1] <= peak["true"][1] + 4, peak
 
 
 class TestCli:
@@ -281,6 +333,19 @@ class TestCli:
         assert cli.main(["convert", txt, str(tmp_path / "c.evs"), "--geometry", "48by48"]) == 2
         assert cli.main(["filter", str(dataset / "clip_00.evs"), str(tmp_path / "f.evs"),
                          "--grid", "3"]) == 2
+
+    @pytest.mark.parametrize("grid", ["49x3", "3x49", "64x64"])
+    def test_filter_grid_finer_than_array_exit_2(self, dataset, tmp_path, capsys, grid):
+        assert cli.main(["filter", str(dataset / "clip_00.evs"), str(tmp_path / "f.evs"),
+                         "--grid", grid]) == 2
+        assert f"DBS grid {grid} is finer than the 48x48 array" in capsys.readouterr().err
+
+    def test_filter_report_reads_back(self, dataset, tmp_path, capsys):
+        assert cli.main(["filter", str(dataset / "clip_00.evs"), str(tmp_path / "f.evs"),
+                         "--tau-b", "1234567", "--alpha", "0.123456789"]) == 0
+        report = parse_kv(capsys.readouterr().out)
+        assert float(report["filter.tau_b_us"]) == 1234567
+        assert float(report["filter.alpha"]) == 0.123456789
 
     def test_train_missing_manifest_exit_2(self, dataset, tmp_path):
         assert cli.main(["train", str(tmp_path / "none.tsv"),

@@ -248,13 +248,13 @@ GAPS = st.one_of(st.sampled_from([0, 0, 0, 1, 7, 40, 260, 1500, 2_000_000]),
 
 @st.composite
 def dbs_cases(draw):
-    """A short stream, a grid of 1x1, 3x3, 5x5 or 1x7 cells and tau of 50,
-    300 or 2100 us. Pixels may keep to one corner, so some cells never
-    fire."""
+    """A short stream, a grid of 1x1, 3x3, 5x5 or 1x7 cells on an array
+    with at least one pixel per cell row and column, and tau of 50, 300 or
+    2100 us. Pixels may keep to one corner, so some cells never fire."""
     rows, cols = draw(st.sampled_from([(1, 1), (3, 3), (5, 5), (1, 7)]))
     config = DbsConfig(rows, cols, draw(st.sampled_from([50.0, 300.0, 2100.0])),
                        draw(st.sampled_from([0.5, 1.0, 2.0, 3.5])))
-    geometry = SensorGeometry(draw(st.integers(1, 12)), draw(st.integers(1, 12)), 2)
+    geometry = SensorGeometry(draw(st.integers(cols, 12)), draw(st.integers(rows, 12)), 2)
     span_x = draw(st.integers(1, geometry.width))
     span_y = draw(st.integers(1, geometry.height))
     n = draw(st.integers(0, 150))

@@ -266,6 +266,42 @@ class TestGeometry:
             net.forward_stream(EventStream(s.t, s.x, s.y, s.p, SensorGeometry(32, 32, 3)))
 
 
+class TestEncodeChecks:
+    """``encode`` rejects a bad event, as DBS does, before the layer's
+    memory changes: an 8x8 one-channel layer that has taken t = 10."""
+
+    @pytest.mark.parametrize("events, says", [
+        ([(20, -1, 3, 0)], r"pixel \(-1, 3\) outside 8x8: x=-1"),
+        ([(20, 9, 3, 0)], r"pixel \(9, 3\) outside 8x8: x=9"),
+        ([(20, 3, 8, 0)], r"pixel \(3, 8\) outside 8x8: y=8"),
+        ([(20, 3, 3, 1)], r"p=1 out of bounds \[0, 1\) at index 0"),
+        ([(5, 3, 3, 0)], r"time regression: 5 < 10 at index 0"),
+        ([(30, 3, 3, 0), (20, 4, 4, 0)], r"time regression: 20 < 30 at index 1"),
+    ], ids=["x-negative", "x-past-width", "y-past-height", "channel", "behind-memory",
+            "within-call"])
+    @pytest.mark.parametrize("learning", [True, False])
+    def test_bad_event_rejected(self, events, says, learning):
+        layer = Layer(LayerConfig(n_prototypes=1, radius=1, tau_us=100.0, in_channels=1),
+                      SensorGeometry(8, 8, 1))
+        layer.encode(*(np.array([v]) for v in (10, 4, 4, 0)))
+        layer.learning = learning
+        before = layer.memory.copy()
+        t, x, y, p = (np.array(v) for v in zip(*events))
+        with pytest.raises(StreamError, match=says):
+            layer.encode(t, x, y, p)
+        assert np.array_equal(layer.memory, before)
+
+    def test_forward_event_channel(self):
+        with pytest.raises(StreamError, match="p=1 out of bounds"):
+            make_layer().forward_event(0, 3, 3, 1)
+
+    def test_reset_forgets_latest_time(self):
+        layer = make_layer()
+        layer.forward_event(50, 3, 3, 0)
+        layer.reset_memory()
+        assert layer.forward_event(10, 3, 3, 0) is None
+
+
 # Two of its floats are ones that ``:g`` text would round, so the round
 # trip below also checks that the file keeps the config exactly.
 MODEL_CONFIG = ("dbs.enabled = true\ndbs.tau_b_us = 1234.5678\n"
