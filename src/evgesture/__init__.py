@@ -14,7 +14,7 @@ from .events import (
 from .dbs import DbsConfig, DbsFilter, filter_stream, update_activity
 from .surfaces import TimeSurface, TimeSurfaceConfig, TimestampMemory, extract, is_valid
 from .network import (
-    Layer, LayerConfig, Network, NetworkConfig, UndertrainedLayerError,
+    Layer, LayerConfig, Network, UndertrainedLayerError,
     learn_update, train,
 )
 from .classify import (

@@ -17,7 +17,7 @@ from .events import (
     SensorGeometry, StreamError, load_manifest,
     read_binary_events, read_text_events, write_binary_events, write_text_events,
 )
-from .synth import GESTURE_CLASSES, gen_gesture_clip
+from .synth import GESTURE_CLASSES, gesture_set_clips
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -129,24 +129,19 @@ def cmd_bench(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    import numpy as np
-    os.makedirs(args.outdir, exist_ok=True)
     w, h = parse_grid("--geometry", args.geometry)
-    geometry = SensorGeometry(w, h, 2)
-    root = np.random.default_rng(args.seed)
+    clips = gesture_set_clips(SensorGeometry(w, h, 2), args.clips_per_class,
+                              args.seed, args.classes)
+    os.makedirs(args.outdir, exist_ok=True)
     manifest_lines = []
-    for label in args.classes:
-        for i in range(args.clips_per_class):
-            clip_seed = int(root.integers(2**32))
-            clip = gen_gesture_clip(geometry, label, clip_seed)
-            name = f"{label}_{i:03d}.evs"
-            with open(os.path.join(args.outdir, name), "wb") as f:
-                f.write(write_binary_events(clip.stream))
-            with open(os.path.join(args.outdir, name + ".tags"), "w") as f:
-                f.write("".join(tag + "\n" for tag in clip.tags))
-            manifest_lines.append(f"{name}\t{label}\ts{clip_seed % 7:02d}")
-    manifest = os.path.join(args.outdir, "manifest.tsv")
-    with open(manifest, "w", encoding="utf-8") as f:
+    for k, (record, tags) in enumerate(clips):
+        name = f"{record.label}_{k % args.clips_per_class:03d}.evs"
+        with open(os.path.join(args.outdir, name), "wb") as f:
+            f.write(write_binary_events(record.stream))
+        with open(os.path.join(args.outdir, name + ".tags"), "w") as f:
+            f.write("".join(tag + "\n" for tag in tags))
+        manifest_lines.append(f"{name}\t{record.label}\t{record.subject}")
+    with open(os.path.join(args.outdir, "manifest.tsv"), "w", encoding="utf-8") as f:
         f.write("".join(line + "\n" for line in manifest_lines))
     print(f"wrote {len(manifest_lines)} clips + manifest to {args.outdir}")
     return EXIT_OK

@@ -95,7 +95,9 @@ class DbsFilter:
         self._sum_t: int | None = None
 
     def process(self, t: int, x: int, y: int) -> bool:
-        """One event: ``process_block`` of a block of one."""
+        """One event: ``process_block`` of a block of one. Each call pays a
+        block's fixed cost (about 135 us on a 2-core x86 machine, against
+        0.3 us an event in large blocks), so streaming callers should batch."""
         return bool(self.process_block([t], [x], [y])[0])
 
     def process_block(self, t, x, y) -> np.ndarray:

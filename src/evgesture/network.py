@@ -159,11 +159,14 @@ class Layer:
         # Bank rows are flattened channel-major surfaces; only the first
         # n_filled rows are live.
         self.bank = np.zeros((config.n_prototypes, self._surface_config.size))
-        self.n_filled = 0
         self.match_counts: list[int] = []
         self.last_match_tick: list[int] = []
         self.tick = 0  # valid surfaces processed
         self.learning = True
+
+    @property
+    def n_filled(self) -> int:
+        return len(self.match_counts)
 
     @property
     def bank_full(self) -> bool:
@@ -189,6 +192,17 @@ class Layer:
                 f"{self.n_filled} valid surfaces"
             )
         self.learning = False
+
+    def install(self, bank, match_counts) -> None:
+        """Take a trained N x D bank and its N match counts, and freeze;
+        raises ValueError, changing nothing, on any other shape."""
+        bank, counts = np.array(bank, dtype=np.float64), list(match_counts)
+        if bank.shape != self.bank.shape or len(counts) != len(bank):
+            raise ValueError(f"bank {bank.shape} with {len(counts)} counts; the layer "
+                             f"takes {self.bank.shape}, one count per row")
+        self.bank, self.match_counts = bank, counts
+        self.last_match_tick = [0] * len(counts)
+        self.freeze()
 
     def forward_event(self, t: int, x: int, y: int, p: int) -> Event | None:
         """Process one event; returns the re-encoded event or None.
@@ -236,12 +250,11 @@ class Layer:
         sq_s = np.einsum("ij,ij->i", surfaces, surfaces).tolist()
         for k, flat in enumerate(surfaces):
             self.tick += 1
-            if self.n_filled < n:  # warm-up: no stable ids yet
-                i = self.n_filled
+            if len(counts) < n:  # warm-up: no stable ids yet
+                i = len(counts)
                 bank[i] = flat
                 counts.append(1)
                 last.append(self.tick)
-                self.n_filled += 1
             else:
                 oldest = min(last)
                 if self.tick - oldest > window:  # reseed the stalest prototype
@@ -340,32 +353,23 @@ class Layer:
         return surfaces
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
-    layers: tuple[LayerConfig, ...]
-    merge_polarity: bool = True
-
-    def __post_init__(self):
-        for a, b in zip(self.layers, self.layers[1:]):
-            if b.in_channels != a.n_prototypes:
-                raise ValueError(
-                    "layer chaining broken: next layer expects "
-                    f"{b.in_channels} channels, previous emits {a.n_prototypes}"
-                )
-
-
 class Network:
-    """Cascade of layers; each layer takes the whole stream emitted by the
-    one before it."""
+    """Cascade of layers, each taking the whole stream emitted by the one
+    before it; with ``merge_polarity`` all events enter layer 1 on channel 0."""
 
-    def __init__(self, config: NetworkConfig, geometry: SensorGeometry):
-        self.config = config
+    def __init__(self, layers: tuple[LayerConfig, ...], geometry: SensorGeometry,
+                 merge_polarity: bool = True):
+        for a, b in zip(layers, layers[1:]):
+            if b.in_channels != a.n_prototypes:
+                raise ValueError(f"layer chaining broken: next layer expects {b.in_channels} "
+                                 f"channels, previous emits {a.n_prototypes}")
         self.geometry = geometry
-        self.layers = [Layer(lc, geometry) for lc in config.layers]
+        self.merge_polarity = merge_polarity
+        self.layers = [Layer(lc, geometry) for lc in layers]
 
     @property
     def out_channels(self) -> int:
-        return self.config.layers[-1].n_prototypes
+        return self.layers[-1].config.n_prototypes
 
     @property
     def frozen(self) -> bool:
@@ -394,19 +398,18 @@ class Network:
         if (g.width, g.height) != (own.width, own.height):
             raise StreamError(f"stream is {g.width}x{g.height}, the network "
                               f"takes {own.width}x{own.height}")
-        if not self.config.merge_polarity and g.channels > self.layers[0].config.in_channels:
+        if not self.merge_polarity and g.channels > self.layers[0].config.in_channels:
             raise StreamError(f"stream has {g.channels} channels, the network "
                               f"takes {self.layers[0].config.in_channels}")
         self.reset_memories()
         layers = self.layers if learn_upto is None else self.layers[: learn_upto + 1]
         t, x, y = stream.t, stream.x, stream.y
-        p = np.zeros(len(stream), dtype=np.int64) if self.config.merge_polarity else stream.p
+        p = np.zeros(len(stream), dtype=np.int64) if self.merge_polarity else stream.p
         for layer in layers:
             keep, p = layer.encode(t, x, y, p)
             t, x, y = t[keep], x[keep], y[keep]
-        geom = SensorGeometry(
-            self.geometry.width, self.geometry.height, layers[-1].config.n_prototypes
-        )
+        geom = SensorGeometry(self.geometry.width, self.geometry.height,
+                              layers[-1].config.n_prototypes)
         if len(t) == 0:
             return EventStream.empty(geom)
         return EventStream(t, x, y, p, geom, validate=False)

@@ -20,7 +20,7 @@ import numpy as np
 from .classify import Signature, TrainedModel
 from .dbs import DbsConfig, update_activity
 from .events import EventStream, SensorGeometry
-from .network import NetworkConfig, learn_update
+from .network import learn_update
 from .surfaces import TimeSurfaceConfig, TimestampMemory, extract
 
 
@@ -175,11 +175,14 @@ class _LayerReference:
         self.memory = TimestampMemory(
             SensorGeometry(geometry.width, geometry.height, config.in_channels))
         self.bank = np.zeros((config.n_prototypes, config.surface_config.size))
-        self.n_filled = 0
         self.match_counts: list[int] = []
         self.last_match_tick: list[int] = []
         self.tick = 0
         self.learning = True
+
+    @property
+    def n_filled(self) -> int:
+        return len(self.match_counts)
 
     def step(self, t: int, x: int, y: int, p: int) -> int | None:
         self.memory.record(t, x, y, p)
@@ -193,7 +196,6 @@ class _LayerReference:
             return nearest
         if self.n_filled < self.config.n_prototypes:
             self.bank[self.n_filled] = flat
-            self.n_filled += 1
             self.match_counts.append(1)
             self.last_match_tick.append(self.tick)
             return None
@@ -213,9 +215,10 @@ class _LayerReference:
         return nearest
 
 
-def learn_bruteforce(config: NetworkConfig, geometry: SensorGeometry, streams,
-                     epochs: int = 1, mode: str = "joint"):
-    """Reference online learning of a cascade, one event at a time.
+def learn_bruteforce(configs, merge_polarity: bool, geometry: SensorGeometry,
+                     streams, epochs: int = 1, mode: str = "joint"):
+    """Reference online learning of a cascade of LayerConfigs, one event
+    at a time; with ``merge_polarity`` all events enter on channel 0.
 
     Follows ``network.train``'s schedule: ``joint`` passes every stream
     through all layers, learning, ``epochs`` times; ``sequential`` trains
@@ -231,7 +234,7 @@ def learn_bruteforce(config: NetworkConfig, geometry: SensorGeometry, streams,
     ``match_counts``, ``last_match_tick`` and ``tick``, and the end
     layer's output events (t, x, y, id) of every pass, in pass order.
     """
-    layers = [_LayerReference(c, geometry) for c in config.layers]
+    layers = [_LayerReference(c, geometry) for c in configs]
     outputs = []
 
     def run(active, stream):
@@ -240,7 +243,7 @@ def learn_bruteforce(config: NetworkConfig, geometry: SensorGeometry, streams,
         out = []
         for i in range(len(stream)):
             event = (int(stream.t[i]), int(stream.x[i]), int(stream.y[i]),
-                     0 if config.merge_polarity else int(stream.p[i]))
+                     0 if merge_polarity else int(stream.p[i]))
             for layer in active:
                 idx = layer.step(*event)
                 if idx is None:

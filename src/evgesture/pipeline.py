@@ -17,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classify, network as net
-from .classify import Signature, TrainedModel
+from .classify import EvalResult, Signature, TrainedModel
 from .config import ConfigError, PipelineConfig, config_echo, format_kv, parse_config
 from .dbs import DbsFilter, filter_stream
 from .events import (
     _HEADER_DTYPE, ClipRecord, EventStream, SensorGeometry, StreamError, check_grid,
 )
-from .network import LayerConfig, Network, NetworkConfig
+from .network import LayerConfig, Network
 
 
 def build_network(config: PipelineConfig, geometry: SensorGeometry) -> Network:
@@ -43,10 +43,7 @@ def build_network(config: PipelineConfig, geometry: SensorGeometry) -> Network:
         except ValueError as e:
             raise ConfigError(f"layers.{i}: {e}") from None
         in_channels = spec.n
-    return Network(
-        NetworkConfig(tuple(layer_configs), merge_polarity=config.merge_polarity),
-        geometry,
-    )
+    return Network(tuple(layer_configs), geometry, config.merge_polarity)
 
 
 def suppress_background(config: PipelineConfig, stream: EventStream):
@@ -170,11 +167,7 @@ def load_pipeline(data: bytes) -> TrainedPipeline:
 
     for layer in network.layers:
         n, d = layer.bank.shape
-        layer.bank = take(n * d, "<f8").reshape(n, d).astype(np.float64)
-        layer.match_counts = take(n, "<u8").tolist()
-        layer.n_filled = n
-        layer.last_match_tick = [0] * n
-        layer.freeze()
+        layer.install(take(n * d, "<f8").reshape(n, d), take(n, "<u8").tolist())
     labels = header["labels"]
     width = config.pooling.cells * network.out_channels
     signatures = take(len(labels) * width, "<f8").reshape(-1, width).astype(np.float64)
@@ -185,10 +178,7 @@ def load_pipeline(data: bytes) -> TrainedPipeline:
 
 
 @dataclass
-class RunReport:
-    accuracy: float
-    labels: list[str]
-    confusion: np.ndarray
+class RunReport(EvalResult):
     retention_per_class: dict[str, float]  # empty when DBS is off
     wall_clock_s: float
     config_pairs: dict[str, str]
@@ -232,9 +222,7 @@ def evaluate_pipeline(pipeline: TrainedPipeline,
         signatures.append(stream_signature(config, pipeline.network, filtered))
     result = classify.evaluate(pipeline.model, signatures, [c.label for c in clips])
     return RunReport(
-        accuracy=result.accuracy,
-        labels=result.labels,
-        confusion=result.confusion,
+        **vars(result),
         retention_per_class={l: float(np.mean(v)) for l, v in retained.items()},
         wall_clock_s=time.perf_counter() - start,
         config_pairs=config_echo(config),

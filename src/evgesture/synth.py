@@ -228,21 +228,29 @@ def gen_gesture_clip(geometry: SensorGeometry, label: str, seed: int) -> Labeled
     )
 
 
+def gesture_set_clips(geometry: SensorGeometry, clips_per_class: int,
+                      seed: int, classes=GESTURE_CLASSES):
+    """The clip-set rule: ``clips_per_class`` swipes per class in class
+    order, each seeded by the next draw of one root generator, with the
+    subject ``s{clip_seed % 7:02d}``. Returns an iterator of (ClipRecord,
+    tags) that makes each clip when reached; an unknown class raises
+    ValueError at once."""
+    for label in classes:
+        if label not in GESTURE_CLASSES:
+            raise ValueError(f"unknown gesture class {label!r}")
+    root = np.random.default_rng(seed)
+    seeds = [(label, int(root.integers(2**32)))
+             for label in classes for _ in range(clips_per_class)]
+    clips = ((label, s, gen_gesture_clip(geometry, label, s)) for label, s in seeds)
+    return ((ClipRecord(f"<synthetic:{label}:{s}>", label, f"s{s % 7:02d}", clip.stream),
+             clip.tags) for label, s, clip in clips)
+
+
 def gen_gesture_set(geometry: SensorGeometry, clips_per_class: int,
                     seed: int, classes=GESTURE_CLASSES) -> list[ClipRecord]:
-    """Labeled clip set: ``clips_per_class`` swipes per direction."""
-    records = []
-    root = np.random.default_rng(seed)
-    for label in classes:
-        for _ in range(clips_per_class):
-            clip_seed = int(root.integers(2**32))
-            clip = gen_gesture_clip(geometry, label, clip_seed)
-            records.append(
-                ClipRecord(source=f"<synthetic:{label}:{clip_seed}>",
-                           label=label, subject=f"s{clip_seed % 7:02d}",
-                           _stream=clip.stream)
-            )
-    return records
+    """Labeled clip set: the records of ``gesture_set_clips``."""
+    return [record for record, _ in
+            gesture_set_clips(geometry, clips_per_class, seed, classes)]
 
 
 @dataclass(frozen=True)

@@ -205,10 +205,8 @@ def pipeline_of(model, config_text="layers.1.n = 7\nlayers.1.r = 1\nlayers.1.tau
     config = parse_config(config_text)
     network = build_network(config, GEOM)
     layer = network.layers[0]
-    layer.bank = np.random.default_rng(11).random(layer.bank.shape)
-    layer.n_filled = layer.config.n_prototypes
-    layer.match_counts = [1] * layer.n_filled
-    layer.freeze()
+    layer.install(np.random.default_rng(11).random(layer.bank.shape),
+                  [1] * layer.config.n_prototypes)
     return TrainedPipeline(config=config, network=network, model=model)
 
 

@@ -10,8 +10,8 @@ from evgesture import cli
 from evgesture.config import parse_config
 from evgesture.events import EventStream, SensorGeometry, StreamError, write_binary_events
 from evgesture.network import (
-    DEFAULT_REINIT_WINDOW, Layer, LayerConfig, Network, NetworkConfig,
-    UndertrainedLayerError, learn_update, nearest_rows, train,
+    DEFAULT_REINIT_WINDOW, Layer, LayerConfig, Network, UndertrainedLayerError,
+    learn_update, nearest_rows, train,
 )
 from evgesture.oracles import learn_bruteforce, surfaces_bruteforce
 from evgesture.pipeline import (
@@ -153,7 +153,7 @@ def small_network(n_layers=1):
     layers = [LayerConfig(4, 1, 2000.0, 1)]
     if n_layers == 2:
         layers.append(LayerConfig(4, 1, 10_000.0, 4))
-    return Network(NetworkConfig(tuple(layers), merge_polarity=True), GEOM)
+    return Network(tuple(layers), GEOM, merge_polarity=True)
 
 
 class TestForward:
@@ -259,11 +259,35 @@ class TestGeometry:
 
     def test_unmerged_rejects_more_channels(self):
         layers = (LayerConfig(4, 1, 2000.0, 2),)
-        net = Network(NetworkConfig(layers, merge_polarity=False), GEOM)
+        net = Network(layers, GEOM, merge_polarity=False)
         s = simple_stream(seed=21)
         net.forward_stream(EventStream(s.t, s.x, s.y, s.p, SensorGeometry(32, 32, 1)))
         with pytest.raises(StreamError, match="3 channels"):
             net.forward_stream(EventStream(s.t, s.x, s.y, s.p, SensorGeometry(32, 32, 3)))
+
+    def test_layers_must_chain(self):
+        with pytest.raises(ValueError, match="expects 3 channels, previous emits 4"):
+            Network((LayerConfig(4, 1, 2000.0, 1), LayerConfig(4, 1, 2000.0, 3)), GEOM)
+
+
+class TestInstall:
+    """``Layer.install``: the one writer of a trained bank."""
+
+    def test_installs_and_freezes(self):
+        layer = Layer(LayerConfig(3, 1, 1000.0, 2), GEOM)
+        bank = np.random.default_rng(5).random(layer.bank.shape)
+        layer.install(bank, [4, 1, 2])
+        assert layer.bank.tobytes() == bank.tobytes()
+        assert (layer.match_counts, layer.last_match_tick) == ([4, 1, 2], [0, 0, 0])
+        assert layer.n_filled == 3 and not layer.learning
+
+    @pytest.mark.parametrize("shape, counts", [((2, 18), [1, 1]), ((3, 9), [1, 1, 1]),
+                                               ((3, 18), [1, 1]), ((3, 18), [1] * 4)])
+    def test_rejects_other_shape_unchanged(self, shape, counts):
+        layer = Layer(LayerConfig(3, 1, 1000.0, 2), GEOM)
+        with pytest.raises(ValueError, match="the layer takes \\(3, 18\\)"):
+            layer.install(np.ones(shape), counts)
+        assert not layer.bank.any() and layer.learning and layer.n_filled == 0
 
 
 class TestEncodeChecks:
@@ -434,16 +458,13 @@ def frozen_network(geometry, specs, merge, seed, duplicate_rows=False):
     for n, radius, tau in specs:
         configs.append(LayerConfig(n, radius, tau, in_channels))
         in_channels = n
-    net = Network(NetworkConfig(tuple(configs), merge_polarity=merge), geometry)
+    net = Network(tuple(configs), geometry, merge_polarity=merge)
     for layer in net.layers:
         n, d = layer.bank.shape
-        layer.bank = rng.random((n, d)) * (rng.random((n, d)) < 0.6)
+        bank = rng.random((n, d)) * (rng.random((n, d)) < 0.6)
         if duplicate_rows and n > 1:
-            layer.bank[n - 1] = layer.bank[0]
-        layer.n_filled = n
-        layer.match_counts = [1] * n
-        layer.last_match_tick = [0] * n
-        layer.freeze()
+            bank[n - 1] = bank[0]
+        layer.install(bank, [1] * n)
     return net
 
 
@@ -453,7 +474,7 @@ def per_event_output(net, stream, upto):
     out = []
     for t, x, y, p in zip(stream.t.tolist(), stream.x.tolist(),
                           stream.y.tolist(), stream.p.tolist()):
-        ev = (t, x, y, 0 if net.config.merge_polarity else p)
+        ev = (t, x, y, 0 if net.merge_polarity else p)
         for layer in net.layers[: upto + 1]:
             ev = layer.forward_event(*ev)
             if ev is None:
@@ -518,7 +539,7 @@ def frozen_cases(draw):
 
 
 def layer_input(net, stream):
-    if net.config.merge_polarity:
+    if net.merge_polarity:
         return stream.with_channels(np.zeros(len(stream), dtype=np.int32), 1)
     return stream
 
@@ -717,7 +738,7 @@ def learning_cases(draw):
             n, draw(st.integers(1, 3)), draw(st.sampled_from([700.0, 3000.0, 20_000.0])),
             in_channels, draw(st.sampled_from([2, 5, 20, DEFAULT_REINIT_WINDOW]))))
         in_channels = n
-    net = Network(NetworkConfig(tuple(configs), merge_polarity=merge), geometry)
+    net = Network(tuple(configs), geometry, merge_polarity=merge)
     return net, streams, draw(st.integers(1, 2)), draw(st.sampled_from(["joint", "sequential"]))
 
 
@@ -759,8 +780,9 @@ class TestLearnBlocks:
     def test_train_equals_bruteforce(self, case):
         net, streams, epochs, mode = case
         outputs = train_recording(net, streams, epochs, mode)
-        reference, expected = learn_bruteforce(net.config, net.geometry, streams,
-                                               epochs=epochs, mode=mode)
+        reference, expected = learn_bruteforce(
+            [layer.config for layer in net.layers], net.merge_polarity, net.geometry,
+            streams, epochs=epochs, mode=mode)
         assert_same_state(net.layers, reference)
         assert outputs == expected
 
@@ -782,8 +804,8 @@ class TestLearnBlocks:
                             for j, i in zip(np.flatnonzero(keep), ids)]
                     a, k = b, k + 1
                 outputs.append(out)
-        one_layer = NetworkConfig((layer.config,), net.config.merge_polarity)
-        reference, expected = learn_bruteforce(one_layer, net.geometry, streams, epochs=epochs)
+        reference, expected = learn_bruteforce((layer.config,), net.merge_polarity,
+                                               net.geometry, streams, epochs=epochs)
         assert_same_state([layer], reference)
         assert outputs == expected
 
@@ -792,7 +814,8 @@ class TestLearnBlocks:
         net = small_network(2)
         stream = simple_stream(n=1500, seed=20)
         out = per_event_output(net, stream, 1)
-        reference, expected = learn_bruteforce(net.config, GEOM, [stream])
+        reference, expected = learn_bruteforce(
+            [layer.config for layer in net.layers], net.merge_polarity, GEOM, [stream])
         assert_same_state(net.layers, reference)
         assert out == expected[0]
         assert len(out) > 0 and all(layer.bank_full for layer in net.layers)
@@ -805,7 +828,6 @@ class TestLearnBlocks:
             layer = Layer(LayerConfig(n, 1, 1000.0, channels), GEOM)
             layer.bank = rng.random((n, layer.bank.shape[1]))
             layer.bank[n - 1] = layer.bank[0]
-            layer.n_filled = n
             layer.match_counts = [1] * n
             layer.last_match_tick = list(range(n))
             for j in rng.integers(0, n, 200):
