@@ -1,60 +1,35 @@
 """Command-line interface.
 
 Subcommands: convert, filter, train, eval, bench, synth.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+Exit codes: 0 success, 1 usage error, 2 bad input (a file that cannot be
+read or parsed, or a value out of range), 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from pathlib import Path
 
 from . import pipeline as pl
-from .config import ConfigError, float_text, format_kv, parse_config, parse_grid
+from .config import float_text, format_kv, parse_config, parse_grid
 from .dbs import DbsConfig, DbsFilter, filter_stream
 from .events import (
-    SensorGeometry, StreamError, load_manifest,
-    read_binary_events, read_text_events, write_binary_events, write_text_events,
+    SensorGeometry, StreamError, load_manifest, read_binary_events, read_file,
+    read_text_events, write_binary_events, write_text_events,
 )
 from .synth import GESTURE_CLASSES, gesture_set_clips
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2; we use 1
-        self.print_usage(sys.stderr)
-        raise SystemExit_(EXIT_USAGE, message)
-
-
-class SystemExit_(Exception):
-    def __init__(self, code, message=""):
-        super().__init__(message)
-        self.code = code
-
-
 def _read_events(path: str, geometry: str | None, channels: int):
-    with open(path, "rb") as f:
-        data = f.read()
-    if path.endswith(".txt"):
-        if geometry is None:
-            raise StreamError(f"{path}: text input needs --geometry WxH")
-        w, h = parse_grid("--geometry", geometry)
-        return read_text_events(data, SensorGeometry(w, h, channels))
-    try:
-        return read_binary_events(data)
-    except StreamError as e:
-        raise StreamError(f"{path}: {e}") from None
-
-
-def _load_bundle(path):
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        return pl.load_pipeline(data)
-    except StreamError as e:
-        raise StreamError(f"{path}: {e}") from None
+    if not path.endswith(".txt"):
+        return read_file(path, read_binary_events)
+    if geometry is None:
+        raise StreamError(f"{path}: text input needs --geometry WxH")
+    geometry = SensorGeometry(*parse_grid("--geometry", geometry), channels)
+    return read_file(path, lambda data: read_text_events(data, geometry))
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +37,8 @@ def _load_bundle(path):
 
 def cmd_convert(args) -> int:
     stream = _read_events(args.input, args.geometry, args.channels)
-    data = (write_text_events(stream) if args.to == "text"
-            else write_binary_events(stream))
-    with open(args.output, "wb") as f:
-        f.write(data)
+    Path(args.output).write_bytes(write_text_events(stream) if args.to == "text"
+                                  else write_binary_events(stream))
     return EXIT_OK
 
 
@@ -75,8 +48,7 @@ def cmd_filter(args) -> int:
     config = DbsConfig(grid_rows=rows, grid_cols=cols,
                        tau_b_us=args.tau_b, alpha=args.alpha)
     kept, stats = filter_stream(DbsFilter(stream.geometry, config), stream)
-    with open(args.output, "wb") as f:
-        f.write(write_binary_events(kept))
+    Path(args.output).write_bytes(write_binary_events(kept))
     report = {
         "filter.grid": f"{rows}x{cols}",
         "filter.tau_b_us": float_text(config.tau_b_us),
@@ -90,31 +62,26 @@ def cmd_filter(args) -> int:
 
 
 def cmd_train(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as f:
-        config = parse_config(f.read())
+    config = read_file(args.config, parse_config)
     clips = load_manifest(args.manifest)
     trained = pl.train_pipeline(config, clips)
-    data = pl.save_pipeline(trained)
-    with open(args.model, "wb") as f:
-        f.write(data)
+    Path(args.model).write_bytes(pl.save_pipeline(trained))
     print(f"trained {len(config.layers)}-layer network on {len(clips)} clips "
           f"-> {args.model}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    trained = _load_bundle(args.model)
+    trained = read_file(args.model, pl.load_pipeline)
     report = pl.evaluate_pipeline(trained, load_manifest(args.manifest))
     sys.stdout.write(report.to_text())
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as f:
-            f.write(format_kv(report.to_pairs()))
+        Path(args.report).write_text(format_kv(report.to_pairs()), encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as f:
-        config = parse_config(f.read())
+    config = read_file(args.config, parse_config)
     clips = load_manifest(args.manifest)
     total = sum(len(c.stream) for c in clips)
     if total == 0:
@@ -123,8 +90,8 @@ def cmd_bench(args) -> int:
     trained = pl.train_pipeline(config, clips)
     bench = pl.benchmark(trained, clips, runs=args.runs)
     sys.stdout.write(format_kv(bench.to_pairs()))
-    print(f"# single-threaded, median of {bench.runs} runs, "
-          "spread = max-min throughput")
+    print(f"# median of {bench.runs} runs, spread = max-min throughput; "
+          "one Python thread, BLAS threads as the environment sets them")
     return EXIT_OK
 
 
@@ -132,24 +99,23 @@ def cmd_synth(args) -> int:
     w, h = parse_grid("--geometry", args.geometry)
     clips = gesture_set_clips(SensorGeometry(w, h, 2), args.clips_per_class,
                               args.seed, args.classes)
-    os.makedirs(args.outdir, exist_ok=True)
+    out = Path(args.outdir)
+    out.mkdir(parents=True, exist_ok=True)
     manifest_lines = []
     for k, (record, tags) in enumerate(clips):
         name = f"{record.label}_{k % args.clips_per_class:03d}.evs"
-        with open(os.path.join(args.outdir, name), "wb") as f:
-            f.write(write_binary_events(record.stream))
-        with open(os.path.join(args.outdir, name + ".tags"), "w") as f:
-            f.write("".join(tag + "\n" for tag in tags))
+        (out / name).write_bytes(write_binary_events(record.stream))
+        (out / (name + ".tags")).write_text("".join(tag + "\n" for tag in tags))
         manifest_lines.append(f"{name}\t{record.label}\t{record.subject}")
-    with open(os.path.join(args.outdir, "manifest.tsv"), "w", encoding="utf-8") as f:
-        f.write("".join(line + "\n" for line in manifest_lines))
+    (out / "manifest.tsv").write_text("".join(line + "\n" for line in manifest_lines),
+                                      encoding="utf-8")
     print(f"wrote {len(manifest_lines)} clips + manifest to {args.outdir}")
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="evgesture",
-                     description="Event-camera gesture recognition pipeline")
+    parser = argparse.ArgumentParser(prog="evgesture",
+                                     description="Event-camera gesture recognition pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convert", help="convert between text and EVS1 formats")
@@ -199,15 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help, 2 on bad usage
+        return EXIT_OK if e.code == 0 else EXIT_USAGE
+    try:
         return args.fn(args)
-    except SystemExit_ as e:
-        if str(e):
-            print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except (StreamError, ConfigError, FileNotFoundError, ValueError) as e:
+    except (OSError, ValueError) as e:  # StreamError and ConfigError included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except Exception as e:  # internal invariant violation

@@ -73,6 +73,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.k >= 1:
             raise ConfigError(f"knn.k must be >= 1, got {self.k}")
+        if not self.epochs >= 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.training_mode not in TRAINING_MODES:
             raise ConfigError(f"training.mode: expected {' or '.join(TRAINING_MODES)}, "
                               f"got {self.training_mode!r}")
@@ -106,7 +108,9 @@ def _read(key: str, text: str, name: str, kind) -> dict:
         raise ConfigError(f"{key}: expected {kind.__name__}, got {text!r}") from None
 
 
-def parse_config(text: str) -> PipelineConfig:
+def parse_config(text: bytes | str) -> PipelineConfig:
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
     layer_fields: dict[int, dict] = {}
     fields: dict[str, dict] = {"": {}, "dbs": {}, "pooling": {}}
     for key, value in parse_kv(text).items():

@@ -28,12 +28,10 @@ class SensorGeometry:
     height: int
     channels: int = 2
 
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1 or self.channels < 1:
-            raise ValueError(
-                "geometry dimensions must be >= 1, got "
-                f"{self.width}x{self.height}x{self.channels}"
-            )
+    def __post_init__(self):  # the EVS1 and model headers hold u16 sizes
+        if not (0 < self.width < 2**16 and 0 < self.height < 2**16 and self.channels >= 1):
+            raise ValueError("geometry sizes must be 1-65535 with >= 1 channels, got "
+                             f"{self.width}x{self.height}x{self.channels}")
 
 
 def grid_cells(x, y, geometry: SensorGeometry, rows: int, cols: int) -> np.ndarray:
@@ -47,7 +45,19 @@ def grid_cells(x, y, geometry: SensorGeometry, rows: int, cols: int) -> np.ndarr
 
 
 class StreamError(ValueError):
-    """Malformed event data: bad syntax, ordering or bounds violations."""
+    """Malformed input data: bad syntax, ordering or bounds violations."""
+
+
+def read_file(path: str, parse):
+    """``parse`` of the bytes of the file at ``path``: the one reader of
+    every input file. A ValueError of ``parse`` is raised again as a
+    StreamError with the path in front; OSErrors name the path already."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return parse(data)
+    except ValueError as e:
+        raise StreamError(f"{path}: {e}") from None
 
 
 def check_grid(rows: int, cols: int, geometry: SensorGeometry, what: str) -> None:
@@ -106,16 +116,13 @@ class EventStream:
     """
 
     def __init__(self, t, x, y, p, geometry: SensorGeometry, validate: bool = True):
+        if validate:  # before the casts, which would wrap values out of range
+            check_events(t, x, y, p, geometry)
         self.t = np.ascontiguousarray(t, dtype=np.int64)
         self.x = np.ascontiguousarray(x, dtype=np.int32)
         self.y = np.ascontiguousarray(y, dtype=np.int32)
         self.p = np.ascontiguousarray(p, dtype=np.int32)
         self.geometry = geometry
-        n = len(self.t)
-        if not (len(self.x) == len(self.y) == len(self.p) == n):
-            raise ValueError("field arrays must have equal length")
-        if validate:
-            check_events(self.t, self.x, self.y, self.p, geometry)
         for a in (self.t, self.x, self.y, self.p):
             a.flags.writeable = False
 
@@ -171,22 +178,20 @@ class EventStream:
 def read_text_events(source: bytes | str, geometry: SensorGeometry) -> EventStream:
     if isinstance(source, bytes):
         source = source.decode("ascii")
-    ts, xs, ys, ps = [], [], [], []
+    rows = []
     for lineno, line in enumerate(source.splitlines(), start=1):
         parts = line.split(" ")
         if len(parts) != 4:
             raise StreamError(f"line {lineno}: expected 4 fields, got {len(parts)}")
         try:
-            t, x, y, p = (int(v) for v in parts)
+            rows.append([int(v) for v in parts])
         except ValueError as e:
             raise StreamError(f"line {lineno}: {e}") from None
-        ts.append(t)
-        xs.append(x)
-        ys.append(y)
-        ps.append(p)
-    if not ts:
-        return EventStream.empty(geometry)
-    return EventStream(ts, xs, ys, ps, geometry)
+    try:
+        t, x, y, p = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    except OverflowError:
+        raise StreamError("a value does not fit in 64 bits") from None
+    return EventStream(t, x, y, p, geometry)
 
 
 def write_text_events(stream: EventStream) -> bytes:
@@ -213,13 +218,15 @@ def read_binary_events(source: bytes) -> EventStream:
             f"truncated record: {len(body)} trailing bytes are not a multiple of 13"
         )
     rec = np.frombuffer(body, dtype=_RECORD_DTYPE)
-    return EventStream(
-        rec["t"].astype(np.int64), rec["x"], rec["y"], rec["p"], geometry
-    )
+    # Cast first, so that the check reads the contiguous arrays the stream keeps.
+    x, y, p = (rec[k].astype(np.int32) for k in "xyp")
+    return EventStream(rec["t"].astype(np.int64), x, y, p, geometry)
 
 
 def write_binary_events(stream: EventStream) -> bytes:
     g = stream.geometry
+    if g.channels > 255:
+        raise StreamError(f"{g.channels} channels do not fit an EVS1 header: at most 255")
     header = np.zeros(1, dtype=_HEADER_DTYPE)
     header["width"], header["height"], header["channels"] = g.width, g.height, g.channels
     rec = np.zeros(len(stream), dtype=_RECORD_DTYPE)
@@ -243,8 +250,7 @@ class ClipRecord:
     @property
     def stream(self) -> EventStream:
         if self._stream is None:
-            with open(self.source, "rb") as f:
-                self._stream = read_binary_events(f.read())
+            self._stream = read_file(self.source, read_binary_events)
         return self._stream
 
 
@@ -255,23 +261,23 @@ def load_manifest(path: str) -> list[ClipRecord]:
     Duplicate paths are kept; records preserve manifest order.
     """
     base = os.path.dirname(os.path.abspath(path))
-    records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
+
+    def parse(data: bytes) -> list[ClipRecord]:
+        records = []
+        for lineno, line in enumerate(data.decode("utf-8").splitlines(), start=1):
             if not line:
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
                 raise StreamError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
-                )
+                    f"line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
             clip_path, label, subject = parts
             if not label or not subject:
-                raise StreamError(f"{path}:{lineno}: empty label or subject")
-            if not os.path.isabs(clip_path):
-                clip_path = os.path.join(base, clip_path)
+                raise StreamError(f"line {lineno}: empty label or subject")
+            clip_path = os.path.join(base, clip_path)  # as is when absolute
             if not os.path.exists(clip_path):
-                raise StreamError(f"{path}:{lineno}: missing file {clip_path}")
+                raise StreamError(f"line {lineno}: missing file {clip_path}")
             records.append(ClipRecord(source=clip_path, label=label, subject=subject))
-    return records
+        return records
+
+    return read_file(path, parse)

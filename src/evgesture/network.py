@@ -139,26 +139,16 @@ class Layer:
     rule one after the other (learning); ``forward_event`` and
     ``process_surface`` are its one-event and one-surface calls.
     ``memory`` is per-stream state and must be reset between clips; the
-    prototype bank persists.
+    prototype bank persists. Building a layer sizes nothing by its config.
     """
 
     def __init__(self, config: LayerConfig, geometry: SensorGeometry):
         self.config = config
         self.geometry = SensorGeometry(geometry.width, geometry.height, config.in_channels)
         self._surface_config = config.surface_config
-        # The flat offsets of a receptive field in ``memory`` from its
-        # centre pixel on channel 0, in the channel-major (p, dy, dx) order
-        # of surfaces.
-        R = config.radius
-        c, dy, dx = np.meshgrid(np.arange(config.in_channels), np.arange(-R, R + 1),
-                                np.arange(-R, R + 1), indexing="ij")
-        height, width = geometry.height + 2 * R, geometry.width + 2 * R
-        self._offsets = ((c * height + dy) * width + dx).ravel()
+        self.bank_shape = (config.n_prototypes, self._surface_config.size)
         self._since: int | None = None  # the latest event time in memory
         self._min_sum = 2 * config.radius  # validity threshold
-        # Bank rows are flattened channel-major surfaces; only the first
-        # n_filled rows are live.
-        self.bank = np.zeros((config.n_prototypes, self._surface_config.size))
         self.match_counts: list[int] = []
         self.last_match_tick: list[int] = []
         self.tick = 0  # valid surfaces processed
@@ -171,6 +161,22 @@ class Layer:
     @property
     def bank_full(self) -> bool:
         return self.n_filled == self.config.n_prototypes
+
+    @cached_property
+    def bank(self) -> np.ndarray:
+        """Prototype rows, flattened channel-major surfaces, of which the
+        first n_filled are live. Allocated on first use, like ``memory``."""
+        return np.zeros(self.bank_shape)
+
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        """The flat offsets of a receptive field in ``memory`` from its
+        centre pixel on channel 0, in the channel-major (p, dy, dx) order
+        of surfaces."""
+        R, g = self.config.radius, self.geometry
+        c, dy, dx = np.meshgrid(np.arange(g.channels), np.arange(-R, R + 1),
+                                np.arange(-R, R + 1), indexing="ij")
+        return ((c * (g.height + 2 * R) + dy) * (g.width + 2 * R) + dx).ravel()
 
     @cached_property
     def memory(self) -> np.ndarray:
@@ -197,9 +203,9 @@ class Layer:
         """Take a trained N x D bank and its N match counts, and freeze;
         raises ValueError, changing nothing, on any other shape."""
         bank, counts = np.array(bank, dtype=np.float64), list(match_counts)
-        if bank.shape != self.bank.shape or len(counts) != len(bank):
+        if bank.shape != self.bank_shape or len(counts) != len(bank):
             raise ValueError(f"bank {bank.shape} with {len(counts)} counts; the layer "
-                             f"takes {self.bank.shape}, one count per row")
+                             f"takes {self.bank_shape}, one count per row")
         self.bank, self.match_counts = bank, counts
         self.last_match_tick = [0] * len(counts)
         self.freeze()

@@ -28,14 +28,20 @@ from .network import LayerConfig, Network
 
 def build_network(config: PipelineConfig, geometry: SensorGeometry) -> Network:
     """The untrained layer cascade for streams of ``geometry``; raises
-    ConfigError, naming the layer, on a value out of its range, and
-    ValueError on a pooling grid finer than the array."""
+    ConfigError, naming the layer, on a value out of its range or a
+    radius as large as the array's smaller side (some field pixels would
+    never lie on the array), and ValueError on a pooling grid finer than
+    the array. Nothing is sized by the config yet."""
     check_grid(config.pooling.grid_rows, config.pooling.grid_cols, geometry,
                "pooling grid")
     in_channels = 1 if config.merge_polarity else geometry.channels
+    span = min(geometry.width, geometry.height)
     layer_configs = []
     for i, spec in enumerate(config.layers, start=1):
         try:
+            if spec.r >= span:
+                raise ValueError(f"radius {spec.r} reaches past the {geometry.width}x"
+                                 f"{geometry.height} array: at most {span - 1}")
             layer_configs.append(LayerConfig(
                 n_prototypes=spec.n, radius=spec.r, tau_us=spec.tau_us,
                 in_channels=in_channels, reinit_window=spec.reinit_window,
@@ -47,7 +53,7 @@ def build_network(config: PipelineConfig, geometry: SensorGeometry) -> Network:
 
 
 def suppress_background(config: PipelineConfig, stream: EventStream):
-    """Apply DBS if configured; returns (stream, retention or None)."""
+    """Apply DBS if configured; returns (stream, RetentionStats or None)."""
     if config.dbs is None:
         return stream, None
     filt = DbsFilter(stream.geometry, config.dbs)
@@ -76,6 +82,11 @@ def train_pipeline(config: PipelineConfig, clips: list[ClipRecord]) -> TrainedPi
         raise ValueError("no training clips")
     network = build_network(config, clips[0].stream.geometry)
     filtered = [suppress_background(config, c.stream)[0] for c in clips]
+    events = config.epochs * sum(len(s) for s in filtered)  # one surface each at most
+    for i, spec in enumerate(config.layers, start=1):
+        if spec.n > events:  # the bank could never fill: fail before sizing it
+            raise net.UndertrainedLayerError(f"layer {i}: layer with N={spec.n} can "
+                                             f"see at most {events} events")
     net.train(network, filtered, epochs=config.epochs, mode=config.training_mode)
     model = TrainedModel(
         signatures=np.stack([stream_signature(config, network, s).values
@@ -166,7 +177,7 @@ def load_pipeline(data: bytes) -> TrainedPipeline:
         return values
 
     for layer in network.layers:
-        n, d = layer.bank.shape
+        n, d = layer.bank_shape
         layer.install(take(n * d, "<f8").reshape(n, d), take(n, "<u8").tolist())
     labels = header["labels"]
     width = config.pooling.cells * network.out_channels
@@ -211,6 +222,8 @@ class RunReport(EvalResult):
 
 def evaluate_pipeline(pipeline: TrainedPipeline,
                       clips: list[ClipRecord]) -> RunReport:
+    if not clips:
+        raise ValueError("no evaluation clips")
     start = time.perf_counter()
     config = pipeline.config
     signatures = []
@@ -231,7 +244,7 @@ def evaluate_pipeline(pipeline: TrainedPipeline,
 
 @dataclass
 class BenchReport:
-    # stage -> {events_per_s, spread, runs, events_in, events_out}
+    # stage -> {events_per_s, spread, events_in, events_out}
     stages: dict[str, dict[str, float]]
     total_events: int
     runs: int
@@ -249,14 +262,19 @@ class BenchReport:
 
 def benchmark(pipeline: TrainedPipeline, clips: list[ClipRecord],
               runs: int = 5) -> BenchReport:
-    """Median per-stage throughput over repeated single-threaded runs.
+    """Median per-stage throughput over ``runs`` repeated runs.
 
     Stages: dbs (filter alone), layers (cascade alone, on filtered
     events), full (filter + cascade + signature). Each stage's rate is
     over the events that enter it: raw events for dbs and full, the
     DBS-kept events for layers. Stages also report events in and out
     (full's output is the end layer's events).
+
+    One Python thread runs the stages, but numpy's BLAS may split the GEMM
+    of ``network.nearest_rows`` over more unless ``OPENBLAS_NUM_THREADS=1``.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     config = pipeline.config
     streams = [c.stream for c in clips]
     total = sum(len(s) for s in streams)
@@ -298,7 +316,6 @@ def benchmark(pipeline: TrainedPipeline, clips: list[ClipRecord],
         stages[name] = {
             "events_per_s": n_in / med,
             "spread": n_in / min(times) - n_in / max(times),
-            "runs": float(runs),
             "events_in": float(n_in),
             "events_out": float(n_out),
         }

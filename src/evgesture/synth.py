@@ -233,8 +233,10 @@ def gesture_set_clips(geometry: SensorGeometry, clips_per_class: int,
     """The clip-set rule: ``clips_per_class`` swipes per class in class
     order, each seeded by the next draw of one root generator, with the
     subject ``s{clip_seed % 7:02d}``. Returns an iterator of (ClipRecord,
-    tags) that makes each clip when reached; an unknown class raises
-    ValueError at once."""
+    tags) that makes each clip when reached; an unknown class or a count
+    below 1 raises ValueError at once."""
+    if clips_per_class < 1:
+        raise ValueError(f"clips per class must be >= 1, got {clips_per_class}")
     for label in classes:
         if label not in GESTURE_CLASSES:
             raise ValueError(f"unknown gesture class {label!r}")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from evgesture import cli
+from evgesture import cli, pipeline
 from evgesture.classify import PoolingConfig
 from evgesture.config import (
     ConfigError, LayerSpec, PipelineConfig, config_echo, format_kv, parse_config,
@@ -16,9 +16,10 @@ from evgesture.config import (
 )
 from evgesture.dbs import DbsConfig
 from evgesture.events import (
-    SensorGeometry, read_binary_events, read_text_events, write_binary_events,
+    SensorGeometry, load_manifest, read_binary_events, read_file, read_text_events,
+    write_binary_events,
 )
-from evgesture.synth import gen_gesture_set
+from evgesture.synth import gen_gesture_set, gesture_set_clips
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 SRC_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -167,7 +168,8 @@ BAD_INPUTS = {
     "tau-b-inf": ("dbs.tau_b_us = inf", "tau_b_us must be finite and > 0, got inf"),
     "reinit-window-negative": ("layers.1.reinit_window = -5",
                                "layers.1: reinit_window must be >= 1, got -5"),
-    "bank-larger-than-training-set": ("layers.1.n = 100000", "layer 1: layer with N=100000 saw only"),
+    "bank-larger-than-training-set": ("layers.1.n = 100000",
+                                      "layer 1: layer with N=100000 can see at most"),
     "k-not-int": ("knn.k = seven", "knn.k: expected int, got 'seven'"),
     "n-not-int": ("layers.1.n = 2.5", "layers.1.n: expected int, got '2.5'"),
     "tau-not-float": ("layers.1.tau_us = abc", "layers.1.tau_us: expected float, got 'abc'"),
@@ -185,6 +187,18 @@ BAD_INPUTS = {
     "header-width-above-u16": ({"width": 65536}, "model header is malformed"),
     "header-height-above-u16": ({"height": 65536}, "model header is malformed"),
     "header-channels-above-u8": ({"channels": 256}, "model header is malformed"),
+    "radius-past-array": ("layers.1.r = 32",
+                          "layers.1: radius 32 reaches past the 32x32 array: at most 31"),
+    "radius-huge": ("layers.1.r = 1000000000000", "layers.1: radius 1000000000000 reaches"),
+    "bank-beyond-any-training-set": ("layers.1.n = 1000000000000",
+                                     "layer 1: layer with N=1000000000000 can see at most"),
+    "header-bank-beyond-file": (
+        {"config": "layers.1.n = 1000000000000\nlayers.1.r = 1\nlayers.1.tau_us = 10000\n"},
+        "truncated model file"),
+    "header-radius-huge": (
+        {"width": 65535, "height": 65535,
+         "config": "layers.1.n = 4\nlayers.1.r = 60000\nlayers.1.tau_us = 10000\n"},
+        "truncated model file"),
     "header-pooling-finer-than-array": (
         {"width": 2, "height": 2, "config": "layers.1.n = 4\nlayers.1.r = 1\n"
          "layers.1.tau_us = 10000\npooling.grid = 3x3\nknn.k = 1\n"},
@@ -437,3 +451,110 @@ class TestCli:
                          "--clips-per-class", "2", "--geometry", "32x32"]) == 2
         assert "bogus" in capsys.readouterr().err
         assert not out.exists() or not list(out.glob("*.evs"))
+
+
+# Paths that name a directory or an existing file where the CLI reads or
+# writes a file, each an input error (exit 2) that names the path.
+UNREADABLE_PATHS = {
+    "eval-model-is-dir": lambda m, c, model, d, out: ["eval", m, d],
+    "train-config-is-dir": lambda m, c, model, d, out: ["train", m, d, out],
+    "train-manifest-is-dir": lambda m, c, model, d, out: ["train", d, c, out],
+    "train-output-is-dir": lambda m, c, model, d, out: ["train", m, c, d],
+    "filter-output-is-dir": lambda m, c, model, d, out: [
+        "filter", os.path.join(os.path.dirname(m), "clip_00.evs"), d],
+    "convert-input-is-dir": lambda m, c, model, d, out: ["convert", d, out + ".txt"],
+    "synth-outdir-is-file": lambda m, c, model, d, out: ["synth", m, "--clips-per-class", "1"],
+}
+
+
+def with_row(manifest: str, clip) -> str:
+    """The manifest's rows, with absolute paths, and one more naming ``clip``."""
+    rows = [f"{r.source}\t{r.label}\t{r.subject}\n" for r in load_manifest(manifest)]
+    return "".join(rows) + f"{clip}\tup\ts1\n"
+
+
+class TestInputEdge:
+    @pytest.mark.parametrize("argv", UNREADABLE_PATHS.values(), ids=UNREADABLE_PATHS.keys())
+    def test_unreadable_path_exit_2(self, swipes32, tmp_path, capsys, argv):
+        manifest, config, model = swipes32
+        (tmp_path / "adir").mkdir()
+        argv = argv(manifest, str(config), str(model), str(tmp_path / "adir"),
+                    str(tmp_path / "out"))
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "internal" not in err
+        named = manifest if argv[0] == "synth" else str(tmp_path / "adir")
+        assert named in err
+
+    def test_manifest_row_names_dir_exit_2(self, swipes32, tmp_path, capsys):
+        manifest, _, model = swipes32
+        (tmp_path / "adir").mkdir()
+        rows = with_row(manifest, tmp_path / "adir")
+        (tmp_path / "m.tsv").write_text(rows)
+        assert cli.main(["eval", str(tmp_path / "m.tsv"), str(model)]) == 2
+        assert f"Is a directory: '{tmp_path / 'adir'}'" in capsys.readouterr().err
+
+    def test_corrupt_clip_named(self, swipes32, tmp_path, capsys):
+        manifest, _, model = swipes32
+        (tmp_path / "bad.evs").write_bytes(b"EVS0" + bytes(20))
+        rows = with_row(manifest, tmp_path / "bad.evs")
+        (tmp_path / "m.tsv").write_text(rows)
+        assert cli.main(["eval", str(tmp_path / "m.tsv"), str(model)]) == 2
+        assert (f"error: {tmp_path / 'bad.evs'}: bad magic: not an EVS1 file"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+    def test_help_exit_0(self, capsys, argv):
+        assert cli.main(argv) == 0
+        assert "usage: evgesture" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, named", [
+        (b"99999999999999999999 0 0 0\n", "a value does not fit in 64 bits"),
+        (b"0 4294967296 0 0\n", "x=4294967296 out of bounds [0, 32)"),
+        (b"0 \xff 0 0\n", "can't decode byte 0xff"),
+    ])
+    def test_text_value_out_of_range_exit_2(self, tmp_path, capsys, text, named):
+        (tmp_path / "a.txt").write_bytes(text)
+        assert cli.main(["convert", str(tmp_path / "a.txt"), str(tmp_path / "b.evs"),
+                         "--geometry", "32x32"]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'a.txt'}: " in err and named in err
+
+    def test_geometry_beyond_evs1_exit_2(self, tmp_path, capsys):
+        (tmp_path / "a.txt").write_bytes(b"0 1 0 0\n")
+        assert cli.main(["convert", str(tmp_path / "a.txt"), str(tmp_path / "b.evs"),
+                         "--geometry", "70000x1"]) == 2
+        assert "geometry sizes must be 1-65535" in capsys.readouterr().err
+        assert cli.main(["convert", str(tmp_path / "a.txt"), str(tmp_path / "b.evs"),
+                         "--geometry", "4x4", "--channels", "256"]) == 2
+        assert "256 channels do not fit an EVS1 header" in capsys.readouterr().err
+        assert cli.main(["synth", str(tmp_path / "s"), "--geometry", "70000x70000"]) == 2
+        assert not (tmp_path / "s").exists()
+
+
+class TestCountChecks:
+    def test_bench_runs_below_1(self, swipes32, capsys):
+        manifest, config, model = swipes32
+        trained = read_file(str(model), pipeline.load_pipeline)
+        with pytest.raises(ValueError, match="runs must be >= 1, got 0"):
+            pipeline.benchmark(trained, load_manifest(manifest), runs=0)
+        assert cli.main(["bench", manifest, str(config), "--runs", "0"]) == 2
+        assert "runs must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_clips_per_class_below_1(self, tmp_path, capsys):
+        for count in (0, -1):
+            with pytest.raises(ValueError, match=f"clips per class must be >= 1, got {count}"):
+                gesture_set_clips(SensorGeometry(32, 32, 2), count, seed=1)
+        out = tmp_path / "synthset"
+        assert cli.main(["synth", str(out), "--clips-per-class", "-1"]) == 2
+        assert "clips per class must be >= 1, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_evaluation_clips(self, swipes32, tmp_path, capsys):
+        _, _, model = swipes32
+        trained = read_file(str(model), pipeline.load_pipeline)
+        with pytest.raises(ValueError, match="no evaluation clips"):
+            pipeline.evaluate_pipeline(trained, [])
+        (tmp_path / "empty.tsv").write_text("")
+        assert cli.main(["eval", str(tmp_path / "empty.tsv"), str(model)]) == 2
+        assert "no evaluation clips" in capsys.readouterr().err

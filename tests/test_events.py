@@ -19,6 +19,14 @@ def random_stream(rng, n, geometry=GEOM):
     )
 
 
+class TestWrapAround:
+    def test_checked_before_the_cast(self):
+        # 2**32 + 1 would wrap to pixel 1 in the int32 field array
+        with pytest.raises(StreamError, match="x=4294967297 out of bounds"):
+            EventStream(np.array([0]), np.array([2**32 + 1]), np.array([0]),
+                        np.array([0]), GEOM)
+
+
 class TestTextCodec:
     def test_single_line(self):
         s = read_text_events(b"0 3 4 1", GEOM)

@@ -289,6 +289,13 @@ class TestInstall:
             layer.install(np.ones(shape), counts)
         assert not layer.bank.any() and layer.learning and layer.n_filled == 0
 
+    def test_building_sizes_nothing(self):
+        # a trillion rows of 2 x 201 x 201 floats: built, not allocated
+        layer = Layer(LayerConfig(10**12, 100, 1000.0, 2), SensorGeometry(65535, 65535, 2))
+        assert layer.bank_shape == (10**12, 2 * 201 * 201)
+        with pytest.raises(ValueError, match="the layer takes"):
+            layer.install(np.ones((1, 3)), [1])
+
 
 class TestEncodeChecks:
     """``encode`` rejects a bad event, as DBS does, before the layer's
