@@ -16,12 +16,15 @@ of its receptive field, never on the bank, and a layer reads nothing from
 the layers after it. So every layer takes the whole stream in blocks of
 arrays (``Layer.encode``), one layer after the other: the surfaces and the
 validity gate of a block are computed at once, with the same arithmetic
-as ``surfaces.extract``. Only the learning rule itself is sequential, one
-valid surface after the other; a frozen layer matches a whole block at
-once. Outputs equal the per-event semantics bit for bit, ties included.
-``Layer.encode`` is the one block entry point; it carries the timestamp
-memory from call to call, so events that arrive a few at a time are
-encoded by calling it on each slice in turn.
+as ``surfaces.extract``. A surface reads each field pixel from the
+layer's timestamp memory; only pixels that the block itself writes,
+marked by a per-pixel block stamp, are looked up among the block's own
+events with a sorted search. Only the learning rule itself is
+sequential, one valid surface after the other; a frozen layer matches a
+whole block at once. Outputs equal the per-event semantics bit for bit,
+ties included. ``Layer.encode`` is the one block entry point; it carries
+the timestamp memory from call to call, so events that arrive a few at
+a time are encoded by calling it on each slice in turn.
 """
 
 from __future__ import annotations
@@ -38,9 +41,12 @@ from .surfaces import TimeSurfaceConfig
 DEFAULT_REINIT_WINDOW = 10_000  # valid surfaces without a match before reseed
 TRAINING_MODES = ("joint", "sequential")
 
-# Transient working memory of one block, in bytes. A block holds about
-# four (events x D) arrays of 8-byte values, so a layer with surface
-# length D takes BLOCK_BYTES // (32 D) events per block.
+# Transient working memory of one block, in bytes. A block's largest
+# arrays are (events x D) ones of 8-byte values: the field keys, their
+# stamps, the surfaces and the valid rows' copy. So a layer with surface
+# length D takes BLOCK_BYTES // (32 D) events per block. On the perfbench
+# workloads, layer rates peak at 256 kB-1 MB for D = 25 and at 512 kB-2 MB
+# for D = 200, and fall off at 128 kB and 8 MB.
 BLOCK_BYTES = 512 * 1024
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -118,17 +124,28 @@ def learn_update(prototype: np.ndarray, match_count: int, flat_surface: np.ndarr
     of the angle between surface and prototype, so orthogonal surfaces
     leave the prototype untouched. Returns the updated prototype array.
     """
+    moved = prototype.copy()
+    _pull(moved, match_count, flat_surface, float(prototype.dot(prototype)))
+    return moved
+
+
+def _pull(prototype: np.ndarray, match_count: int, flat_surface: np.ndarray,
+          nc2: float) -> None:
+    """``learn_update`` in place, given ``nc2 = prototype.dot(prototype)``."""
     rate = 1.0 / (1.0 + match_count)
     ns2 = float(flat_surface.dot(flat_surface))
-    nc2 = float(prototype.dot(prototype))
     if ns2 == 0.0 or nc2 == 0.0:  # cannot occur for valid surfaces; guarded anyway
-        return prototype.copy()
+        return
     cos = float(flat_surface.dot(prototype)) / math.sqrt(ns2 * nc2)
     step = rate * cos
     # Surfaces and prototypes are componentwise non-negative, so cos >= 0;
     # clamp keeps the update a convex combination even if that ever breaks.
     step = min(max(step, 0.0), 1.0)
-    return prototype + step * (flat_surface - prototype)
+    # prototype + step * (flat_surface - prototype), the same three IEEE
+    # operations, written into the row
+    move = flat_surface - prototype
+    move *= step
+    prototype += move
 
 
 class Layer:
@@ -148,6 +165,7 @@ class Layer:
         self._surface_config = config.surface_config
         self.bank_shape = (config.n_prototypes, self._surface_config.size)
         self._since: int | None = None  # the latest event time in memory
+        self._block = 0  # blocks taken by block_surfaces, for ``_stamps``
         self._min_sum = 2 * config.radius  # validity threshold
         self.match_counts: list[int] = []
         self.last_match_tick: list[int] = []
@@ -186,6 +204,13 @@ class Layer:
         R = self.config.radius
         g = self.geometry
         return np.full((g.channels, g.height + 2 * R, g.width + 2 * R), -np.inf)
+
+    @cached_property
+    def _stamps(self) -> np.ndarray:
+        """Per key of ``memory``, the number of the latest block that wrote
+        it; blocks are numbered by ``_block``, which never resets, so a
+        stamp is current only within its own block."""
+        return np.zeros(self.memory.shape, dtype=np.int64)
 
     def reset_memory(self) -> None:
         self.memory.fill(-np.inf)
@@ -243,28 +268,37 @@ class Layer:
         row is screened with one GEMV against the squared row norms, which
         are refreshed whenever a row is written, and recomputed with the
         einsum under the rule of ``_screen_margin``, as in ``nearest_rows``.
+        Every cache here is derived afresh from ``bank`` and
+        ``last_match_tick`` on each call.
         """
         ids = np.full(len(surfaces), -1, dtype=np.int64)
         bank, counts, last = self.bank, self.match_counts, self.last_match_tick
         n, d = bank.shape
         window = self.config.reinit_window
+        tick = self.tick
         # The screen ``|b|^2/2 - s.b`` is half of ``|b|^2 - 2 s.b`` exactly.
         # ``sq_b_max`` never falls, so it bounds every row's |b|^2.
         sq_b = np.einsum("ij,ij->i", bank, bank)
         half_sq_b = 0.5 * sq_b
         sq_b_max = float(sq_b.max())
         sq_s = np.einsum("ij,ij->i", surfaces, surfaces).tolist()
+        # Each written row's ``row.dot(row)``, which the rule reads as its
+        # ``prototype.dot(prototype)``; the einsum norms above may differ
+        # from it in the last bit, so rows not yet written here have none.
+        norm2: list[float | None] = [None] * n
+        # The first index of the least tick; only a write to its row, or of
+        # a tick at or below it, can move it.
+        stalest = last.index(min(last)) if last else 0
         for k, flat in enumerate(surfaces):
-            self.tick += 1
+            tick += 1
             if len(counts) < n:  # warm-up: no stable ids yet
                 i = len(counts)
                 bank[i] = flat
                 counts.append(1)
-                last.append(self.tick)
+                last.append(tick)
             else:
-                oldest = min(last)
-                if self.tick - oldest > window:  # reseed the stalest prototype
-                    i = last.index(oldest)
+                if tick - last[stalest] > window:  # reseed the stalest prototype
+                    i = stalest
                     bank[i] = flat
                     counts[i] = 1
                 else:
@@ -277,13 +311,19 @@ class Layer:
                         if not gap > _screen_margin(d, sq_s[k], sq_b_max):
                             diff = bank - flat
                             i = int(np.einsum("ij,ij->i", diff, diff).argmin())
-                    bank[i] = learn_update(bank[i], counts[i], flat)
+                    row = bank[i]
+                    nc2 = norm2[i]
+                    _pull(row, counts[i], flat, float(row.dot(row)) if nc2 is None else nc2)
                     counts[i] += 1
-                last[i] = self.tick
+                last[i] = tick
                 ids[k] = i
-            sq = float(bank[i].dot(bank[i]))
+            if last[stalest] >= tick:
+                stalest = last.index(min(last))
+            row = bank[i]
+            sq = norm2[i] = float(row.dot(row))
             half_sq_b[i] = 0.5 * sq
             sq_b_max = max(sq_b_max, sq)
+        self.tick = tick
         return ids
 
     def encode(self, t, x, y, p) -> tuple[np.ndarray, np.ndarray]:
@@ -327,8 +367,11 @@ class Layer:
 
         Each surface reads, per receptive-field pixel, the latest event at
         or before its own within the block, else the timestamp memory,
-        which is then updated to include the block. The events are not
-        checked here; ``encode`` checks them first.
+        which is then updated to include the block. Every query reads the
+        memory; only queries on a key that this block writes, as marked in
+        ``_stamps``, look up their latest in-block event with a sorted
+        search. The events are not checked here; ``encode`` checks them
+        first.
         """
         memory = self.memory
         n = len(t)
@@ -337,16 +380,21 @@ class Layer:
         width = memory.shape[2]
         centre = (np.asarray(y, dtype=np.int64) + R) * width + np.asarray(x) + R
         keys = np.asarray(p, dtype=np.int64) * (memory.shape[1] * width) + centre
-        # Sorted (key, index) pairs, with a sentinel below every key.
-        index = np.arange(n)
-        ranked = np.concatenate(([-1], np.sort(keys * n + index)))
-        ranked_t = np.concatenate(([0.0], t[ranked[1:] % n]))
+        self._block += 1
+        stamps = self._stamps.reshape(-1)
+        stamps[keys] = self._block
         query = centre[:, None] + self._offsets  # (event, field pixel) keys
-        query_lo = query * n
-        at = np.searchsorted(ranked, query_lo + index[:, None], side="right") - 1
-        inside = ranked[at] >= query_lo  # the latest event is in this block
         flat_memory = memory.reshape(-1)
-        surfaces = np.where(inside, ranked_t[at], flat_memory[query])
+        surfaces = flat_memory[query]
+        # Sorted (key, index) pairs, with a sentinel below every key.
+        ranked = np.concatenate(([-1], np.sort(keys * n + np.arange(n))))
+        ranked_t = np.concatenate(([0.0], t[ranked[1:] % n]))
+        hit = np.flatnonzero(stamps[query] == self._block)
+        if len(hit):
+            hit_lo = query.reshape(-1)[hit] * n
+            at = np.searchsorted(ranked, hit_lo + hit // query.shape[1], side="right") - 1
+            inside = ranked[at] >= hit_lo  # the latest event is in this block
+            surfaces.reshape(-1)[hit[inside]] = ranked_t[at[inside]]
         # extract's arithmetic: (last - t)/tau + 1, clamped at 0.
         surfaces -= t[:, None]
         surfaces /= self.config.tau_us

@@ -1,19 +1,20 @@
 import hashlib
 import os
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evgesture import cli
+from evgesture import cli, network
 from evgesture.config import parse_config
 from evgesture.events import EventStream, SensorGeometry, StreamError, write_binary_events
 from evgesture.network import (
     DEFAULT_REINIT_WINDOW, Layer, LayerConfig, Network, UndertrainedLayerError,
     learn_update, nearest_rows, train,
 )
-from evgesture.oracles import learn_bruteforce, surfaces_bruteforce
+from evgesture.oracles import _LayerReference, learn_bruteforce, surfaces_bruteforce
 from evgesture.pipeline import (
     TrainedPipeline, build_network, evaluate_pipeline, load_pipeline,
     save_pipeline, train_pipeline,
@@ -545,6 +546,35 @@ def frozen_cases(draw):
     return net, stream
 
 
+@st.composite
+def stamp_cases(draw):
+    """A frozen one-layer net, clips made of bursts of equal timestamps on
+    one pixel (or spread over a few), cuts into ``encode`` calls, and a
+    block length of 1-8 events."""
+    w, h = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    geometry = SensorGeometry(w, h, 2)
+    clips = []
+    for _ in range(draw(st.integers(1, 3))):
+        t, xs, ys, ps, now = [], [], [], [], 0
+        for _ in range(draw(st.integers(0, 12))):
+            now += draw(st.sampled_from([0, 0, 1, 3, 40, 700, 5000]))
+            x, y = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+            p = draw(st.integers(0, 1))
+            for _ in range(draw(st.integers(1, 5))):
+                if draw(st.integers(0, 3)) == 0:  # leave the burst's pixel
+                    x, y = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+                t.append(now)
+                xs.append(x)
+                ys.append(y)
+                ps.append(p)
+        clips.append(EventStream(np.array(t, dtype=np.int64), xs, ys, ps, geometry))
+    net = frozen_network(geometry, [(draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+                                     draw(st.sampled_from([700.0, 3000.0, 20_000.0])))],
+                         False, draw(st.integers(0, 2**16)))
+    cuts = draw(st.lists(st.integers(1, 12), min_size=1, max_size=10))
+    return net.layers[0], clips, cuts, draw(st.integers(1, 8))
+
+
 def layer_input(net, stream):
     if net.merge_polarity:
         return stream.with_channels(np.zeros(len(stream), dtype=np.int32), 1)
@@ -651,6 +681,41 @@ class TestFrozenBlocks:
             assert np.array_equal(rows, np.array(expected))
             assert np.array_equal(rows.sum(axis=1), [e.sum() for e in expected])
 
+    @settings(max_examples=60, deadline=None)
+    @given(stamp_cases())
+    def test_surfaces_across_calls_and_clips(self, case):
+        # the touched-key stamps of earlier blocks, calls and clips never
+        # hide an in-block event from a later block's surfaces
+        layer, clips, cuts, events_per_block = case
+        rows = []
+        block_surfaces = layer.block_surfaces
+
+        def recording(*args):
+            out = block_surfaces(*args)
+            rows.append(out.copy())
+            return out
+
+        layer.block_surfaces = recording
+        block_bytes = events_per_block * 32 * layer.config.surface_config.size
+        with mock.patch.object(network, "BLOCK_BYTES", block_bytes):
+            for s in clips:
+                layer.reset_memory()
+                rows.clear()
+                a, k = 0, 0
+                while a < len(s):
+                    b = a + cuts[k % len(cuts)]
+                    layer.encode(s.t[a:b], s.x[a:b], s.y[a:b], s.p[a:b])
+                    a, k = b, k + 1
+                memory = TimestampMemory(layer.geometry)
+                expected = []
+                for t, x, y, p in events_of(s):
+                    memory.record(t, x, y, p)
+                    expected.append(extract(memory, t, x, y, p, layer.config.surface_config)
+                                    .values.ravel())
+                if expected:
+                    assert max(len(r) for r in rows) <= events_per_block
+                    assert np.array_equal(np.concatenate(rows), np.array(expected))
+
 
 class TestNearestRows:
     def test_exact_match(self):
@@ -743,7 +808,7 @@ def learning_cases(draw):
         n = draw(st.integers(1, 8))
         configs.append(LayerConfig(
             n, draw(st.integers(1, 3)), draw(st.sampled_from([700.0, 3000.0, 20_000.0])),
-            in_channels, draw(st.sampled_from([2, 5, 20, DEFAULT_REINIT_WINDOW]))))
+            in_channels, draw(st.sampled_from([1, 2, 5, 20, DEFAULT_REINIT_WINDOW]))))
         in_channels = n
     net = Network(tuple(configs), geometry, merge_polarity=merge)
     return net, streams, draw(st.integers(1, 2)), draw(st.sampled_from(["joint", "sequential"]))
@@ -814,6 +879,40 @@ class TestLearnBlocks:
         reference, expected = learn_bruteforce((layer.config,), net.merge_polarity,
                                                net.geometry, streams, epochs=epochs)
         assert_same_state([layer], reference)
+        assert outputs == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(learning_cases(), st.data())
+    def test_state_written_between_calls(self, case, data):
+        # bank rows and ticks written between two encode calls reach the
+        # rule's norm and stalest-row caches
+        net, streams, _, _ = case
+        layer = net.layers[0]
+        reference = _LayerReference(layer.config, net.geometry)
+        s = layer_input(net, streams[0])
+        cut = data.draw(st.integers(0, len(s)))
+        layer.reset_memory()
+        outputs, expected = [], []
+        for a, b in ((0, cut), (cut, len(s))):
+            if a == cut and layer.n_filled:
+                order = data.draw(st.permutations(range(layer.n_filled)))
+                row = data.draw(st.integers(0, layer.n_filled - 1))
+                factor = data.draw(st.sampled_from([0.5, 1.0, 1.5]))
+                row_tick = data.draw(st.integers(0, layer.tick))
+                for state in (layer, reference):
+                    state.bank[: len(order)] = state.bank[list(order)]
+                    state.bank[row] *= factor
+                    state.match_counts[:] = [state.match_counts[j] for j in order]
+                    state.last_match_tick = [state.last_match_tick[j] for j in order]
+                    state.last_match_tick[row] = row_tick
+            keep, ids = layer.encode(s.t[a:b], s.x[a:b], s.y[a:b], s.p[a:b])
+            outputs += [(int(s.t[a + j]), int(s.x[a + j]), int(s.y[a + j]), int(i))
+                        for j, i in zip(np.flatnonzero(keep), ids)]
+            for event in events_of(s)[a:b]:
+                idx = reference.step(*event)
+                if idx is not None:
+                    expected.append(event[:3] + (idx,))
+        assert_same_state([layer], [reference])
         assert outputs == expected
 
     def test_forward_event_learns(self):
