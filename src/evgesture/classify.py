@@ -45,8 +45,6 @@ def accumulate(stream: EventStream, geometry: SensorGeometry,
             f"channel {int(stream.p.max())} out of range for {n_channels} channels"
         )
     size = pooling.cells * n_channels
-    if len(stream) == 0:
-        return Signature(np.zeros(size))
     cells = grid_cells(stream.x, stream.y, geometry, pooling.grid_rows,
                        pooling.grid_cols)
     bins = cells * n_channels + stream.p

@@ -7,13 +7,15 @@ times the mean activity of all cells, decayed to the event's time.
 
 Every cell decays with the same time constant, so the sum of all cells'
 activities is itself one decaying counter that gains +1 per event; the
-mean is that running sum over the cell count, O(1) per event whatever the
-grid size. The filter takes events in blocks of arrays: cells, gaps, the
-decays and the final compare are computed per block, and only the two
-recurrences ``a = a * d + 1.0`` (the running sum over the block, and each
-cell over its own events) run one event after the other, on plain Python
-floats. Each decay is ``math.exp`` of the gap, evaluated once per distinct
-gap, so every decision is bit-equal to taking the events one at a time.
+mean is that counter over the cell count, O(1) per event whatever the grid
+size. The filter keeps it after the cells' counters, so every event hits
+two counters, its cell's and the whole array's, and one rule updates both.
+Events come in blocks of arrays: cells, gaps, the decays and the final
+compare are computed per block, and only the recurrence
+``a = a * d + 1.0`` runs one hit after the other on each counter, on plain
+Python floats. Each decay is ``math.exp`` of the gap, evaluated once per
+distinct gap, so every decision is bit-equal to taking the events one at a
+time.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import numpy as np
 
 from .events import EventStream, SensorGeometry, check_events, check_grid, grid_cells
 
-# Events per process_block call in filter_stream. A block's working arrays
-# peak at about 140 bytes an event, so a long input is filtered in about
-# 9 MB; a swipe clip fits in one block.
+# Events per process_block call in filter_stream. A block's working arrays,
+# two counter hits per event, peak at about 140 bytes an event, so a long
+# input is filtered in about 9 MB; a swipe clip fits in one block.
 BLOCK_EVENTS = 1 << 16
 
 
@@ -78,27 +80,21 @@ def _decays(gaps: np.ndarray, tau: float) -> np.ndarray:
 class DbsFilter:
     """Stateful filter over a time-ordered event sequence, taken in blocks.
 
-    State is every cell's activity and time of its last event (``None``
-    until the cell fires), plus the running sum of all cells' activities
-    and the time it was last updated. Decay is lazy: a cell's stored
-    activity is only brought forward on the cell's own events.
+    State is one decaying counter per cell and one for the whole array,
+    the sum of all cells' activities: ``activity`` holds their values and
+    ``last_t`` the time of each one's last event, the whole array's last.
+    Every counter starts at 0.0 at time 0, which the first event's decay
+    and +1 take to exactly 1.0. Decay is lazy: a counter's stored value is
+    only brought forward on its own events.
     """
 
     def __init__(self, geometry: SensorGeometry, config: DbsConfig = DbsConfig()):
         check_grid(config.grid_rows, config.grid_cols, geometry, "DBS grid")
         self.geometry = geometry
         self.config = config
-        n = config.grid_rows * config.grid_cols
+        n = config.grid_rows * config.grid_cols + 1
         self.activity = [0.0] * n
-        self.last_t = [None] * n  # None = never fired
-        self._sum = 0.0  # sum of all cells' activities at time _sum_t
-        self._sum_t: int | None = None
-
-    def process(self, t: int, x: int, y: int) -> bool:
-        """One event: ``process_block`` of a block of one. Each call pays a
-        block's fixed cost (about 135 us on a 2-core x86 machine, against
-        0.3 us an event in large blocks), so streaming callers should batch."""
-        return bool(self.process_block([t], [x], [y])[0])
+        self.last_t = np.zeros(n, dtype=np.int64)
 
     def process_block(self, t, x, y) -> np.ndarray:
         """Update state with a block of events and return their keep mask.
@@ -111,53 +107,42 @@ class DbsFilter:
         """
         t = np.asarray(t, dtype=np.int64)
         n = len(t)
-        check_events(t, x, y, None, self.geometry, self._sum_t)
+        check_events(t, x, y, None, self.geometry, int(self.last_t[-1]))
         if n == 0:
             return np.zeros(0, dtype=bool)
         cfg = self.config
-        cells = grid_cells(x, y, self.geometry, cfg.grid_rows, cfg.grid_cols)
-        # Group each cell's events, in time order, and find the group starts
-        # (a stable sort of narrow keys is a radix sort).
-        order = np.argsort(cells.astype(np.min_scalar_type(len(self.activity) - 1)),
-                           kind="stable")
-        cell_t = t[order]
-        starts = np.flatnonzero(np.diff(cells[order], prepend=-1))
-        group_cells = cells[order[starts]].tolist()
-        # Gap of every event to the previous one, and to the previous one
-        # in its cell; the first ones reach back to the carried times. A
-        # first event ever has gap 0 onto 0.0, which gives exactly 1.0.
-        gap = np.diff(t, prepend=t[0] if self._sum_t is None else self._sum_t)
-        cell_gap = np.diff(cell_t, prepend=0)
-        cell_gap[starts] = [
-            0 if last is None else t0 - last
-            for t0, last in zip(cell_t[starts].tolist(),
-                                (self.last_t[c] for c in group_cells))
-        ]
-        # Both recurrences read the decays as Python floats through a
-        # memoryview and store their values unboxed.
-        decay = memoryview(_decays(np.concatenate([gap, cell_gap]), cfg.tau_b_us))
-        total = self._sum
-        sums = array("d")
-        push = sums.append
-        for d in decay[:n]:
-            total = total * d + 1.0
-            push(total)
+        cells = len(self.activity) - 1
+        cell = grid_cells(x, y, self.geometry, cfg.grid_rows, cfg.grid_cols)
+        # Every event hits two counters: its cell's, grouped in time order
+        # by a stable sort of narrow keys (a radix sort), and then the
+        # whole array's, already in time order.
+        order = np.argsort(cell.astype(np.min_scalar_type(cells - 1)), kind="stable")
+        sorted_c = cell[order]
+        starts = np.flatnonzero(np.diff(sorted_c, prepend=-1))
+        groups = np.append(sorted_c[starts], cells)
+        starts = np.append(starts, n)
+        ends = np.append(starts[1:], 2 * n)
+        hit_t = np.concatenate([t[order], t])
+        # Gap of every hit to the one before it on its counter; a group's
+        # first reaches back to the counter's carried time.
+        gap = np.diff(hit_t, prepend=0)
+        gap[starts] = hit_t[starts] - self.last_t[groups]
+        # The recurrence reads the decays as Python floats through a
+        # memoryview and stores its values unboxed.
+        decay = memoryview(_decays(gap, cfg.tau_b_us))
         acts = array("d")
         push = acts.append
-        ends = starts[1:].tolist() + [n]
-        for c, lo, hi in zip(group_cells, starts.tolist(), ends):
+        for c, lo, hi in zip(groups.tolist(), starts.tolist(), ends.tolist()):
             a = self.activity[c]
-            for d in decay[n + lo:n + hi]:
+            for d in decay[lo:hi]:
                 a = a * d + 1.0
                 push(a)
             self.activity[c] = a
-            self.last_t[c] = int(cell_t[hi - 1])
-        self._sum = total
-        self._sum_t = int(t[-1])
+        self.last_t[groups] = hit_t[ends - 1]
+        act = np.frombuffer(acts)
         cell_act = np.empty(n)
-        cell_act[order] = np.frombuffer(acts)
-        mean = np.frombuffer(sums) / len(self.activity)
-        return cell_act >= cfg.alpha * mean
+        cell_act[order] = act[:n]
+        return cell_act >= cfg.alpha * (act[n:] / cells)
 
 
 def filter_stream(filt: DbsFilter, stream: EventStream) -> tuple[EventStream, RetentionStats]:

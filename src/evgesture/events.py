@@ -71,9 +71,9 @@ def check_grid(rows: int, cols: int, geometry: SensorGeometry, what: str) -> Non
 
 
 def check_events(t, x, y, p, geometry: SensorGeometry, since: int | None = None) -> None:
-    """The one check of raw event arrays: raise StreamError at the first
-    event earlier than the one before it (``since``, the latest time
-    already taken, before the first), at a negative time, or at the first
+    """The one check of raw event arrays: raise StreamError at a negative
+    first time, at the first event earlier than the one before it (``since``,
+    the latest time already taken, before the first), or at the first
     coordinate outside ``geometry``; ``p`` None skips the channel bound."""
     t, x, y = np.asarray(t), np.asarray(x), np.asarray(y)
     fields = (("x", x, geometry.width), ("y", y, geometry.height))
@@ -83,14 +83,14 @@ def check_events(t, x, y, p, geometry: SensorGeometry, since: int | None = None)
         raise StreamError("event field arrays must have equal length")
     if len(t) == 0:
         return
+    if t[0] < 0:
+        raise StreamError(f"negative timestamp {int(t[0])} at index 0")
     if since is not None and t[0] < since:
         raise StreamError(f"time regression: {int(t[0])} < {since} at index 0")
     back = np.flatnonzero(t[1:] < t[:-1])
     if len(back):
         i = int(back[0]) + 1
         raise StreamError(f"time regression: {int(t[i])} < {int(t[i - 1])} at index {i}")
-    if t[0] < 0:
-        raise StreamError(f"negative timestamp {int(t[0])} at index 0")
     for name, v, hi in fields:
         off = np.flatnonzero((v < 0) | (v >= hi))
         if len(off):

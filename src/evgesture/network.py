@@ -265,11 +265,12 @@ class Layer:
         The stalest prototype is the first index of the least
         ``last_match_tick``, reseeded if its age exceeds ``reinit_window``:
         the first row of strictly largest age, ties included. The nearest
-        row is screened with one GEMV against the squared row norms, which
-        are refreshed whenever a row is written, and recomputed with the
-        einsum under the rule of ``_screen_margin``, as in ``nearest_rows``.
-        Every cache here is derived afresh from ``bank`` and
-        ``last_match_tick`` on each call.
+        row is screened with one GEMV against the squared row norms, each
+        row's ``row.dot(row)``, which are refreshed whenever a row is
+        written, and recomputed with the einsum under the rule of
+        ``_screen_margin``, as in ``nearest_rows``. The same norms are
+        ``_pull``'s ``prototype.dot(prototype)``. Every cache here is
+        derived afresh from ``bank`` and ``last_match_tick`` on each call.
         """
         ids = np.full(len(surfaces), -1, dtype=np.int64)
         bank, counts, last = self.bank, self.match_counts, self.last_match_tick
@@ -278,14 +279,10 @@ class Layer:
         tick = self.tick
         # The screen ``|b|^2/2 - s.b`` is half of ``|b|^2 - 2 s.b`` exactly.
         # ``sq_b_max`` never falls, so it bounds every row's |b|^2.
-        sq_b = np.einsum("ij,ij->i", bank, bank)
-        half_sq_b = 0.5 * sq_b
-        sq_b_max = float(sq_b.max())
+        norm2 = [float(r.dot(r)) for r in bank]
+        half_sq_b = 0.5 * np.array(norm2)
+        sq_b_max = max(norm2)
         sq_s = np.einsum("ij,ij->i", surfaces, surfaces).tolist()
-        # Each written row's ``row.dot(row)``, which the rule reads as its
-        # ``prototype.dot(prototype)``; the einsum norms above may differ
-        # from it in the last bit, so rows not yet written here have none.
-        norm2: list[float | None] = [None] * n
         # The first index of the least tick; only a write to its row, or of
         # a tick at or below it, can move it.
         stalest = last.index(min(last)) if last else 0
@@ -311,9 +308,7 @@ class Layer:
                         if not gap > _screen_margin(d, sq_s[k], sq_b_max):
                             diff = bank - flat
                             i = int(np.einsum("ij,ij->i", diff, diff).argmin())
-                    row = bank[i]
-                    nc2 = norm2[i]
-                    _pull(row, counts[i], flat, float(row.dot(row)) if nc2 is None else nc2)
+                    _pull(bank[i], counts[i], flat, norm2[i])
                     counts[i] += 1
                 last[i] = tick
                 ids[k] = i
@@ -464,8 +459,6 @@ class Network:
             t, x, y = t[keep], x[keep], y[keep]
         geom = SensorGeometry(self.geometry.width, self.geometry.height,
                               layers[-1].config.n_prototypes)
-        if len(t) == 0:
-            return EventStream.empty(geom)
         return EventStream(t, x, y, p, geom, validate=False)
 
 

@@ -51,21 +51,21 @@ def dbs_decisions_history(stream: EventStream, config: DbsConfig) -> np.ndarray:
 
 def dbs_scalar(stream: EventStream, config: DbsConfig):
     """Scalar reference for ``DbsFilter``: one event at a time, the event's
-    cell brought forward by ``update_activity`` and then the running sum of
-    all cells, keep iff A_c >= alpha * (sum / cells). These are the block
-    filter's IEEE-754 operations in its order, so decisions and state are
-    bit-equal to it.
+    cell and then the whole array's counter, the sum of all cells, brought
+    forward by ``update_activity``; keep iff A_c >= alpha * (sum / cells).
+    These are the block filter's IEEE-754 operations in its order, so
+    decisions and state are bit-equal to it.
 
-    Returns the keep mask, the final state ``(activity, last_t, sum,
-    sum_t)`` as the filter holds it, and each event's relative margin
+    Returns the keep mask, the final state ``(activity, last_t)`` in the
+    filter's layout (the whole array's counter last, every counter from
+    0.0 at time 0), and each event's relative margin
     ``(A_c - alpha * mean) / A_c``: where it is within rounding of 0, a
     reference that sums in another order may decide the other way.
     """
     g = stream.geometry
     n_cells = config.grid_rows * config.grid_cols
-    activity = [0.0] * n_cells
-    last_t: list[int | None] = [None] * n_cells
-    total, total_t = 0.0, None
+    activity = [0.0] * (n_cells + 1)
+    last_t = [0] * (n_cells + 1)
     keep = np.zeros(len(stream), dtype=bool)
     margin = np.zeros(len(stream))
     for i, (t, x, y) in enumerate(zip(stream.t.tolist(), stream.x.tolist(),
@@ -73,14 +73,14 @@ def dbs_scalar(stream: EventStream, config: DbsConfig):
         row = min(y * config.grid_rows // g.height, config.grid_rows - 1)
         col = min(x * config.grid_cols // g.width, config.grid_cols - 1)
         idx = row * config.grid_cols + col
-        a = update_activity(activity[idx], last_t[idx], t, config.tau_b_us)
-        activity[idx], last_t[idx] = a, t
-        total = update_activity(total, total_t, t, config.tau_b_us)
-        total_t = t
-        threshold = config.alpha * (total / n_cells)
+        for c in (idx, n_cells):
+            activity[c] = update_activity(activity[c], last_t[c], t, config.tau_b_us)
+            last_t[c] = t
+        a = activity[idx]
+        threshold = config.alpha * (activity[n_cells] / n_cells)
         keep[i] = a >= threshold
         margin[i] = (a - threshold) / a
-    return keep, (activity, last_t, total, total_t), margin
+    return keep, (activity, last_t), margin
 
 
 def dbs_decisions_eager(stream: EventStream, config: DbsConfig) -> np.ndarray:

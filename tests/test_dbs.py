@@ -60,20 +60,20 @@ class TestProcess:
     def test_first_event_kept(self):
         # A_c = 1, mean = 1/9, 1 >= 2/9
         f = DbsFilter(SensorGeometry(9, 9, 2), DEFAULT_PARAMS)
-        assert f.process(0, 4, 4) is True
+        assert f.process_block([0], [4], [4])[0]
 
     def test_concentrated_activity_kept(self):
         f = DbsFilter(SensorGeometry(9, 9, 2), DEFAULT_PARAMS)
         for i in range(20):
-            assert f.process(i, 1, 1) is True  # all activity in cell (0,0)
+            assert f.process_block([i], [1], [1])[0]  # all activity in cell (0,0)
 
     def test_equal_activity_dropped(self):
         # all 9 cells at identical activity: A_c = mean < 2*mean
         f = DbsFilter(SensorGeometry(9, 9, 2), DEFAULT_PARAMS)
         centers = [(x, y) for y in (1, 4, 7) for x in (1, 4, 7)]
         for x, y in centers:
-            f.process(0, x, y)
-        decisions = [f.process(0, x, y) for x, y in centers]
+            f.process_block([0], [x], [y])
+        decisions = [f.process_block([0], [x], [y])[0] for x, y in centers]
         assert decisions == [False] * 9
 
 
@@ -161,7 +161,7 @@ class TestInvariants:
         rng = np.random.default_rng(30)
         for _ in range(100):
             t += int(rng.integers(0, 400))
-            f.process(t, 1, 1)
+            f.process_block([t], [1], [1])
             a = f.activity[0]
             # decayed-from-prev plus the +1 jump
             assert a <= prev + 1.0 + 1e-12
@@ -192,7 +192,7 @@ class TestInvariants:
 
 def _state(f: DbsFilter):
     """A copy of the filter's state, in ``dbs_scalar``'s layout."""
-    return list(f.activity), list(f.last_t), f._sum, f._sum_t
+    return list(f.activity), f.last_t.tolist()
 
 
 class TestTimeRegression:
@@ -203,12 +203,13 @@ class TestTimeRegression:
 
     def test_process_leaves_state(self):
         f = DbsFilter(self.G, DEFAULT_PARAMS)
-        f.process(100, 0, 0)
-        f.process(200, 8, 8)
+        f.process_block([100], [0], [0])
+        f.process_block([200], [8], [8])
         before = _state(f)
-        # cell (0, 0) alone would accept t=150; the running sum must not
+        # cell (0, 0) alone would accept t=150; the whole array's counter
+        # must not
         with pytest.raises(ValueError, match="time regression: 150 < 200"):
-            f.process(150, 0, 0)
+            f.process_block([150], [0], [0])
         assert _state(f) == before
 
     def test_filter_stream_leaves_state(self):
@@ -217,7 +218,7 @@ class TestTimeRegression:
         f = DbsFilter(self.G, DEFAULT_PARAMS)
         with pytest.raises(ValueError, match="time regression: 150 < 200"):
             filter_stream(f, stream)
-        assert _state(f) == ([0.0] * 9, [None] * 9, 0.0, None)
+        assert _state(f) == ([0.0] * 10, [0] * 10)
 
     def test_behind_carried_state(self):
         f = DbsFilter(self.G, DEFAULT_PARAMS)
@@ -227,15 +228,23 @@ class TestTimeRegression:
             filter_stream(f, EventStream([299], [8], [0], [0], self.G))
         assert _state(f) == before
 
+    def test_negative_first_time_on_fresh_filter(self):
+        # a fresh filter's counters start at time 0; a negative time is
+        # reported as such, not as a regression behind that start
+        f = DbsFilter(self.G, DEFAULT_PARAMS)
+        with pytest.raises(ValueError, match="negative timestamp -5 at index 0"):
+            f.process_block([-5], [0], [0])
+        assert _state(f) == ([0.0] * 10, [0] * 10)
+
 
 class TestPixelBounds:
     @pytest.mark.parametrize("x, y", [(-1, 0), (9, 0), (0, 12)])
     def test_off_array_rejected(self, x, y):
         f = DbsFilter(SensorGeometry(9, 9, 2), DEFAULT_PARAMS)
-        f.process(0, 4, 4)
+        f.process_block([0], [4], [4])
         before = _state(f)
         with pytest.raises(ValueError, match=rf"pixel \({x}, {y}\) outside 9x9"):
-            f.process(1, x, y)
+            f.process_block([1], [x], [y])
         assert _state(f) == before
 
 
@@ -307,11 +316,30 @@ class TestScalarReference:
     def test_process_is_one_event_block(self, case):
         config, stream = case
         f = DbsFilter(stream.geometry, config)
-        decisions = [f.process(t, x, y) for t, x, y, _ in stream]
-        assert all(type(d) is bool for d in decisions)
+        decisions = [f.process_block(stream.t[i:i + 1], stream.x[i:i + 1],
+                                     stream.y[i:i + 1])[0] for i in range(len(stream))]
         ref_mask, ref_state, _ = dbs_scalar(stream, config)
         assert decisions == ref_mask.tolist()
         assert _state(f) == ref_state
+
+    @pytest.mark.parametrize("t", [
+        [2**62, 2**62, 2**62 + 1, 2**62 + 900],
+        [0, 5, 2**62, 2**62, 2**62 + 40],
+    ], ids=["first-event", "first-in-cell"])
+    def test_first_event_at_2_62(self, t):
+        # A counter's first event reaches back to time 0, and at 2**62 its
+        # decay underflows to 0.0; 0.0 * 0.0 + 1.0 is still exactly 1.0.
+        g = SensorGeometry(9, 9, 2)
+        xy = [0, 0, 8, 4, 0][:len(t)]  # cells 0, 0, 8, 4, 0 of a 3x3 grid
+        stream = EventStream(t, xy, xy, [0] * len(t), g)
+        ref_mask, ref_state, _ = dbs_scalar(stream, DEFAULT_PARAMS)
+        whole = DbsFilter(g, DEFAULT_PARAMS)
+        assert filter_stream(whole, stream)[1].keep_mask.tolist() == ref_mask.tolist()
+        assert _state(whole) == ref_state
+        one = DbsFilter(g, DEFAULT_PARAMS)
+        mask = [one.process_block([v], [c], [c])[0] for v, c in zip(t, xy)]
+        assert mask == ref_mask.tolist()
+        assert _state(one) == ref_state
 
     def test_composite_at_scale(self):
         stream = _composite(seed=23)

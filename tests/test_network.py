@@ -323,6 +323,11 @@ class TestEncodeChecks:
             layer.encode(t, x, y, p)
         assert np.array_equal(layer.memory, before)
 
+    def test_negative_time_on_fresh_layer(self):
+        layer = make_layer()
+        with pytest.raises(StreamError, match="negative timestamp -5 at index 0"):
+            layer.encode(*(np.array([v]) for v in (-5, 3, 3, 0)))
+
     def test_forward_event_channel(self):
         with pytest.raises(StreamError, match="p=1 out of bounds"):
             make_layer().forward_event(0, 3, 3, 1)
