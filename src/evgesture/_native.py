@@ -1,0 +1,50 @@
+"""Build and load ``_learn.c``, the compiled learning rule.
+
+The library is compiled on first import and kept in the package's
+``__pycache__``, named by a hash of the source, the compiler and the
+flags, so later imports load it without running the compiler. It is
+built under a temporary name and renamed into place, so concurrent
+imports cannot clash. ``-ffp-contract=off`` keeps every product and sum
+a separately rounded IEEE-754 operation, and no flag lets the compiler
+reorder a sum, so the library computes what its source says on any
+machine.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import subprocess
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("_learn.c")
+FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def load(out_dir: str | os.PathLike = SOURCE.parent / "__pycache__",
+         compiler: str = "cc") -> ctypes.CDLL:
+    """The compiled ``_learn.c``, built into ``out_dir`` unless already
+    there; raises ImportError, naming the command, if the build fails."""
+    key = hashlib.sha256(b"\0".join(
+        [SOURCE.read_bytes(), compiler.encode(), *(f.encode() for f in FLAGS)]))
+    target = Path(out_dir) / f"_learn-{key.hexdigest()[:16]}.so"
+    if not target.exists():
+        tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+        command = [compiler, *FLAGS, "-o", str(tmp), str(SOURCE), "-lm"]
+        try:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            subprocess.run(command, check=True, capture_output=True, text=True)
+            os.replace(tmp, target)
+        except (OSError, subprocess.CalledProcessError) as e:
+            tmp.unlink(missing_ok=True)
+            detail = (getattr(e, "stderr", None) or str(e)).strip()
+            raise ImportError(f"evgesture builds its learning rule with a C compiler; "
+                              f"`{' '.join(command)}` failed: {detail}") from None
+    lib = ctypes.CDLL(str(target))
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.evg_reduce.argtypes = [ptr, ptr, i64, ctypes.c_int]
+    lib.evg_reduce.restype = ctypes.c_double
+    lib.evg_learn.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, i64, i64, ptr]
+    lib.evg_learn.restype = ctypes.c_int
+    return lib

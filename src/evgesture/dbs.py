@@ -50,10 +50,8 @@ class DbsConfig:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
 
 
-def update_activity(activity: float, last_t: int | None, t: int, tau_b_us: float) -> float:
+def update_activity(activity: float, last_t: int, t: int, tau_b_us: float) -> float:
     """Decay a cell's counter to time ``t`` and add the new event's +1."""
-    if last_t is None:
-        return 1.0
     if t < last_t:
         raise ValueError(f"time regression: {t} < {last_t}")
     return activity * math.exp(-(t - last_t) / tau_b_us) + 1.0

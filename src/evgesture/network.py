@@ -25,6 +25,14 @@ whole block at once. Outputs equal the per-event semantics bit for bit,
 ties included. ``Layer.encode`` is the one block entry point; it carries
 the timestamp memory from call to call, so events that arrive a few at
 a time are encoded by calling it on each slice in turn.
+
+The learning rule is one compiled loop, ``evg_learn`` in ``_learn.c``,
+built on first import (``_native``). Learning sums every norm, dot
+product and squared distance in one order, numpy's pairwise
+``np.add.reduce``, and calls no BLAS, so a trained bank is the same bit
+for bit whatever BLAS kernel numpy loads. ``learn_update`` and the
+near-tie recheck of ``nearest_rows`` sum in that order too. Only the
+screens use BLAS, and ``_screen_margin`` covers any order it sums in.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _native
 from .events import Event, EventStream, SensorGeometry, StreamError, check_events
 from .surfaces import TimeSurfaceConfig
 
@@ -50,6 +59,7 @@ TRAINING_MODES = ("joint", "sequential")
 BLOCK_BYTES = 512 * 1024
 
 _EPS = float(np.finfo(np.float64).eps)
+_LIB = _native.load()
 
 
 @dataclass(frozen=True)
@@ -83,13 +93,14 @@ def _screen_margin(d: int, sq_s, sq_b_max):
     surface at or below which its nearest row is recomputed exactly.
 
     A screened distance ``|b|^2 - 2 s.b`` (plus ``|s|^2`` or not) and the
-    einsum form ``einsum((b - s)**2)`` of the same pair each lie within
-    (D + 2) eps A of the exact value, whatever the summation order
+    pairwise form ``np.add.reduce((b - s)**2)`` of the same pair each lie
+    within (D + 2) eps A of the exact value, whatever the summation order
     (A = |s|^2 + max |b|^2), so they differ by less than a quarter of
     ``bound = 8 (D + 2) eps A``. Where the two best screened distances are
-    more than 2 ``bound`` apart, the screened argmin is the einsum argmin,
-    strictly; elsewhere the caller recomputes the einsum against the whole
-    bank. Callers test ``gap > margin``, so a NaN gap is recomputed too.
+    more than 2 ``bound`` apart, the screened argmin is the pairwise
+    argmin, strictly; elsewhere the caller recomputes the pairwise form
+    against the whole bank. Callers test ``gap > margin``, so a NaN gap is
+    recomputed too.
     """
     return 16 * (d + 2) * _EPS * (sq_s + sq_b_max)
 
@@ -98,9 +109,11 @@ def nearest_rows(bank: np.ndarray, surfaces: np.ndarray) -> np.ndarray:
     """Nearest bank row of every surface row; ties go to the lowest index.
 
     The ids equal ``argmin`` of the per-surface distance
-    ``einsum((bank - s)**2)`` bit for bit. One GEMM screens all pairs as
+    ``np.add.reduce((bank - s)**2, axis=1)``, summed in numpy's pairwise
+    order as in learning, bit for bit. One GEMM screens all pairs as
     ``|s|^2 + |b|^2 - 2 s.b``; rows whose two best screened distances lie
-    within ``_screen_margin`` are recomputed with the einsum.
+    within ``_screen_margin`` are recomputed in the pairwise order, so the
+    ids do not depend on the BLAS kernel either.
     """
     ids = np.zeros(len(surfaces), dtype=np.int64)
     if len(bank) < 2 or len(surfaces) == 0:
@@ -113,8 +126,14 @@ def nearest_rows(bank: np.ndarray, surfaces: np.ndarray) -> np.ndarray:
     margin = _screen_margin(bank.shape[1], sq_s, sq_b.max())
     for i in np.flatnonzero(~(best_two[:, 1] - best_two[:, 0] > margin)):
         diff = bank - surfaces[i]
-        ids[i] = np.einsum("ij,ij->i", diff, diff).argmin()
+        ids[i] = np.add.reduce(diff * diff, axis=1).argmin()
     return ids
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a . b`` in the one summation order of learning, numpy's pairwise
+    ``np.add.reduce``, the order ``_learn.c`` reproduces; no BLAS."""
+    return float(np.add.reduce(a * b))
 
 
 def learn_update(prototype: np.ndarray, match_count: int, flat_surface: np.ndarray) -> np.ndarray:
@@ -123,29 +142,23 @@ def learn_update(prototype: np.ndarray, match_count: int, flat_surface: np.ndarr
     Learning rate is 1/(1 + match_count); the move is scaled by the cosine
     of the angle between surface and prototype, so orthogonal surfaces
     leave the prototype untouched. Returns the updated prototype array.
+    |s|^2, s.p and |p|^2 are pairwise ``np.add.reduce`` sums, and the move
+    is ``prototype + step * (flat_surface - prototype)``, the arithmetic
+    of ``Layer._learn`` bit for bit.
     """
     moved = prototype.copy()
-    _pull(moved, match_count, flat_surface, float(prototype.dot(prototype)))
-    return moved
-
-
-def _pull(prototype: np.ndarray, match_count: int, flat_surface: np.ndarray,
-          nc2: float) -> None:
-    """``learn_update`` in place, given ``nc2 = prototype.dot(prototype)``."""
-    rate = 1.0 / (1.0 + match_count)
-    ns2 = float(flat_surface.dot(flat_surface))
+    ns2, nc2 = _dot(flat_surface, flat_surface), _dot(prototype, prototype)
     if ns2 == 0.0 or nc2 == 0.0:  # cannot occur for valid surfaces; guarded anyway
-        return
-    cos = float(flat_surface.dot(prototype)) / math.sqrt(ns2 * nc2)
-    step = rate * cos
+        return moved
+    cos = _dot(flat_surface, prototype) / math.sqrt(ns2 * nc2)
+    step = 1.0 / (1.0 + match_count) * cos
     # Surfaces and prototypes are componentwise non-negative, so cos >= 0;
     # clamp keeps the update a convex combination even if that ever breaks.
     step = min(max(step, 0.0), 1.0)
-    # prototype + step * (flat_surface - prototype), the same three IEEE
-    # operations, written into the row
     move = flat_surface - prototype
     move *= step
-    prototype += move
+    moved += move
+    return moved
 
 
 class Layer:
@@ -262,63 +275,34 @@ class Layer:
         """The learning rule over valid surface rows, one after the other;
         returns each row's prototype id, -1 while the bank warms up.
 
+        The rule runs as one compiled loop, ``evg_learn`` in ``_learn.c``.
         The stalest prototype is the first index of the least
         ``last_match_tick``, reseeded if its age exceeds ``reinit_window``:
         the first row of strictly largest age, ties included. The nearest
-        row is screened with one GEMV against the squared row norms, each
-        row's ``row.dot(row)``, which are refreshed whenever a row is
-        written, and recomputed with the einsum under the rule of
-        ``_screen_margin``, as in ``nearest_rows``. The same norms are
-        ``_pull``'s ``prototype.dot(prototype)``. Every cache here is
-        derived afresh from ``bank`` and ``last_match_tick`` on each call.
+        row is screened against the squared row norms, which are refreshed
+        whenever a row is written, and recomputed exactly under the rule
+        of ``_screen_margin``, as in ``nearest_rows``; the pull is
+        ``learn_update``. Every norm, dot product and squared distance is
+        a pairwise ``np.add.reduce`` sum, with no BLAS, so the bank is the
+        same on every machine. The loop derives its caches afresh from
+        ``bank`` and ``last_match_tick`` on each call.
         """
-        ids = np.full(len(surfaces), -1, dtype=np.int64)
-        bank, counts, last = self.bank, self.match_counts, self.last_match_tick
-        n, d = bank.shape
-        window = self.config.reinit_window
-        tick = self.tick
-        # The screen ``|b|^2/2 - s.b`` is half of ``|b|^2 - 2 s.b`` exactly.
-        # ``sq_b_max`` never falls, so it bounds every row's |b|^2.
-        norm2 = [float(r.dot(r)) for r in bank]
-        half_sq_b = 0.5 * np.array(norm2)
-        sq_b_max = max(norm2)
-        sq_s = np.einsum("ij,ij->i", surfaces, surfaces).tolist()
-        # The first index of the least tick; only a write to its row, or of
-        # a tick at or below it, can move it.
-        stalest = last.index(min(last)) if last else 0
-        for k, flat in enumerate(surfaces):
-            tick += 1
-            if len(counts) < n:  # warm-up: no stable ids yet
-                i = len(counts)
-                bank[i] = flat
-                counts.append(1)
-                last.append(tick)
-            else:
-                if tick - last[stalest] > window:  # reseed the stalest prototype
-                    i = stalest
-                    bank[i] = flat
-                    counts[i] = 1
-                else:
-                    i = 0
-                    if n > 1:
-                        screened = half_sq_b - bank.dot(flat)
-                        i = int(screened.argmin())
-                        screened.partition(1)
-                        gap = 2.0 * float(screened[1] - screened[0])
-                        if not gap > _screen_margin(d, sq_s[k], sq_b_max):
-                            diff = bank - flat
-                            i = int(np.einsum("ij,ij->i", diff, diff).argmin())
-                    _pull(bank[i], counts[i], flat, norm2[i])
-                    counts[i] += 1
-                last[i] = tick
-                ids[k] = i
-            if last[stalest] >= tick:
-                stalest = last.index(min(last))
-            row = bank[i]
-            sq = norm2[i] = float(row.dot(row))
-            half_sq_b[i] = 0.5 * sq
-            sq_b_max = max(sq_b_max, sq)
-        self.tick = tick
+        self.bank = bank = np.require(self.bank, np.float64, "CW")
+        surfaces = np.require(surfaces, np.float64, "C")
+        (n, d), m, filled = bank.shape, len(surfaces), self.n_filled
+        if surfaces.shape[1:] != (d,):
+            raise ValueError(f"surfaces {surfaces.shape} for a bank of {bank.shape}")
+        counts, last = np.zeros((2, n), dtype=np.int64)
+        counts[:filled], last[:filled] = self.match_counts, self.last_match_tick
+        state = np.array([filled, self.tick], dtype=np.int64)
+        ids = np.empty(m, dtype=np.int64)
+        if _LIB.evg_learn(bank.ctypes.data, n, d, state.ctypes.data, counts.ctypes.data,
+                          last.ctypes.data, surfaces.ctypes.data, m,
+                          self.config.reinit_window, ids.ctypes.data):
+            raise MemoryError("the learning rule could not allocate its row norms")
+        filled, self.tick = int(state[0]), int(state[1])
+        self.match_counts[:] = counts[:filled].tolist()
+        self.last_match_tick[:] = last[:filled].tolist()
         return ids
 
     def encode(self, t, x, y, p) -> tuple[np.ndarray, np.ndarray]:

@@ -189,9 +189,14 @@ class _LayerReference:
         flat = extract(self.memory, t, x, y, p, self.config.surface_config).values.ravel()
         if flat.sum() < 2 * self.config.radius:
             return None
+        return self.process_surface(flat)
+
+    def process_surface(self, flat: np.ndarray) -> int | None:
+        """The rule on one valid surface: its prototype id, or None while
+        the bank warms up."""
         self.tick += 1
         diff = self.bank - flat
-        nearest = int(np.einsum("ij,ij->i", diff, diff).argmin())
+        nearest = int(np.add.reduce(diff * diff, axis=1).argmin())
         if not self.learning:
             return nearest
         if self.n_filled < self.config.n_prototypes:
@@ -227,8 +232,9 @@ def learn_bruteforce(configs, merge_polarity: bool, geometry: SensorGeometry,
     event goes through every layer before the next event; each layer
     records it, extracts its surface, gates on the sum >= 2R, and then
     fills an empty slot, reseeds the stalest prototype found by a scan of
-    every row, or moves the einsum-nearest row by ``learn_update``. A
-    frozen layer labels with the einsum-nearest row.
+    every row, or moves the nearest row by ``learn_update``. The nearest
+    row is the first least ``np.add.reduce((bank - s)**2, axis=1)``, the
+    pairwise order of the learning rule; a frozen layer labels with it.
 
     Returns the layers, each with ``bank``, ``n_filled``,
     ``match_counts``, ``last_match_tick`` and ``tick``, and the end

@@ -39,7 +39,8 @@ class TestCellIndex:
 
 class TestUpdateActivity:
     def test_fresh_cell(self):
-        assert update_activity(0.0, None, 12345, 300.0) == 1.0
+        # a fresh counter, 0.0 at time 0: any decay of 0.0, plus 1, is 1.0
+        assert update_activity(0.0, 0, 12345, 300.0) == 1.0
 
     def test_closed_form_at_delta_tau(self):
         # one decay interval: e^-1 + 1
@@ -47,7 +48,7 @@ class TestUpdateActivity:
             math.exp(-1) + 1, abs=1e-12)
 
     def test_simultaneous_events(self):
-        a = update_activity(0.0, None, 50, 300.0)
+        a = update_activity(0.0, 0, 50, 300.0)
         assert a == 1.0
         assert update_activity(a, 50, 50, 300.0) == 2.0
 

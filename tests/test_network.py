@@ -1,5 +1,8 @@
 import hashlib
+import json
 import os
+import subprocess
+import sys
 import zlib
 from unittest import mock
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evgesture import cli, network
+from evgesture import _native, cli, network
 from evgesture.config import parse_config
 from evgesture.events import EventStream, SensorGeometry, StreamError, write_binary_events
 from evgesture.network import (
@@ -946,33 +949,136 @@ class TestLearnBlocks:
                 expected = np.einsum("ij,ij->i", layer.bank - s, layer.bank - s).argmin()
                 assert layer.process_surface(s) == expected
 
+    @pytest.mark.parametrize("channels, radius", [(1, 1), (8, 2), (1, 16)],
+                             ids=["D9", "D200", "D1089"])
+    def test_summation_regimes(self, channels, radius):
+        # D = 9: eight accumulators and a tail; 200: one split past 128;
+        # 1089: splits four deep. Surfaces a rounding error from a few
+        # base rows fill the bank with near-tie rows, and a short window
+        # reseeds, in blocks of any length.
+        rng = np.random.default_rng(radius)
+        config = LayerConfig(6, radius, 1000.0, channels, reinit_window=9)
+        layer, reference = Layer(config, GEOM), _LayerReference(config, GEOM)
+        d = layer.bank.shape[1]
+        base = rng.random((3, d)) * (rng.random((3, d)) < 0.7)
+        surfaces = base[rng.integers(0, 3, 600)] * (1 + rng.normal(0, 1e-15, (600, d)))
+        surfaces[::7] = rng.random((86, d))
+        expected, reseeds = [], 0
+        for flat in surfaces:
+            full = reference.n_filled == config.n_prototypes
+            idx = reference.process_surface(flat)
+            expected.append(-1 if idx is None else idx)
+            reseeds += full and reference.match_counts[idx] == 1
+        ids, a = [], 0
+        for size in (1, 5, 2, 60, 1, 300, 600):
+            ids += layer._learn(surfaces[a : a + size]).tolist()
+            a += size
+        assert ids == expected
+        assert_same_state([layer], [reference])
+        assert reseeds > 10
+
+    @pytest.mark.parametrize("channels, radius", [(1, 1), (8, 2), (1, 16)],
+                             ids=["D9", "D200", "D1089"])
+    def test_stream_at_summation_regimes(self, channels, radius):
+        # a clip repeated after it has decayed away repeats surfaces
+        # exactly, so bank rows tie; the short window reseeds
+        geometry = SensorGeometry(40, 40, channels)
+        rng = np.random.default_rng(channels + radius)
+        n = 500
+        t = np.cumsum(rng.integers(0, 30, n))
+        x = np.clip(20 + np.cumsum(rng.integers(-1, 2, n)), 0, 39)
+        y = np.clip(20 + np.cumsum(rng.integers(-1, 2, n)), 0, 39)
+        p = rng.integers(0, channels, n)
+        period = int(t[-1]) + 200_000
+        stream = EventStream(np.concatenate([t, t + period]), np.tile(x, 2),
+                             np.tile(y, 2), np.tile(p, 2), geometry)
+        config = LayerConfig(5, radius, 20_000.0, channels, reinit_window=6)
+        net = Network((config,), geometry, merge_polarity=False)
+        outputs = train_recording(net, [stream], 1, "joint")
+        reference, expected = learn_bruteforce((config,), False, geometry, [stream])
+        assert_same_state(net.layers, reference)
+        assert outputs == expected
+        assert len(outputs[0]) > 100
+
+
+class TestCompiledRule:
+    """The compiled learning rule: its one summation order, and its build."""
+
+    def test_reduce_is_numpy_pairwise_order(self):
+        # bit for bit, at every length through the 8-term and 128-term
+        # boundaries and at lengths that recurse deeper, row-wise too
+        rng = np.random.default_rng(23)
+        for n in [*range(300), 480, 1000, 1089, 4097, 10_000, 20_000]:
+            a = rng.random((2, n)) * 10.0 ** rng.integers(-8, 9, (2, n))
+            b = rng.random(n)
+            for sq, terms in ((0, a * b), (1, (a - b) * (a - b))):
+                got = [network._LIB.evg_reduce(row.ctypes.data, b.ctypes.data, n, sq)
+                       for row in a]
+                assert got == [float(np.add.reduce(row)) for row in terms]
+                assert got == np.add.reduce(terms, axis=1).tolist()
+
+    def test_second_import_runs_no_compiler(self):
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src, PATH="")  # no compiler to find
+        subprocess.run([sys.executable, "-c", "import evgesture"], env=env, check=True)
+
+    def test_missing_compiler_named(self, tmp_path):
+        with pytest.raises(ImportError, match="evgesture-no-such-cc .*-ffp-contract=off"):
+            _native.load(tmp_path, compiler="evgesture-no-such-cc")
+        assert list(tmp_path.iterdir()) == []
+
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 SMALL_WINDOWS = ("training.mode = sequential\nepochs = 2\n"
                  "layers.1.reinit_window = 150\nlayers.2.reinit_window = 300\n")
+GOLDEN_MODELS = {
+    "e04": ("e04", "", "c63b5fe5342ca2b08bdb0d39f75161c63ad56a5f32c87cfbe75bb1ebdadd3737"),
+    "e10": ("e10", "", "e6d51549ab2df7a5ef33f44e7313940895d17d5d7e86d06a3922dc023cb096b0"),
+    "e10-sequential-small-windows": (
+        "e10", SMALL_WINDOWS,
+        "bad8680b804fe1f6867a52c69b6568920c5a1108fbf54f1be210723e80949516"),
+}
+
+
+def model_digest(name, extra) -> str:
+    """sha256 of the learned state trained from ``configs/<name>.cfg``
+    plus ``extra`` on a small seeded swipe set: each layer's bank as <f8
+    and match counts as <u8, then the k-NN signature matrix as <f8."""
+    with open(os.path.join(CONFIG_DIR, f"{name}.cfg"), encoding="utf-8") as f:
+        config = parse_config(f.read() + extra)
+    clips = gen_gesture_set(SensorGeometry(32, 32, 2), 2, 7)
+    trained = train_pipeline(config, clips)
+    h = hashlib.sha256()
+    for layer in trained.network.layers:
+        h.update(layer.bank.astype("<f8").tobytes())
+        h.update(np.asarray(layer.match_counts, dtype="<u8").tobytes())
+    h.update(trained.model.signatures.astype("<f8").tobytes())
+    return h.hexdigest()
 
 
 class TestGoldenModels:
-    """Pinned sha256 of the learned state (each layer's bank as <f8 and
-    match counts as <u8, then the k-NN signature matrix as <f8) trained on
-    a small seeded swipe set, so that no change to the learning path
-    alters trained models silently. The last case trains sequentially,
-    twice over, with windows small enough to reseed thousands of times."""
+    """Pinned digests (``model_digest``) of models trained on a small
+    seeded swipe set, so that no change to the learning path alters
+    trained models silently. The last case trains sequentially, twice
+    over, with windows small enough to reseed thousands of times."""
 
-    @pytest.mark.parametrize("name, extra, digest", [
-        ("e04", "", "087c37954c93ea1dabe1ad65daecb675058157c29da18448cba9c8209f5153bc"),
-        ("e10", "", "844528ef86728546bd95b81928864fba7bdccfba10943b49ddadc6d5b7360b7a"),
-        ("e10", SMALL_WINDOWS,
-         "47177e121e7995660af43e2bb69b174a06b858927f9dedfcd81296cd94d643ff"),
-    ], ids=["e04", "e10", "e10-sequential-small-windows"])
-    def test_trained_model(self, name, extra, digest):
-        with open(os.path.join(CONFIG_DIR, f"{name}.cfg"), encoding="utf-8") as f:
-            config = parse_config(f.read() + extra)
-        clips = gen_gesture_set(SensorGeometry(32, 32, 2), 2, 7)
-        trained = train_pipeline(config, clips)
-        h = hashlib.sha256()
-        for layer in trained.network.layers:
-            h.update(layer.bank.astype("<f8").tobytes())
-            h.update(np.asarray(layer.match_counts, dtype="<u8").tobytes())
-        h.update(trained.model.signatures.astype("<f8").tobytes())
-        assert h.hexdigest() == digest
+    @pytest.mark.parametrize("case", GOLDEN_MODELS)
+    def test_trained_model(self, case):
+        name, extra, digest = GOLDEN_MODELS[case]
+        assert model_digest(name, extra) == digest
+
+    @pytest.mark.parametrize("coretype", ["Prescott", "Haswell", "SkylakeX"])
+    def test_same_under_blas_kernels(self, coretype):
+        # learning sums in one order and uses no BLAS, and frozen matching
+        # rechecks near ties in that order, so OpenBLAS's choice of kernel
+        # moves no model
+        code = ("import json, test_network as t\n"
+                "print(json.dumps({c: t.model_digest(n, e) "
+                "for c, (n, e, _) in t.GOLDEN_MODELS.items()}))")
+        here = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=os.pathsep.join(
+            [here, os.path.join(here, "..", "src")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert json.loads(out.splitlines()[-1]) == {
+            case: digest for case, (_, _, digest) in GOLDEN_MODELS.items()}
