@@ -1,10 +1,12 @@
-/* The online learning rule of a layer, one valid surface after the other.
+/* The two per-event loops of evgesture: background suppression, one
+   event after the other, and the online learning rule of a layer, one
+   valid surface after the other.
 
    Every dot product and squared distance is summed in one fixed order,
    numpy's pairwise summation, so each equals np.add.reduce(a * b) on the
    same rows bit for bit, and a trained bank depends on no BLAS kernel.
    Build with -ffp-contract=off: every product and sum is then one
-   separately rounded IEEE-754 operation, as in numpy. */
+   separately rounded IEEE-754 operation, as in numpy and Python. */
 
 #include <float.h>
 #include <math.h>
@@ -185,4 +187,26 @@ int evg_learn(double *bank, int64_t n, int64_t d, int64_t *state, int64_t *count
     state[1] = tick;
     free(norm2);
     return 0;
+}
+
+/* Background suppression over n events (dbs.DbsFilter.process_block).
+
+   activity and last hold cells + 1 counters, the whole array's last.
+   Event k brings its cell's counter and then the whole array's forward
+   to t[k], a = a * exp(-(t - last) / tau) + 1, and is kept iff its
+   cell's is at least alpha times the whole array's over cells. exp is
+   libm's, the function math.exp calls, so every value and decision is
+   bit-equal to dbs.update_activity's. */
+void evg_dbs(const int64_t *t, const int64_t *cell, int64_t n, double *activity,
+             int64_t *last, int64_t cells, double tau, double alpha, uint8_t *keep)
+{
+    for (int64_t k = 0; k < n; k++) {
+        const int64_t hits[2] = {cell[k], cells};
+        for (int j = 0; j < 2; j++) {
+            int64_t c = hits[j];
+            activity[c] = activity[c] * exp(-(double)(t[k] - last[c]) / tau) + 1.0;
+            last[c] = t[k];
+        }
+        keep[k] = activity[cell[k]] >= alpha * (activity[cells] / (double)cells);
+    }
 }

@@ -1,4 +1,5 @@
-"""Build and load ``_learn.c``, the compiled learning rule.
+"""Build and load ``_native.c``, the compiled per-event loops: background
+suppression (``evg_dbs``) and the learning rule (``evg_learn``).
 
 The library is compiled on first import and kept in the package's
 ``__pycache__``, named by a hash of the source, the compiler and the
@@ -13,22 +14,24 @@ machine.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import subprocess
 from pathlib import Path
 
-SOURCE = Path(__file__).with_name("_learn.c")
+SOURCE = Path(__file__).with_name("_native.c")
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 
+@functools.cache
 def load(out_dir: str | os.PathLike = SOURCE.parent / "__pycache__",
          compiler: str = "cc") -> ctypes.CDLL:
-    """The compiled ``_learn.c``, built into ``out_dir`` unless already
+    """The compiled ``_native.c``, built into ``out_dir`` unless already
     there; raises ImportError, naming the command, if the build fails."""
     key = hashlib.sha256(b"\0".join(
         [SOURCE.read_bytes(), compiler.encode(), *(f.encode() for f in FLAGS)]))
-    target = Path(out_dir) / f"_learn-{key.hexdigest()[:16]}.so"
+    target = Path(out_dir) / f"_native-{key.hexdigest()[:16]}.so"
     if not target.exists():
         tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
         command = [compiler, *FLAGS, "-o", str(tmp), str(SOURCE), "-lm"]
@@ -39,12 +42,14 @@ def load(out_dir: str | os.PathLike = SOURCE.parent / "__pycache__",
         except (OSError, subprocess.CalledProcessError) as e:
             tmp.unlink(missing_ok=True)
             detail = (getattr(e, "stderr", None) or str(e)).strip()
-            raise ImportError(f"evgesture builds its learning rule with a C compiler; "
+            raise ImportError(f"evgesture builds its compiled loops with a C compiler; "
                               f"`{' '.join(command)}` failed: {detail}") from None
     lib = ctypes.CDLL(str(target))
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.evg_reduce.argtypes = [ptr, ptr, i64, ctypes.c_int]
-    lib.evg_reduce.restype = ctypes.c_double
+    lib.evg_reduce.restype = f64
     lib.evg_learn.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, i64, i64, ptr]
     lib.evg_learn.restype = ctypes.c_int
+    lib.evg_dbs.argtypes = [ptr, ptr, i64, ptr, ptr, i64, f64, f64, ptr]
+    lib.evg_dbs.restype = None
     return lib

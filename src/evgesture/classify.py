@@ -79,7 +79,7 @@ def knn_classify(model: TrainedModel, signature: Signature) -> tuple[str, np.nda
     if len(model.labels) == 0:
         raise ValueError("empty model")
     diff = model.signatures - signature.values
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
     order = np.argsort(dist, kind="stable")  # stable: ties keep training order
     top = order[: model.k]
     votes = Counter(model.labels[i] for i in top)

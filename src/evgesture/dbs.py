@@ -10,28 +10,30 @@ activities is itself one decaying counter that gains +1 per event; the
 mean is that counter over the cell count, O(1) per event whatever the grid
 size. The filter keeps it after the cells' counters, so every event hits
 two counters, its cell's and the whole array's, and one rule updates both.
-Events come in blocks of arrays: cells, gaps, the decays and the final
-compare are computed per block, and only the recurrence
-``a = a * d + 1.0`` runs one hit after the other on each counter, on plain
-Python floats. Each decay is ``math.exp`` of the gap, evaluated once per
-distinct gap, so every decision is bit-equal to taking the events one at a
-time.
+Events come in blocks of arrays; the cells are found per block, and the
+rule itself runs one event after the other in one compiled loop,
+``evg_dbs`` in ``_native.c``, with libm's ``exp``, the function
+``math.exp`` calls, so every decision and counter is bit-equal to
+``update_activity``'s.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .events import EventStream, SensorGeometry, check_events, check_grid, grid_cells
 
 # Events per process_block call in filter_stream. A block's working arrays,
-# two counter hits per event, peak at about 140 bytes an event, so a long
-# input is filtered in about 9 MB; a swipe clip fits in one block.
+# its cells, keep mask and the temporaries of grid_cells and check_events,
+# peak at about 28 bytes an event (tracemalloc), so a long input is filtered
+# in about 2 MB; a swipe clip fits in one block.
 BLOCK_EVENTS = 1 << 16
+
+_LIB = _native.load()
 
 
 @dataclass(frozen=True)
@@ -68,13 +70,6 @@ class RetentionStats:
         return self.kept / self.total if self.total else 0.0
 
 
-def _decays(gaps: np.ndarray, tau: float) -> np.ndarray:
-    """``math.exp(-gap / tau)`` per gap, evaluated once per distinct gap.
-    ``np.exp`` may differ from ``math.exp`` in the last bit."""
-    distinct, inverse = np.unique(gaps, return_inverse=True)
-    return np.array([math.exp(-g / tau) for g in distinct.tolist()])[inverse]
-
-
 class DbsFilter:
     """Stateful filter over a time-ordered event sequence, taken in blocks.
 
@@ -91,7 +86,7 @@ class DbsFilter:
         self.geometry = geometry
         self.config = config
         n = config.grid_rows * config.grid_cols + 1
-        self.activity = [0.0] * n
+        self.activity = np.zeros(n)
         self.last_t = np.zeros(n, dtype=np.int64)
 
     def process_block(self, t, x, y) -> np.ndarray:
@@ -103,44 +98,16 @@ class DbsFilter:
         taken, nor leave the array; otherwise ``StreamError`` is raised and
         no state changes.
         """
-        t = np.asarray(t, dtype=np.int64)
-        n = len(t)
+        t = np.ascontiguousarray(t, dtype=np.int64)
         check_events(t, x, y, None, self.geometry, int(self.last_t[-1]))
-        if n == 0:
-            return np.zeros(0, dtype=bool)
         cfg = self.config
-        cells = len(self.activity) - 1
-        cell = grid_cells(x, y, self.geometry, cfg.grid_rows, cfg.grid_cols)
-        # Every event hits two counters: its cell's, grouped in time order
-        # by a stable sort of narrow keys (a radix sort), and then the
-        # whole array's, already in time order.
-        order = np.argsort(cell.astype(np.min_scalar_type(cells - 1)), kind="stable")
-        sorted_c = cell[order]
-        starts = np.flatnonzero(np.diff(sorted_c, prepend=-1))
-        groups = np.append(sorted_c[starts], cells)
-        starts = np.append(starts, n)
-        ends = np.append(starts[1:], 2 * n)
-        hit_t = np.concatenate([t[order], t])
-        # Gap of every hit to the one before it on its counter; a group's
-        # first reaches back to the counter's carried time.
-        gap = np.diff(hit_t, prepend=0)
-        gap[starts] = hit_t[starts] - self.last_t[groups]
-        # The recurrence reads the decays as Python floats through a
-        # memoryview and stores its values unboxed.
-        decay = memoryview(_decays(gap, cfg.tau_b_us))
-        acts = array("d")
-        push = acts.append
-        for c, lo, hi in zip(groups.tolist(), starts.tolist(), ends.tolist()):
-            a = self.activity[c]
-            for d in decay[lo:hi]:
-                a = a * d + 1.0
-                push(a)
-            self.activity[c] = a
-        self.last_t[groups] = hit_t[ends - 1]
-        act = np.frombuffer(acts)
-        cell_act = np.empty(n)
-        cell_act[order] = act[:n]
-        return cell_act >= cfg.alpha * (act[n:] / cells)
+        cell = np.ascontiguousarray(grid_cells(x, y, self.geometry, cfg.grid_rows,
+                                               cfg.grid_cols))
+        keep = np.empty(len(t), dtype=bool)
+        _LIB.evg_dbs(t.ctypes.data, cell.ctypes.data, len(t), self.activity.ctypes.data,
+                     self.last_t.ctypes.data, len(self.activity) - 1, cfg.tau_b_us,
+                     cfg.alpha, keep.ctypes.data)
+        return keep
 
 
 def filter_stream(filt: DbsFilter, stream: EventStream) -> tuple[EventStream, RetentionStats]:

@@ -26,7 +26,7 @@ ties included. ``Layer.encode`` is the one block entry point; it carries
 the timestamp memory from call to call, so events that arrive a few at
 a time are encoded by calling it on each slice in turn.
 
-The learning rule is one compiled loop, ``evg_learn`` in ``_learn.c``,
+The learning rule is one compiled loop, ``evg_learn`` in ``_native.c``,
 built on first import (``_native``). Learning sums every norm, dot
 product and squared distance in one order, numpy's pairwise
 ``np.add.reduce``, and calls no BLAS, so a trained bank is the same bit
@@ -132,7 +132,7 @@ def nearest_rows(bank: np.ndarray, surfaces: np.ndarray) -> np.ndarray:
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """``a . b`` in the one summation order of learning, numpy's pairwise
-    ``np.add.reduce``, the order ``_learn.c`` reproduces; no BLAS."""
+    ``np.add.reduce``, the order ``_native.c`` reproduces; no BLAS."""
     return float(np.add.reduce(a * b))
 
 
@@ -275,7 +275,7 @@ class Layer:
         """The learning rule over valid surface rows, one after the other;
         returns each row's prototype id, -1 while the bank warms up.
 
-        The rule runs as one compiled loop, ``evg_learn`` in ``_learn.c``.
+        The rule runs as one compiled loop, ``evg_learn`` in ``_native.c``.
         The stalest prototype is the first index of the least
         ``last_match_tick``, reseeded if its age exceeds ``reinit_window``:
         the first row of strictly largest age, ties included. The nearest

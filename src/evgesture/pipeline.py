@@ -270,6 +270,9 @@ def benchmark(pipeline: TrainedPipeline, clips: list[ClipRecord],
     DBS-kept events for layers. Stages also report events in and out
     (full's output is the end layer's events).
 
+    Each run times every stage in turn, so a burst of load on a shared
+    machine slows one run of each stage rather than every run of one.
+
     One Python thread runs the stages, but numpy's BLAS may split the GEMM
     of ``network.nearest_rows`` over more unless ``OPENBLAS_NUM_THREADS=1``.
     BLAS threads matter only for that frozen matching: the learning rule
@@ -286,14 +289,6 @@ def benchmark(pipeline: TrainedPipeline, clips: list[ClipRecord],
     kept = sum(len(s) for s in filtered)
     emitted = sum(len(pipeline.network.forward_stream(s)) for s in filtered)
 
-    def timed(fn) -> list[float]:
-        times = []
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return times
-
     def run_dbs():
         for s in streams:
             suppress_background(config, s)
@@ -307,17 +302,21 @@ def benchmark(pipeline: TrainedPipeline, clips: list[ClipRecord],
             stream_signature(config, pipeline.network,
                              suppress_background(config, s)[0])
 
+    plan = [("layers", run_layers, kept, emitted), ("full", run_full, total, emitted)]
+    if config.dbs is not None:
+        plan.insert(0, ("dbs", run_dbs, total, kept))
+    times = {name: [] for name, *_ in plan}
+    for _ in range(runs):
+        for name, fn, *_ in plan:
+            t0 = time.perf_counter()
+            fn()
+            times[name].append(time.perf_counter() - t0)
     stages = {}
-    for name, fn, n_in, n_out in (("dbs", run_dbs, total, kept),
-                                  ("layers", run_layers, kept, emitted),
-                                  ("full", run_full, total, emitted)):
-        if name == "dbs" and config.dbs is None:
-            continue
-        times = timed(fn)
-        med = float(np.median(times))
+    for name, _, n_in, n_out in plan:
+        med = float(np.median(times[name]))
         stages[name] = {
             "events_per_s": n_in / med,
-            "spread": n_in / min(times) - n_in / max(times),
+            "spread": n_in / min(times[name]) - n_in / max(times[name]),
             "events_in": float(n_in),
             "events_out": float(n_out),
         }

@@ -342,6 +342,26 @@ class TestScalarReference:
         assert mask == ref_mask.tolist()
         assert _state(one) == ref_state
 
+    def test_strided_views(self):
+        # every other entry of each buffer is the stream's; the entries
+        # between are far off in time and off the array, so reading a view
+        # as if it were contiguous could not give the same mask and state
+        stream = _head(_composite(seed=24), 5000)
+        views = []
+        for v, junk in ((stream.t, -7), (stream.x, 99), (stream.y, -3)):
+            buf = np.full(2 * len(v), junk, dtype=np.int64)
+            buf[::2] = v
+            views.append(buf[::2])
+        assert not any(v.flags.c_contiguous for v in views)
+        strided, copied = (DbsFilter(stream.geometry, DEFAULT_PARAMS) for _ in range(2))
+        mask = strided.process_block(*views)
+        assert mask.dtype == bool
+        assert mask.tolist() == copied.process_block(stream.t, stream.x, stream.y).tolist()
+        assert _state(strided) == _state(copied)
+        ref_mask, ref_state, _ = dbs_scalar(stream, DEFAULT_PARAMS)
+        assert mask.tolist() == ref_mask.tolist()
+        assert _state(strided) == ref_state
+
     def test_composite_at_scale(self):
         stream = _composite(seed=23)
         for config in (DEFAULT_PARAMS, DbsConfig(1, 7, 2100.0, 1.5)):
