@@ -1,18 +1,23 @@
 """Build and load ``_native.c``, the compiled per-event loops: background
-suppression (``evg_dbs``) and the learning rule (``evg_learn``).
+suppression (``evg_dbs``), a layer's time-surfaces (``evg_surfaces``),
+and its nearest-row rule, in the learning rule (``evg_learn``) and in
+frozen matching (``evg_match``).
 
 The library is compiled on first import and kept in the package's
 ``__pycache__``, named by a hash of the source, the compiler and the
 flags, so later imports load it without running the compiler. It is
 built under a temporary name and renamed into place, so concurrent
-imports cannot clash. ``-ffp-contract=off`` keeps every product and sum
-a separately rounded IEEE-754 operation, and no flag lets the compiler
-reorder a sum, so the library computes what its source says on any
-machine.
+imports cannot clash. A build then removes every other ``_native-*.so``
+in its directory, the builds of older sources, but leaves the temporary
+files of builds still running. ``-ffp-contract=off`` keeps every product
+and sum a separately rounded IEEE-754 operation, and no flag lets the
+compiler reorder a sum, so the library computes what its source says on
+any machine.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -44,12 +49,20 @@ def load(out_dir: str | os.PathLike = SOURCE.parent / "__pycache__",
             detail = (getattr(e, "stderr", None) or str(e)).strip()
             raise ImportError(f"evgesture builds its compiled loops with a C compiler; "
                               f"`{' '.join(command)}` failed: {detail}") from None
+        for stale in target.parent.glob("_native-*.so"):
+            if stale != target:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
     lib = ctypes.CDLL(str(target))
     ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.evg_reduce.argtypes = [ptr, ptr, i64, ctypes.c_int]
     lib.evg_reduce.restype = f64
     lib.evg_learn.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, i64, i64, ptr]
     lib.evg_learn.restype = ctypes.c_int
+    lib.evg_match.argtypes = [ptr, i64, i64, ptr, i64, ptr]
+    lib.evg_match.restype = ctypes.c_int
+    lib.evg_surfaces.argtypes = [ptr, i64, i64, i64, i64, f64, ptr, ptr, ptr, ptr, i64, ptr]
+    lib.evg_surfaces.restype = i64
     lib.evg_dbs.argtypes = [ptr, ptr, i64, ptr, ptr, i64, f64, f64, ptr]
     lib.evg_dbs.restype = None
     return lib

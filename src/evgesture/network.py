@@ -14,25 +14,25 @@ they pass through layers.
 An event's surface depends only on the latest earlier event at each pixel
 of its receptive field, never on the bank, and a layer reads nothing from
 the layers after it. So every layer takes the whole stream in blocks of
-arrays (``Layer.encode``), one layer after the other: the surfaces and the
-validity gate of a block are computed at once, with the same arithmetic
-as ``surfaces.extract``. A surface reads each field pixel from the
-layer's timestamp memory; only pixels that the block itself writes,
-marked by a per-pixel block stamp, are looked up among the block's own
-events with a sorted search. Only the learning rule itself is
-sequential, one valid surface after the other; a frozen layer matches a
-whole block at once. Outputs equal the per-event semantics bit for bit,
-ties included. ``Layer.encode`` is the one block entry point; it carries
-the timestamp memory from call to call, so events that arrive a few at
-a time are encoded by calling it on each slice in turn.
+arrays (``Layer.encode``), one layer after the other. A block's surfaces
+come from one compiled loop, ``evg_surfaces``, that records each event in
+the layer's timestamp memory and then reads its field from it, with the
+arithmetic of ``surfaces.extract``; the validity gate then takes the
+block's row sums at once. Only the learning rule is sequential, one valid
+surface after the other; a frozen layer matches a whole block at once.
+Outputs equal the per-event semantics bit for bit, ties included.
+``Layer.encode`` is the one block entry point; it carries the timestamp
+memory from call to call, so events that arrive a few at a time are
+encoded by calling it on each slice in turn.
 
-The learning rule is one compiled loop, ``evg_learn`` in ``_native.c``,
-built on first import (``_native``). Learning sums every norm, dot
-product and squared distance in one order, numpy's pairwise
-``np.add.reduce``, and calls no BLAS, so a trained bank is the same bit
-for bit whatever BLAS kernel numpy loads. ``learn_update`` and the
-near-tie recheck of ``nearest_rows`` sum in that order too. Only the
-screens use BLAS, and ``_screen_margin`` covers any order it sums in.
+Learning (``evg_learn``) and frozen matching (``evg_match``) find the
+nearest prototype with one compiled rule, in ``_native.c`` and built on
+first import (``_native``): a screen over each surface's nonzero entries,
+then an exact recheck of near ties. Every norm, dot product and squared
+distance that decides an output is summed in one order, numpy's pairwise
+``np.add.reduce``, and nothing calls BLAS, so a trained bank and its ids
+are the same bit for bit whatever BLAS kernel numpy loads.
+``learn_update`` sums in that order too.
 """
 
 from __future__ import annotations
@@ -50,15 +50,12 @@ from .surfaces import TimeSurfaceConfig
 DEFAULT_REINIT_WINDOW = 10_000  # valid surfaces without a match before reseed
 TRAINING_MODES = ("joint", "sequential")
 
-# Transient working memory of one block, in bytes. A block's largest
-# arrays are (events x D) ones of 8-byte values: the field keys, their
-# stamps, the surfaces and the valid rows' copy. So a layer with surface
-# length D takes BLOCK_BYTES // (32 D) events per block. On the perfbench
-# workloads, layer rates peak at 256 kB-1 MB for D = 25 and at 512 kB-2 MB
-# for D = 200, and fall off at 128 kB and 8 MB.
+# Working memory of one block, in bytes. A block of k events allocates
+# its k x D surfaces of 8-byte values and a copy of its valid rows, at
+# most 16 k D bytes, so a layer with surface length D takes
+# BLOCK_BYTES // (32 D) events per block and stays within half of it.
 BLOCK_BYTES = 512 * 1024
 
-_EPS = float(np.finfo(np.float64).eps)
 _LIB = _native.load()
 
 
@@ -88,45 +85,24 @@ class UndertrainedLayerError(ValueError):
     """A layer saw fewer valid surfaces than it has prototype slots."""
 
 
-def _screen_margin(d: int, sq_s, sq_b_max):
-    """The gap between the two best screened squared distances of a
-    surface at or below which its nearest row is recomputed exactly.
-
-    A screened distance ``|b|^2 - 2 s.b`` (plus ``|s|^2`` or not) and the
-    pairwise form ``np.add.reduce((b - s)**2)`` of the same pair each lie
-    within (D + 2) eps A of the exact value, whatever the summation order
-    (A = |s|^2 + max |b|^2), so they differ by less than a quarter of
-    ``bound = 8 (D + 2) eps A``. Where the two best screened distances are
-    more than 2 ``bound`` apart, the screened argmin is the pairwise
-    argmin, strictly; elsewhere the caller recomputes the pairwise form
-    against the whole bank. Callers test ``gap > margin``, so a NaN gap is
-    recomputed too.
-    """
-    return 16 * (d + 2) * _EPS * (sq_s + sq_b_max)
-
-
 def nearest_rows(bank: np.ndarray, surfaces: np.ndarray) -> np.ndarray:
     """Nearest bank row of every surface row; ties go to the lowest index.
 
     The ids equal ``argmin`` of the per-surface distance
     ``np.add.reduce((bank - s)**2, axis=1)``, summed in numpy's pairwise
-    order as in learning, bit for bit. One GEMM screens all pairs as
-    ``|s|^2 + |b|^2 - 2 s.b``; rows whose two best screened distances lie
-    within ``_screen_margin`` are recomputed in the pairwise order, so the
-    ids do not depend on the BLAS kernel either.
+    order as in learning, bit for bit: ``evg_match`` screens each surface
+    over its nonzero entries and recomputes near ties in the pairwise
+    order, the rule that learning uses. Raises ValueError unless the
+    surfaces are rows of the bank's width.
     """
-    ids = np.zeros(len(surfaces), dtype=np.int64)
-    if len(bank) < 2 or len(surfaces) == 0:
-        return ids
-    sq_s = np.einsum("ij,ij->i", surfaces, surfaces)
-    sq_b = np.einsum("ij,ij->i", bank, bank)
-    d2 = sq_s[:, None] + sq_b - 2.0 * (surfaces @ bank.T)
-    ids = d2.argmin(axis=1)
-    best_two = np.partition(d2, 1, axis=1)
-    margin = _screen_margin(bank.shape[1], sq_s, sq_b.max())
-    for i in np.flatnonzero(~(best_two[:, 1] - best_two[:, 0] > margin)):
-        diff = bank - surfaces[i]
-        ids[i] = np.add.reduce(diff * diff, axis=1).argmin()
+    bank = np.require(bank, np.float64, "C")
+    surfaces = np.require(surfaces, np.float64, "C")
+    (n, d), m = bank.shape, len(surfaces)
+    if surfaces.shape[1:] != (d,):
+        raise ValueError(f"surfaces {surfaces.shape} for a bank of {bank.shape}")
+    ids = np.empty(m, dtype=np.int64)
+    if _LIB.evg_match(bank.ctypes.data, n, d, surfaces.ctypes.data, m, ids.ctypes.data):
+        raise MemoryError("nearest-row matching could not allocate its bank caches")
     return ids
 
 
@@ -178,7 +154,6 @@ class Layer:
         self._surface_config = config.surface_config
         self.bank_shape = (config.n_prototypes, self._surface_config.size)
         self._since: int | None = None  # the latest event time in memory
-        self._block = 0  # blocks taken by block_surfaces, for ``_stamps``
         self._min_sum = 2 * config.radius  # validity threshold
         self.match_counts: list[int] = []
         self.last_match_tick: list[int] = []
@@ -200,16 +175,6 @@ class Layer:
         return np.zeros(self.bank_shape)
 
     @cached_property
-    def _offsets(self) -> np.ndarray:
-        """The flat offsets of a receptive field in ``memory`` from its
-        centre pixel on channel 0, in the channel-major (p, dy, dx) order
-        of surfaces."""
-        R, g = self.config.radius, self.geometry
-        c, dy, dx = np.meshgrid(np.arange(g.channels), np.arange(-R, R + 1),
-                                np.arange(-R, R + 1), indexing="ij")
-        return ((c * (g.height + 2 * R) + dy) * (g.width + 2 * R) + dx).ravel()
-
-    @cached_property
     def memory(self) -> np.ndarray:
         """The latest timestamp of every (channel, y, x), -inf where nothing
         fired, inside an R-wide -inf border so that every receptive field
@@ -217,13 +182,6 @@ class Layer:
         R = self.config.radius
         g = self.geometry
         return np.full((g.channels, g.height + 2 * R, g.width + 2 * R), -np.inf)
-
-    @cached_property
-    def _stamps(self) -> np.ndarray:
-        """Per key of ``memory``, the number of the latest block that wrote
-        it; blocks are numbered by ``_block``, which never resets, so a
-        stamp is current only within its own block."""
-        return np.zeros(self.memory.shape, dtype=np.int64)
 
     def reset_memory(self) -> None:
         self.memory.fill(-np.inf)
@@ -279,13 +237,13 @@ class Layer:
         The stalest prototype is the first index of the least
         ``last_match_tick``, reseeded if its age exceeds ``reinit_window``:
         the first row of strictly largest age, ties included. The nearest
-        row is screened against the squared row norms, which are refreshed
-        whenever a row is written, and recomputed exactly under the rule
-        of ``_screen_margin``, as in ``nearest_rows``; the pull is
-        ``learn_update``. Every norm, dot product and squared distance is
-        a pairwise ``np.add.reduce`` sum, with no BLAS, so the bank is the
-        same on every machine. The loop derives its caches afresh from
-        ``bank`` and ``last_match_tick`` on each call.
+        row is found by the rule of ``nearest_rows``, against row norms
+        and a transposed bank that are refreshed whenever a row is
+        written; the pull is ``learn_update``. Every norm, dot product and
+        squared distance is a pairwise ``np.add.reduce`` sum, with no
+        BLAS, so the bank is the same on every machine. The loop derives
+        its caches afresh from ``bank`` and ``last_match_tick`` on each
+        call.
         """
         self.bank = bank = np.require(self.bank, np.float64, "CW")
         surfaces = np.require(surfaces, np.float64, "C")
@@ -342,47 +300,27 @@ class Layer:
     def block_surfaces(self, t, x, y, p) -> np.ndarray:
         """Flattened time-surfaces of one block of consecutive events, one
         row each, equal bit for bit to ``surfaces.extract`` after
-        ``record``.
+        ``record``; the timestamp memory is updated to include the block.
 
-        Each surface reads, per receptive-field pixel, the latest event at
-        or before its own within the block, else the timestamp memory,
-        which is then updated to include the block. Every query reads the
-        memory; only queries on a key that this block writes, as marked in
-        ``_stamps``, look up their latest in-block event with a sorted
-        search. The events are not checked here; ``encode`` checks them
-        first.
+        One compiled loop, ``evg_surfaces``, records each event in the
+        memory and then reads its field. Event times are not checked here,
+        since ``encode`` checks them first; raises StreamError, with the
+        memory unchanged, if the event fields differ in length or an event
+        lies outside the layer's pixels or channels.
         """
-        memory = self.memory
-        n = len(t)
-        R = self.config.radius
-        t = np.asarray(t, dtype=np.float64)
-        width = memory.shape[2]
-        centre = (np.asarray(y, dtype=np.int64) + R) * width + np.asarray(x) + R
-        keys = np.asarray(p, dtype=np.int64) * (memory.shape[1] * width) + centre
-        self._block += 1
-        stamps = self._stamps.reshape(-1)
-        stamps[keys] = self._block
-        query = centre[:, None] + self._offsets  # (event, field pixel) keys
-        flat_memory = memory.reshape(-1)
-        surfaces = flat_memory[query]
-        # Sorted (key, index) pairs, with a sentinel below every key.
-        ranked = np.concatenate(([-1], np.sort(keys * n + np.arange(n))))
-        ranked_t = np.concatenate(([0.0], t[ranked[1:] % n]))
-        hit = np.flatnonzero(stamps[query] == self._block)
-        if len(hit):
-            hit_lo = query.reshape(-1)[hit] * n
-            at = np.searchsorted(ranked, hit_lo + hit // query.shape[1], side="right") - 1
-            inside = ranked[at] >= hit_lo  # the latest event is in this block
-            surfaces.reshape(-1)[hit[inside]] = ranked_t[at[inside]]
-        # extract's arithmetic: (last - t)/tau + 1, clamped at 0.
-        surfaces -= t[:, None]
-        surfaces /= self.config.tau_us
-        surfaces += 1.0
-        np.maximum(surfaces, 0.0, out=surfaces)
-        # Carry each key's last event of the block.
-        ranked_keys = ranked[1:] // n
-        last = np.diff(ranked_keys, append=-1) != 0  # keys are >= 0
-        flat_memory[ranked_keys[last]] = ranked_t[1:][last]
+        t, x, y, p = (np.ascontiguousarray(v, dtype=np.int64) for v in (t, x, y, p))
+        if not len(t) == len(x) == len(y) == len(p):
+            raise StreamError("event field arrays must have equal length")
+        g, R = self.geometry, self.config.radius
+        surfaces = np.empty((len(t), self._surface_config.size))
+        bad = _LIB.evg_surfaces(self.memory.ctypes.data, g.channels, g.height, g.width, R,
+                                self.config.tau_us, t.ctypes.data, x.ctypes.data,
+                                y.ctypes.data, p.ctypes.data, len(t), surfaces.ctypes.data)
+        if bad:
+            k = bad - 1
+            raise StreamError(f"event {k} at pixel ({x[k]}, {y[k]}) on channel {p[k]} "
+                              f"lies outside the layer's {g.width}x{g.height} pixels "
+                              f"and {g.channels} channels")
         return surfaces
 
 

@@ -272,11 +272,6 @@ def benchmark(pipeline: TrainedPipeline, clips: list[ClipRecord],
 
     Each run times every stage in turn, so a burst of load on a shared
     machine slows one run of each stage rather than every run of one.
-
-    One Python thread runs the stages, but numpy's BLAS may split the GEMM
-    of ``network.nearest_rows`` over more unless ``OPENBLAS_NUM_THREADS=1``.
-    BLAS threads matter only for that frozen matching: the learning rule
-    is compiled and calls no BLAS.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")

@@ -785,6 +785,110 @@ class TestNearestRows:
         assert nearest_rows(np.ones((1, 4)), np.zeros((3, 4))).tolist() == [0, 0, 0]
 
 
+@st.composite
+def sparse_match_cases(draw):
+    """A bank and surfaces as sparse as layer surfaces are, or sparser:
+    rows that are all or mostly zero, zero and duplicate bank rows,
+    surfaces equal to a bank row, a rounding error from one, or halfway
+    between two, at widths through the summation regimes."""
+    n, d = draw(st.sampled_from([1, 2, 3, 8, 64])), draw(st.sampled_from([1, 9, 25, 200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def sparse(rows, density):
+        return rng.random((rows, d)) * (rng.random((rows, d)) < density)
+
+    bank = sparse(n, draw(st.sampled_from([0.05, 0.2, 0.6, 1.0])))
+    for _ in range(draw(st.integers(0, 2))):
+        bank[rng.integers(n)] = 0.0
+    for _ in range(draw(st.integers(0, 2))):
+        bank[rng.integers(n)] = bank[rng.integers(n)]
+    kinds = draw(st.lists(st.sampled_from(["zero", "sparse", "dense", "row", "near", "half"]),
+                          max_size=30))
+    surfaces = np.zeros((len(kinds), d))
+    for k, kind in enumerate(kinds):
+        a, b = bank[rng.integers(n)], bank[rng.integers(n)]
+        if kind == "sparse":
+            surfaces[k] = sparse(1, 0.1)[0]
+        elif kind == "dense":
+            surfaces[k] = rng.random(d)
+        elif kind == "row":
+            surfaces[k] = a
+        elif kind == "near":
+            surfaces[k] = a * (1 + rng.normal(0, 1e-15, d))
+        elif kind == "half":
+            surfaces[k] = (a + b) / 2
+    return bank, surfaces
+
+
+class TestCompiledLayer:
+    """The compiled surface and matching loops: their inputs and bounds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_match_cases())
+    def test_sparse_matching_equals_pairwise_argmin(self, case):
+        bank, surfaces = case
+        expected = [int(np.add.reduce((bank - s) ** 2, axis=1).argmin()) for s in surfaces]
+        assert nearest_rows(bank, surfaces).tolist() == expected
+
+    @pytest.mark.parametrize("shape", [(3, 8), (3,), (3, 10), (0, 10)])
+    def test_nearest_rows_rejects_width(self, shape):
+        with pytest.raises(ValueError, match="for a bank of"):
+            nearest_rows(np.ones((4, 9)), np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [(-1, 3, 0), (8, 3, 0), (3, -1, 0), (3, 8, 0),
+                                     (3, 3, -1), (3, 3, 2)],
+                             ids=["x-negative", "x-past-width", "y-negative",
+                                  "y-past-height", "p-negative", "p-past-channels"])
+    def test_block_surfaces_rejects_bad_event(self, bad):
+        # called directly, with no check by encode first; the good event
+        # before the bad one must not reach the memory either
+        layer = Layer(LayerConfig(n_prototypes=2, radius=2, tau_us=100.0, in_channels=2),
+                      SensorGeometry(8, 8, 2))
+        layer.block_surfaces(*(np.array([v]) for v in (10, 4, 4, 1)))
+        before = layer.memory.copy()
+        t, x, y, p = (np.array(v) for v in zip((20, 5, 5, 0), (30, *bad)))
+        with pytest.raises(StreamError, match="event 1 at pixel .* outside the layer's 8x8"):
+            layer.block_surfaces(t, x, y, p)
+        assert np.array_equal(layer.memory, before)
+
+    def test_block_surfaces_rejects_unequal_lengths(self):
+        layer = Layer(LayerConfig(n_prototypes=2, radius=1, tau_us=100.0, in_channels=1),
+                      SensorGeometry(8, 8, 1))
+        with pytest.raises(StreamError, match="equal length"):
+            layer.block_surfaces(np.array([1, 2]), np.array([3, 3]), np.array([3]),
+                                 np.array([0, 0]))
+        assert np.isneginf(layer.memory).all()
+
+    @pytest.mark.parametrize("learning", [True, False])
+    def test_int32_and_strided_inputs(self, learning):
+        # every other entry of each buffer is the stream's; the entries
+        # between are far off in time and off the array, so reading a view
+        # as if it were contiguous could not give the same output
+        stream = simple_stream(n=2000, seed=30)
+        views = []
+        for v, junk in ((stream.t, -7), (stream.x, 99), (stream.y, -3), (stream.p, 5)):
+            buf = np.full(2 * len(v), junk, dtype=np.int64)
+            buf[::2] = v
+            views.append(buf[::2])
+        narrow = [v.astype(np.int32) for v in (stream.t, stream.x, stream.y, stream.p)]
+        copies = [np.array(v, dtype=np.int64) for v in (stream.t, stream.x, stream.y, stream.p)]
+        layers = []
+        for inputs in (views, narrow, copies):
+            net = frozen_network(stream.geometry, [(4, 2, 3000.0)], False, seed=31)
+            layer = net.layers[0]
+            layer.learning = learning
+            keep, ids = layer.encode(*inputs)
+            layers.append((layer, keep, ids))
+        *others, (reference, keep, ids) = layers
+        assert 0 < keep.sum() < len(stream)
+        for layer, other_keep, other_ids in others:
+            assert np.array_equal(other_keep, keep)
+            assert np.array_equal(other_ids, ids)
+            assert np.array_equal(layer.memory, reference.memory)
+            assert layer.bank.tobytes() == reference.bank.tobytes()
+            assert layer.match_counts == reference.match_counts
+
+
 # ---------------------------------------------------------------------------
 # Learning layers take streams in blocks too; only the learning rule runs
 # one valid surface after the other. These tests hold the block learner to
@@ -1026,6 +1130,21 @@ class TestCompiledRule:
         with pytest.raises(ImportError, match="evgesture-no-such-cc .*-ffp-contract=off"):
             _native.load(tmp_path, compiler="evgesture-no-such-cc")
         assert list(tmp_path.iterdir()) == []
+
+    def test_build_removes_stale_libraries(self, tmp_path):
+        # a build of an older source goes; a build still being written stays
+        (tmp_path / "_native-0000000000000000.so").write_bytes(b"stale")
+        (tmp_path / "_native-0000000000000000.so.1.tmp").write_bytes(b"building")
+        lib = _native.load.__wrapped__(tmp_path)
+        built = os.path.basename(lib._name)
+        assert built.startswith("_native-") and built != "_native-0000000000000000.so"
+        assert {f.name for f in tmp_path.iterdir()} == {
+            "_native-0000000000000000.so.1.tmp", built}
+
+    def test_source_compiles_without_warnings(self):
+        command = ["cc", "-fsyntax-only", "-Wall", "-Wextra", "-Werror", str(_native.SOURCE)]
+        done = subprocess.run(command, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
