@@ -1,9 +1,12 @@
 /* The per-event loops of evgesture: background suppression, one event
-   after the other; a layer's time-surfaces, one event after the other;
-   and a layer's nearest-row rule, used by the online learning rule, one
-   valid surface after the other, and by frozen matching.
+   after the other; and a layer as one pass over its events, with no
+   blocks: each event is recorded in the timestamp memory, its surface
+   read into one row and gated on its sum, and a valid one taken through
+   the online learning rule or matched to the frozen bank, by one
+   nearest-row rule. The same pass takes surface rows given from Python,
+   ungated.
 
-   Every dot product and squared distance that decides an output is
+   Every dot product, sum and squared distance that decides an output is
    summed in one fixed order, numpy's pairwise summation, so each equals
    np.add.reduce(a * b) on the same rows bit for bit, and a trained bank
    depends on no BLAS kernel. Build with -ffp-contract=off: every product
@@ -94,10 +97,12 @@ static int64_t first_least(const int64_t *v, int64_t n)
 
 /* What the nearest-row rule reads besides the bank (n x d): each row's
    pairwise |b|^2, a bound on them all, the bank transposed (d x n), and
-   scratch for n screened values and d nonzero indices. */
+   scratch for n screened values; the surface row being matched, with
+   the q indices nz of its nonzero entries; and d ones, to sum a row as
+   its dot product with them. */
 struct screen {
-    double *norm2, *bank_t, *v;
-    int64_t *nz;
+    double *norm2, *bank_t, *v, *row, *ones;
+    int64_t *nz, q;
     double sq_b_max;
 };
 
@@ -112,45 +117,34 @@ static void refresh(struct screen *c, const double *bank, int64_t n, int64_t d, 
         c->sq_b_max = c->norm2[r];
 }
 
-static void screen_free(struct screen *c)
+/* The caches of bank, in scratch of n (d + 2) + 2 d doubles and nz of d
+   indices */
+static void screen_init(struct screen *c, double *scratch, int64_t *nz, const double *bank,
+                        int64_t n, int64_t d)
 {
-    free(c->norm2);
-    free(c->nz);
-}
-
-/* The caches of bank; returns 0, or -1 if out of memory */
-static int screen_init(struct screen *c, const double *bank, int64_t n, int64_t d)
-{
-    c->norm2 = malloc((size_t)n * (size_t)(d + 2) * sizeof(double));
-    c->nz = malloc((size_t)d * sizeof(int64_t));
-    if (!c->norm2 || !c->nz) {
-        screen_free(c);
-        return -1;
-    }
-    c->v = c->norm2 + n;
-    c->bank_t = c->norm2 + 2 * n;
+    c->norm2 = scratch;
+    c->v = scratch + n;
+    c->bank_t = scratch + 2 * n;
+    c->row = c->bank_t + n * d;
+    c->ones = c->row + d;
+    c->nz = nz;
     c->sq_b_max = 0.0;
-    for (int64_t j = 0; j < d; j++) /* row by row of bank_t, to write it in order */
-        for (int64_t r = 0; r < n; r++)
-            c->bank_t[j * n + r] = bank[r * d + j];
-    for (int64_t r = 0; r < n; r++) {
-        c->norm2[r] = evg_reduce(bank + r * d, bank + r * d, d, 0);
-        if (c->norm2[r] > c->sq_b_max)
-            c->sq_b_max = c->norm2[r];
-    }
-    return 0;
+    for (int64_t j = 0; j < d; j++)
+        c->ones[j] = 1.0;
+    for (int64_t r = 0; r < n; r++)
+        refresh(c, bank, n, d, r);
 }
 
 /* The screened values of rows r0 .. r0 + rows - 1, over the q nonzero
    entries nz of s. rows is a constant wherever this is inlined, so the
    sums stay in registers while the loop runs over the nonzero entries. */
 static inline __attribute__((always_inline)) void screen_rows(
-    const struct screen *c, int64_t n, const double *s, int64_t q, int64_t r0, int64_t rows)
+    const struct screen *c, int64_t n, const double *s, int64_t r0, int64_t rows)
 {
     double acc[16];
     for (int64_t i = 0; i < rows; i++)
         acc[i] = 0.5 * c->norm2[r0 + i];
-    for (int64_t k = 0; k < q; k++) {
+    for (int64_t k = 0; k < c->q; k++) {
         double sj = s[c->nz[k]];
         const double *col = c->bank_t + c->nz[k] * n + r0;
         for (int64_t i = 0; i < rows; i++)
@@ -160,9 +154,10 @@ static inline __attribute__((always_inline)) void screen_rows(
         c->v[r0 + i] = acc[i];
 }
 
-/* The nearest of the n rows of bank (n x d) to the surface s, whose caches
-   c hold; ties go to the lowest index. Returns the argmin over rows of the
-   pairwise np.add.reduce((b - s)**2), bit for bit (network.nearest_rows).
+/* The nearest of the n rows of bank (n x d) to the surface s, whose
+   nonzero entries and caches c holds; ties go to the lowest index.
+   Returns the argmin over rows of the pairwise np.add.reduce((b - s)**2),
+   bit for bit (network.nearest_rows).
 
    The screen takes v_r = |b_r|^2 / 2 - sum_j s_j b_rj over the surface's
    nonzero j only, from the rows of bank_t, so the loop over bank rows is
@@ -190,22 +185,16 @@ static inline __attribute__((always_inline)) void screen_rows(
 static int64_t nearest(const struct screen *c, const double *bank, int64_t n, int64_t d,
                        const double *s)
 {
-    if (n < 2)
-        return 0;
-    int64_t q = 0, r = 0;
+    int64_t r = 0;
     double ns2 = 0.0;
-    for (int64_t j = 0; j < d; j++) {
-        c->nz[q] = j;
-        q += s[j] != 0.0;
-    }
-    for (int64_t k = 0; k < q; k++)
+    for (int64_t k = 0; k < c->q; k++)
         ns2 += s[c->nz[k]] * s[c->nz[k]];
     for (; r + 16 <= n; r += 16)
-        screen_rows(c, n, s, q, r, 16);
+        screen_rows(c, n, s, r, 16);
     for (; r + 4 <= n; r += 4)
-        screen_rows(c, n, s, q, r, 4);
+        screen_rows(c, n, s, r, 4);
     for (; r < n; r++)
-        screen_rows(c, n, s, q, r, 1);
+        screen_rows(c, n, s, r, 1);
     int64_t at = 0;
     double best = INFINITY, second = INFINITY;
     for (r = 0; r < n; r++) {
@@ -231,122 +220,162 @@ static int64_t nearest(const struct screen *c, const double *bank, int64_t n, in
     return at;
 }
 
-/* Frozen matching (network.nearest_rows): the nearest of the n rows of
-   bank (n x d) to each of m surface rows, into ids. Returns 0, or -1 if
-   out of memory. */
-int evg_match(const double *bank, int64_t n, int64_t d, const double *surfaces, int64_t m,
-              int64_t *ids)
+/* A layer's timestamp memory: channels x (height + 2 radius) x (width +
+   2 radius), -inf where nothing fired, inside a radius-wide -inf border;
+   and the decay tau of its time-surfaces. */
+struct field {
+    double *memory;
+    int64_t channels, height, width, radius;
+    double tau;
+};
+
+/* 0, or -1 - k where event k is the first of the n events outside the
+   field's pixels or channels */
+static int64_t outside(const struct field *f, const int64_t *x, const int64_t *y,
+                       const int64_t *p, int64_t n)
 {
-    struct screen c;
-    if (n < 2) {
-        memset(ids, 0, (size_t)m * sizeof(int64_t));
-        return 0;
-    }
-    if (screen_init(&c, bank, n, d))
-        return -1;
-    for (int64_t k = 0; k < m; k++)
-        ids[k] = nearest(&c, bank, n, d, surfaces + k * d);
-    screen_free(&c);
+    for (int64_t k = 0; k < n; k++)
+        if (x[k] < 0 || x[k] >= f->width || y[k] < 0 || y[k] >= f->height || p[k] < 0
+            || p[k] >= f->channels)
+            return -1 - k;
     return 0;
 }
 
-/* The learning rule over m surface rows of length d (network.Layer._learn).
-
-   bank is n x d; state holds n_filled and tick; counts and last hold n
-   entries, of which the first n_filled are live. Writes each row's
-   prototype id to ids, -1 during warm-up, and the updated bank, counts,
-   ticks and state in place. Returns 0, or -1 if out of memory. */
-int evg_learn(double *bank, int64_t n, int64_t d, int64_t *state, int64_t *counts,
-              int64_t *last, const double *surfaces, int64_t m, int64_t window,
-              int64_t *ids)
-{
-    /* c.sq_b_max never falls, so it bounds every row's |b|^2 */
-    struct screen c;
-    if (screen_init(&c, bank, n, d))
-        return -1;
-    int64_t filled = state[0], tick = state[1];
-    /* the first index of the least tick; only a write to its row, or of a
-       tick at or below it, can move it */
-    int64_t stalest = filled ? first_least(last, filled) : 0;
-    for (int64_t k = 0; k < m; k++) {
-        const double *s = surfaces + k * d;
-        double *row;
-        int64_t i;
-        tick++;
-        ids[k] = -1;
-        if (filled < n) { /* warm-up: no stable ids yet */
-            i = filled++;
-            memcpy(bank + i * d, s, (size_t)d * sizeof(double));
-            counts[i] = 1;
-        } else if (tick - last[stalest] > window) { /* reseed the stalest row */
-            i = stalest;
-            memcpy(bank + i * d, s, (size_t)d * sizeof(double));
-            counts[i] = 1;
-            ids[k] = i;
-        } else {
-            double ns2 = evg_reduce(s, s, d, 0);
-            i = nearest(&c, bank, n, d, s);
-            /* learn_update: a cosine-weighted pull at rate 1/(1 + count),
-               the step clamped to [0, 1] */
-            row = bank + i * d;
-            if (ns2 != 0.0 && c.norm2[i] != 0.0) {
-                double cos = evg_reduce(s, row, d, 0) / sqrt(ns2 * c.norm2[i]);
-                double step = 1.0 / (1.0 + (double)counts[i]) * cos;
-                if (0.0 > step)
-                    step = 0.0;
-                if (1.0 < step)
-                    step = 1.0;
-                for (int64_t j = 0; j < d; j++)
-                    row[j] += (s[j] - row[j]) * step;
-            }
-            counts[i]++;
-            ids[k] = i;
-        }
-        last[i] = tick;
-        if (last[stalest] >= tick)
-            stalest = first_least(last, filled);
-        refresh(&c, bank, n, d, i);
-    }
-    state[0] = filled;
-    state[1] = tick;
-    screen_free(&c);
-    return 0;
-}
-
-/* The time-surfaces of n consecutive events (network.Layer.block_surfaces).
-
-   memory is the layer's channels x (height + 2 radius) x (width +
-   2 radius) timestamp memory, -inf where nothing fired, inside a
-   radius-wide -inf border. Each event first records its time at its own
+/* One event's time-surface: the event first records its time at its own
    pixel, then reads its (2 radius + 1)^2 field on every channel, in
    channel-major (p, dy, dx) order, as v = (m - t) / tau + 1, clamped at
    0: the arithmetic of surfaces.extract, so every value is bit-equal to
-   it. Writes n rows of channels (2 radius + 1)^2 values to out. Returns
-   0, or k + 1, with memory unchanged, if event k lies outside the
-   layer's pixels or channels. */
-int64_t evg_surfaces(double *memory, int64_t channels, int64_t height, int64_t width,
-                     int64_t radius, double tau, const int64_t *t, const int64_t *x,
-                     const int64_t *y, const int64_t *p, int64_t n, double *out)
+   it. Writes the channels (2 radius + 1)^2 values to row and, unless nz
+   is NULL, the indices of the nonzero ones to nz; returns their count. */
+static int64_t read_surface(const struct field *f, int64_t t, int64_t x, int64_t y,
+                            int64_t p, double *row, int64_t *nz)
 {
-    for (int64_t k = 0; k < n; k++)
-        if (x[k] < 0 || x[k] >= width || y[k] < 0 || y[k] >= height || p[k] < 0
-            || p[k] >= channels)
-            return k + 1;
-    int64_t side = 2 * radius + 1, rows = height + 2 * radius, cols = width + 2 * radius;
-    for (int64_t k = 0; k < n; k++) {
-        double now = (double)t[k];
-        memory[(p[k] * rows + y[k] + radius) * cols + x[k] + radius] = now;
-        for (int64_t c = 0; c < channels; c++) {
-            for (int64_t dy = 0; dy < side; dy++) {
-                const double *m = memory + (c * rows + y[k] + dy) * cols + x[k];
-                for (int64_t dx = 0; dx < side; dx++) {
-                    double v = (m[dx] - now) / tau + 1.0;
-                    *out++ = v >= 0.0 ? v : 0.0;
+    int64_t R = f->radius, side = 2 * R + 1, rows = f->height + 2 * R;
+    int64_t cols = f->width + 2 * R, j = 0, q = 0;
+    double now = (double)t;
+    f->memory[(p * rows + y + R) * cols + x + R] = now;
+    for (int64_t c = 0; c < f->channels; c++) {
+        for (int64_t dy = 0; dy < side; dy++) {
+            const double *m = f->memory + (c * rows + y + dy) * cols + x;
+            for (int64_t dx = 0; dx < side; dx++, j++) {
+                double v = (m[dx] - now) / f->tau + 1.0;
+                row[j] = v >= 0.0 ? v : 0.0;
+                if (nz) {
+                    nz[q] = j;
+                    q += row[j] != 0.0;
                 }
             }
         }
     }
-    return 0;
+    return q;
+}
+
+/* The time-surfaces of n consecutive events (network.Layer.block_surfaces),
+   one row each, written to out; memory is updated to include them.
+   Returns 0, or -1 - k, with memory unchanged, if event k lies outside
+   the layer's pixels or channels. */
+int64_t evg_surfaces(double *memory, int64_t channels, int64_t height, int64_t width,
+                     int64_t radius, double tau, const int64_t *t, const int64_t *x,
+                     const int64_t *y, const int64_t *p, int64_t n, double *out)
+{
+    const struct field f = {memory, channels, height, width, radius, tau};
+    int64_t bad = outside(&f, x, y, p, n), d = channels * (2 * radius + 1) * (2 * radius + 1);
+    for (int64_t k = 0; !bad && k < n; k++)
+        read_surface(&f, t[k], x[k], y[k], p[k], out + k * d, NULL);
+    return bad;
+}
+
+/* A layer's one pass (network._pass) over m events, or over m given
+   surface rows of length d.
+
+   bank is n x d; state holds n_filled and tick; counts and last hold n
+   match counts and last-match ticks, of which the first n_filled are
+   live; scratch holds n (d + 2) + 2 d doubles and nz d indices. Given
+   events (t not NULL), each in turn is recorded in memory and its
+   surface read into one row, which goes on only if its pairwise sum, the
+   order of np.add.reduce(surfaces, axis=1), is at least 2 radius (the
+   validity gate of surfaces.is_valid). Given rows (t NULL), every row
+   goes on. Each row that goes on adds 1 to tick, and is taken through
+   the learning rule if learning is set, else matched to its nearest bank
+   row. Writes keep[k] for each input, set iff its row went on and the
+   bank was past its warm-up, and the ids of the kept rows, in order, to
+   ids; updates bank, counts, last and state in place. Returns the number
+   kept, or -1 - k, with memory unchanged, if event k lies outside the
+   layer's pixels or channels. */
+int64_t evg_layer(double *bank, int64_t n, int64_t d, int64_t *state, int64_t *counts,
+                  int64_t *last, int64_t window, int learning, double *scratch, int64_t *nz,
+                  const double *surfaces, double *memory, int64_t channels, int64_t height,
+                  int64_t width, int64_t radius, double tau, const int64_t *t,
+                  const int64_t *x, const int64_t *y, const int64_t *p, int64_t m,
+                  uint8_t *keep, int64_t *ids)
+{
+    const struct field f = {memory, channels, height, width, radius, tau};
+    int64_t bad = t ? outside(&f, x, y, p, m) : 0;
+    if (bad)
+        return bad;
+    /* c.sq_b_max never falls, so it bounds every row's |b|^2 */
+    struct screen c;
+    screen_init(&c, scratch, nz, bank, n, d);
+    int64_t filled = state[0], tick = state[1], kept = 0;
+    /* the first index of the least tick; only a write to its row, or of a
+       tick at or below it, can move it */
+    int64_t stalest = learning && filled ? first_least(last, filled) : 0;
+    for (int64_t k = 0; k < m; k++) {
+        const double *s = t ? c.row : surfaces + k * d;
+        int64_t i, emit = 1;
+        if (t) {
+            c.q = read_surface(&f, t[k], x[k], y[k], p[k], c.row, nz);
+            keep[k] = 0;
+            if (!(evg_reduce(c.row, c.ones, d, 0) >= (double)(2 * radius)))
+                continue;
+        } else {
+            c.q = 0;
+            for (int64_t j = 0; j < d; j++) {
+                nz[c.q] = j;
+                c.q += s[j] != 0.0;
+            }
+        }
+        tick++;
+        if (!learning) {
+            i = nearest(&c, bank, n, d, s);
+        } else {
+            if (filled < n || tick - last[stalest] > window) {
+                /* seed an empty row (warm-up: no stable ids yet), or
+                   reseed the stalest */
+                emit = filled == n;
+                i = emit ? stalest : filled++;
+                memcpy(bank + i * d, s, (size_t)d * sizeof(double));
+                counts[i] = 1;
+            } else {
+                double ns2 = evg_reduce(s, s, d, 0);
+                i = nearest(&c, bank, n, d, s);
+                /* learn_update: a cosine-weighted pull at rate 1/(1 + count),
+                   the step clamped to [0, 1] */
+                double *row = bank + i * d;
+                if (ns2 != 0.0 && c.norm2[i] != 0.0) {
+                    double cos = evg_reduce(s, row, d, 0) / sqrt(ns2 * c.norm2[i]);
+                    double step = 1.0 / (1.0 + (double)counts[i]) * cos;
+                    if (0.0 > step)
+                        step = 0.0;
+                    if (1.0 < step)
+                        step = 1.0;
+                    for (int64_t j = 0; j < d; j++)
+                        row[j] += (s[j] - row[j]) * step;
+                }
+                counts[i]++;
+            }
+            last[i] = tick;
+            if (last[stalest] >= tick)
+                stalest = first_least(last, filled);
+            refresh(&c, bank, n, d, i);
+        }
+        keep[k] = (uint8_t)emit;
+        ids[kept] = i;
+        kept += emit;
+    }
+    state[0] = filled;
+    state[1] = tick;
+    return kept;
 }
 
 /* Background suppression over n events (dbs.DbsFilter.process_block).

@@ -1,7 +1,9 @@
 """Build and load ``_native.c``, the compiled per-event loops: background
-suppression (``evg_dbs``), a layer's time-surfaces (``evg_surfaces``),
-and its nearest-row rule, in the learning rule (``evg_learn``) and in
-frozen matching (``evg_match``).
+suppression (``evg_dbs``), and a layer as one pass over its events
+(``evg_layer``): each event's time-surface read from the timestamp
+memory, its validity gate, and the nearest-row rule, in the learning rule
+or in frozen matching, with no blocks. ``evg_surfaces`` reads the
+surfaces alone, and ``evg_reduce`` is the one summation order.
 
 The library is compiled on first import and kept in the package's
 ``__pycache__``, named by a hash of the source, the compiler and the
@@ -12,7 +14,8 @@ in its directory, the builds of older sources, but leaves the temporary
 files of builds still running. ``-ffp-contract=off`` keeps every product
 and sum a separately rounded IEEE-754 operation, and no flag lets the
 compiler reorder a sum, so the library computes what its source says on
-any machine.
+any machine, at any optimisation level; only ``evg_dbs``'s ``exp`` comes
+from the platform's libm.
 """
 
 from __future__ import annotations
@@ -57,10 +60,9 @@ def load(out_dir: str | os.PathLike = SOURCE.parent / "__pycache__",
     ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.evg_reduce.argtypes = [ptr, ptr, i64, ctypes.c_int]
     lib.evg_reduce.restype = f64
-    lib.evg_learn.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, i64, i64, ptr]
-    lib.evg_learn.restype = ctypes.c_int
-    lib.evg_match.argtypes = [ptr, i64, i64, ptr, i64, ptr]
-    lib.evg_match.restype = ctypes.c_int
+    lib.evg_layer.argtypes = [ptr, i64, i64, ptr, ptr, ptr, i64, ctypes.c_int, ptr, ptr, ptr,
+                              ptr, i64, i64, i64, i64, f64, ptr, ptr, ptr, ptr, i64, ptr, ptr]
+    lib.evg_layer.restype = i64
     lib.evg_surfaces.argtypes = [ptr, i64, i64, i64, i64, f64, ptr, ptr, ptr, ptr, i64, ptr]
     lib.evg_surfaces.restype = i64
     lib.evg_dbs.argtypes = [ptr, ptr, i64, ptr, ptr, i64, f64, f64, ptr]

@@ -15,6 +15,15 @@ rule itself runs one event after the other in one compiled loop,
 ``evg_dbs`` in ``_native.c``, with libm's ``exp``, the function
 ``math.exp`` calls, so every decision and counter is bit-equal to
 ``update_activity``'s.
+
+Masks therefore depend on the platform's libm. glibc 2.36 rounds 1 of
+the 1,611 distinct decay arguments of one cluttered test workload
+differently from the correctly rounded value; another libm (musl,
+Bionic, macOS) may round such an argument the other way, move a counter
+by one ulp, and flip a keep decision that sits on an exact near-tie. So
+the layers and k-NN compute the same bits from the same input on every
+machine, but DBS masks at near-ties, and so the input of a layer behind
+DBS, may differ.
 """
 
 from __future__ import annotations

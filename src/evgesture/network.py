@@ -13,23 +13,22 @@ they pass through layers.
 
 An event's surface depends only on the latest earlier event at each pixel
 of its receptive field, never on the bank, and a layer reads nothing from
-the layers after it. So every layer takes the whole stream in blocks of
-arrays (``Layer.encode``), one layer after the other. A block's surfaces
-come from one compiled loop, ``evg_surfaces``, that records each event in
-the layer's timestamp memory and then reads its field from it, with the
-arithmetic of ``surfaces.extract``; the validity gate then takes the
-block's row sums at once. Only the learning rule is sequential, one valid
-surface after the other; a frozen layer matches a whole block at once.
-Outputs equal the per-event semantics bit for bit, ties included.
-``Layer.encode`` is the one block entry point; it carries the timestamp
-memory from call to call, so events that arrive a few at a time are
-encoded by calling it on each slice in turn.
+the layers after it. So every layer takes the whole stream at once
+(``Layer.encode``), one layer after the other, in one pass with no
+blocks: one compiled loop, ``evg_layer`` in ``_native.c`` (built on first
+import by ``_native``), takes each event in turn, records it in the
+layer's timestamp memory, reads its surface from it with the arithmetic
+of ``surfaces.extract``, gates the surface on its sum, and takes a valid
+one through the learning rule or matches it to the frozen bank. Outputs
+equal the per-event semantics bit for bit, ties included.
+``Layer.encode`` carries the timestamp memory from call to call, so
+events that arrive a few at a time are encoded by calling it on each
+slice in turn.
 
-Learning (``evg_learn``) and frozen matching (``evg_match``) find the
-nearest prototype with one compiled rule, in ``_native.c`` and built on
-first import (``_native``): a screen over each surface's nonzero entries,
-then an exact recheck of near ties. Every norm, dot product and squared
-distance that decides an output is summed in one order, numpy's pairwise
+Learning and frozen matching find the nearest prototype with one rule: a
+screen over the surface's nonzero entries, then an exact recheck of near
+ties. Every norm, dot product, surface sum and squared distance that
+decides an output is summed in one order, numpy's pairwise
 ``np.add.reduce``, and nothing calls BLAS, so a trained bank and its ids
 are the same bit for bit whatever BLAS kernel numpy loads.
 ``learn_update`` sums in that order too.
@@ -49,12 +48,6 @@ from .surfaces import TimeSurfaceConfig
 
 DEFAULT_REINIT_WINDOW = 10_000  # valid surfaces without a match before reseed
 TRAINING_MODES = ("joint", "sequential")
-
-# Working memory of one block, in bytes. A block of k events allocates
-# its k x D surfaces of 8-byte values and a copy of its valid rows, at
-# most 16 k D bytes, so a layer with surface length D takes
-# BLOCK_BYTES // (32 D) events per block and stays within half of it.
-BLOCK_BYTES = 512 * 1024
 
 _LIB = _native.load()
 
@@ -90,20 +83,55 @@ def nearest_rows(bank: np.ndarray, surfaces: np.ndarray) -> np.ndarray:
 
     The ids equal ``argmin`` of the per-surface distance
     ``np.add.reduce((bank - s)**2, axis=1)``, summed in numpy's pairwise
-    order as in learning, bit for bit: ``evg_match`` screens each surface
-    over its nonzero entries and recomputes near ties in the pairwise
-    order, the rule that learning uses. Raises ValueError unless the
-    surfaces are rows of the bank's width.
+    order as in learning, bit for bit: the frozen pass of ``evg_layer``
+    screens each surface over its nonzero entries and recomputes near
+    ties in the pairwise order, the rule that learning uses. Raises
+    ValueError unless the surfaces are rows of the bank's width.
     """
-    bank = np.require(bank, np.float64, "C")
-    surfaces = np.require(surfaces, np.float64, "C")
-    (n, d), m = bank.shape, len(surfaces)
-    if surfaces.shape[1:] != (d,):
-        raise ValueError(f"surfaces {surfaces.shape} for a bank of {bank.shape}")
-    ids = np.empty(m, dtype=np.int64)
-    if _LIB.evg_match(bank.ctypes.data, n, d, surfaces.ctypes.data, m, ids.ctypes.data):
-        raise MemoryError("nearest-row matching could not allocate its bank caches")
-    return ids
+    return _pass(np.require(bank, np.float64, "C"), np.zeros(2, np.int64), surfaces=surfaces)[1]
+
+
+def _ptr(a: np.ndarray | None) -> int | None:
+    return None if a is None else a.ctypes.data
+
+
+def _check_inside(code: int, field: tuple, events) -> None:
+    """Raise StreamError if a compiled loop returned ``code = -1 - k``: it
+    found event k outside ``field``'s pixels or channels, and left the
+    memory unchanged."""
+    if code < 0:
+        k, (_, channels, height, width) = -1 - code, field[:4]
+        _, x, y, p = events
+        raise StreamError(f"event {k} at pixel ({x[k]}, {y[k]}) on channel {p[k]} "
+                          f"lies outside the layer's {width}x{height} pixels "
+                          f"and {channels} channels")
+
+
+def _pass(bank, state, counts=None, last=None, window=0, learning=False, surfaces=None,
+          field=(None, 0, 0, 0, 0, 1.0), events=(None,) * 4):
+    """One call of ``evg_layer``: the rows ``surfaces``, or else the events
+    ``(t, x, y, p)``, their surfaces read from ``field`` (the address of a
+    timestamp memory, its channels, height, width, radius and tau) and
+    gated on validity, each in turn through the nearest-row rule of
+    ``bank`` (N x D float64 in C order), and the learning rule where
+    ``learning``. ``state`` (n_filled and tick), ``counts`` and ``last``
+    are int64 and updated in place, like the bank and the memory. Returns
+    the mask of kept rows (valid, and past the bank's warm-up) and their
+    ids."""
+    n, d = bank.shape
+    if surfaces is not None:
+        surfaces = np.require(surfaces, np.float64, "C")
+        if surfaces.shape[1:] != (d,):
+            raise ValueError(f"surfaces {surfaces.shape} for a bank of {bank.shape}")
+    events = [v if v is None else np.ascontiguousarray(v, dtype=np.int64) for v in events]
+    m = len(events[0] if surfaces is None else surfaces)
+    keep, ids = np.empty(m, dtype=bool), np.empty(m, dtype=np.int64)
+    scratch, nz = np.empty(n * (d + 2) + 2 * d), np.empty(d, dtype=np.int64)
+    kept = _LIB.evg_layer(_ptr(bank), n, d, _ptr(state), _ptr(counts), _ptr(last), window,
+                          learning, _ptr(scratch), _ptr(nz), _ptr(surfaces), *field,
+                          *map(_ptr, events), m, _ptr(keep), _ptr(ids))
+    _check_inside(kept, field, events)
+    return keep, ids[:kept]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -120,7 +148,7 @@ def learn_update(prototype: np.ndarray, match_count: int, flat_surface: np.ndarr
     leave the prototype untouched. Returns the updated prototype array.
     |s|^2, s.p and |p|^2 are pairwise ``np.add.reduce`` sums, and the move
     is ``prototype + step * (flat_surface - prototype)``, the arithmetic
-    of ``Layer._learn`` bit for bit.
+    of the learning rule of ``evg_layer`` bit for bit.
     """
     moved = prototype.copy()
     ns2, nc2 = _dot(flat_surface, flat_surface), _dot(prototype, prototype)
@@ -140,9 +168,9 @@ def learn_update(prototype: np.ndarray, match_count: int, flat_surface: np.ndarr
 class Layer:
     """One stage of the hierarchy: timestamp memory plus a prototype bank.
 
-    ``encode`` computes surfaces and validity a block at a time, then
-    matches the valid surfaces (frozen) or takes them through the learning
-    rule one after the other (learning); ``forward_event`` and
+    ``encode`` takes events through the layer in one compiled pass: each
+    event's surface, its validity, and then the learning rule (learning)
+    or a match against the bank (frozen); ``forward_event`` and
     ``process_surface`` are its one-event and one-surface calls.
     ``memory`` is per-stream state and must be reset between clips; the
     prototype bank persists. Building a layer sizes nothing by its config.
@@ -151,10 +179,8 @@ class Layer:
     def __init__(self, config: LayerConfig, geometry: SensorGeometry):
         self.config = config
         self.geometry = SensorGeometry(geometry.width, geometry.height, config.in_channels)
-        self._surface_config = config.surface_config
-        self.bank_shape = (config.n_prototypes, self._surface_config.size)
+        self.bank_shape = (config.n_prototypes, config.surface_config.size)
         self._since: int | None = None  # the latest event time in memory
-        self._min_sum = 2 * config.radius  # validity threshold
         self.match_counts: list[int] = []
         self.last_match_tick: list[int] = []
         self.tick = 0  # valid surfaces processed
@@ -223,17 +249,13 @@ class Layer:
         the stalest unmatched prototype, or pulls its nearest prototype
         toward itself. When frozen it is only matched.
         """
-        if not self.learning:
-            self.tick += 1
-            return int(nearest_rows(self.bank, flat[None, :])[0])
-        idx = int(self._learn(flat[None, :])[0])
-        return None if idx < 0 else idx
+        keep, ids = self._run(surfaces=flat[None, :])
+        return int(ids[0]) if keep[0] else None
 
     def _learn(self, surfaces: np.ndarray) -> np.ndarray:
         """The learning rule over valid surface rows, one after the other;
         returns each row's prototype id, -1 while the bank warms up.
 
-        The rule runs as one compiled loop, ``evg_learn`` in ``_native.c``.
         The stalest prototype is the first index of the least
         ``last_match_tick``, reseeded if its age exceeds ``reinit_window``:
         the first row of strictly largest age, ties included. The nearest
@@ -241,37 +263,20 @@ class Layer:
         and a transposed bank that are refreshed whenever a row is
         written; the pull is ``learn_update``. Every norm, dot product and
         squared distance is a pairwise ``np.add.reduce`` sum, with no
-        BLAS, so the bank is the same on every machine. The loop derives
-        its caches afresh from ``bank`` and ``last_match_tick`` on each
-        call.
+        BLAS, so the bank is the same on every machine.
         """
-        self.bank = bank = np.require(self.bank, np.float64, "CW")
-        surfaces = np.require(surfaces, np.float64, "C")
-        (n, d), m, filled = bank.shape, len(surfaces), self.n_filled
-        if surfaces.shape[1:] != (d,):
-            raise ValueError(f"surfaces {surfaces.shape} for a bank of {bank.shape}")
-        counts, last = np.zeros((2, n), dtype=np.int64)
-        counts[:filled], last[:filled] = self.match_counts, self.last_match_tick
-        state = np.array([filled, self.tick], dtype=np.int64)
-        ids = np.empty(m, dtype=np.int64)
-        if _LIB.evg_learn(bank.ctypes.data, n, d, state.ctypes.data, counts.ctypes.data,
-                          last.ctypes.data, surfaces.ctypes.data, m,
-                          self.config.reinit_window, ids.ctypes.data):
-            raise MemoryError("the learning rule could not allocate its row norms")
-        filled, self.tick = int(state[0]), int(state[1])
-        self.match_counts[:] = counts[:filled].tolist()
-        self.last_match_tick[:] = last[:filled].tolist()
-        return ids
+        keep, ids = self._run(surfaces=surfaces)
+        found = np.full(len(keep), -1)
+        found[keep] = ids
+        return found
 
     def encode(self, t, x, y, p) -> tuple[np.ndarray, np.ndarray]:
-        """Re-encoding of an event sequence given as arrays, in blocks of
-        BLOCK_BYTES working memory; continues from, and updates, the
-        timestamp memory, so consecutive slices of a stream give the same
-        output as the whole. A frozen layer matches each block's valid
-        surfaces at once; a learning layer takes them through the learning
-        rule in event order. Returns the mask of emitted events (valid,
-        and past the bank's warm-up) and their prototype ids, equal to
-        ``forward_event`` on each event in turn.
+        """Re-encoding of an event sequence given as arrays, in one pass;
+        continues from, and updates, the timestamp memory, so consecutive
+        slices of a stream give the same output as the whole. Returns the
+        mask of emitted events (valid, and past the bank's warm-up) and
+        their prototype ids, equal to ``forward_event`` on each event in
+        turn.
 
         Raises StreamError, before the memory changes, if an event is
         earlier than the one before it or than the memory's latest, or
@@ -279,48 +284,48 @@ class Layer:
         check_events(t, x, y, p, self.geometry, self._since)
         if len(t):
             self._since = int(t[-1])
-        step = max(1, BLOCK_BYTES // (32 * self._surface_config.size))
-        keep, ids = [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=np.int64)]
-        for a in range(0, len(t), step):
-            surfaces = self.block_surfaces(t[a : a + step], x[a : a + step],
-                                           y[a : a + step], p[a : a + step])
-            valid = surfaces.sum(axis=1) >= self._min_sum
-            if self.learning:
-                found = self._learn(surfaces[valid])
-                emitted = found >= 0
-                valid[valid] = emitted
-                found = found[emitted]
-            else:
-                self.tick += int(valid.sum())
-                found = nearest_rows(self.bank, surfaces[valid])
-            keep.append(valid)
-            ids.append(found)
-        return np.concatenate(keep), np.concatenate(ids)
+        return self._run(events=(t, x, y, p))
+
+    def _run(self, surfaces=None, events=(None,) * 4) -> tuple[np.ndarray, np.ndarray]:
+        """One ``_pass`` of the layer, learning or frozen, over ``events``
+        or else valid surface rows. The match counts and ticks go in as
+        int64 arrays and come back as lists, once per call. The compiled
+        loop derives its caches afresh from ``bank`` and
+        ``last_match_tick`` on each call."""
+        bank = self.bank = np.require(self.bank, np.float64, "CW")
+        filled = self.n_filled
+        counts, last = np.zeros((2, len(bank)), dtype=np.int64)
+        counts[:filled], last[:filled] = self.match_counts, self.last_match_tick
+        state = np.array([filled, self.tick], dtype=np.int64)
+        found = _pass(bank, state, counts, last, self.config.reinit_window, self.learning,
+                      surfaces, self._field(), events)
+        filled, self.tick = state.tolist()
+        self.match_counts[:] = counts[:filled].tolist()
+        self.last_match_tick[:] = last[:filled].tolist()
+        return found
+
+    def _field(self) -> tuple:
+        g, c = self.geometry, self.config
+        return _ptr(self.memory), g.channels, g.height, g.width, c.radius, c.tau_us
 
     def block_surfaces(self, t, x, y, p) -> np.ndarray:
-        """Flattened time-surfaces of one block of consecutive events, one
-        row each, equal bit for bit to ``surfaces.extract`` after
-        ``record``; the timestamp memory is updated to include the block.
+        """Flattened time-surfaces of consecutive events, one row each,
+        equal bit for bit to ``surfaces.extract`` after ``record``; the
+        timestamp memory is updated to include them.
 
         One compiled loop, ``evg_surfaces``, records each event in the
-        memory and then reads its field. Event times are not checked here,
-        since ``encode`` checks them first; raises StreamError, with the
+        memory and then reads its field, with the reader of ``evg_layer``.
+        Event times are not checked here; raises StreamError, with the
         memory unchanged, if the event fields differ in length or an event
         lies outside the layer's pixels or channels.
         """
-        t, x, y, p = (np.ascontiguousarray(v, dtype=np.int64) for v in (t, x, y, p))
+        t, x, y, p = events = [np.ascontiguousarray(v, dtype=np.int64) for v in (t, x, y, p)]
         if not len(t) == len(x) == len(y) == len(p):
             raise StreamError("event field arrays must have equal length")
-        g, R = self.geometry, self.config.radius
-        surfaces = np.empty((len(t), self._surface_config.size))
-        bad = _LIB.evg_surfaces(self.memory.ctypes.data, g.channels, g.height, g.width, R,
-                                self.config.tau_us, t.ctypes.data, x.ctypes.data,
-                                y.ctypes.data, p.ctypes.data, len(t), surfaces.ctypes.data)
-        if bad:
-            k = bad - 1
-            raise StreamError(f"event {k} at pixel ({x[k]}, {y[k]}) on channel {p[k]} "
-                              f"lies outside the layer's {g.width}x{g.height} pixels "
-                              f"and {g.channels} channels")
+        field = self._field()
+        surfaces = np.empty((len(t), self.bank_shape[1]))
+        _check_inside(_LIB.evg_surfaces(*field, *map(_ptr, events), len(surfaces), _ptr(surfaces)),
+                field, events)
         return surfaces
 
 

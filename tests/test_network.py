@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import zlib
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from evgesture.pipeline import (
     TrainedPipeline, build_network, evaluate_pipeline, load_pipeline,
     save_pipeline, train_pipeline,
 )
-from evgesture.surfaces import TimestampMemory, extract
+from evgesture.surfaces import TimestampMemory, extract, is_valid
 from evgesture.synth import gen_gesture_set
 
 GEOM = SensorGeometry(32, 32, 2)
@@ -555,10 +554,9 @@ def frozen_cases(draw):
 
 
 @st.composite
-def stamp_cases(draw):
+def burst_cases(draw):
     """A frozen one-layer net, clips made of bursts of equal timestamps on
-    one pixel (or spread over a few), cuts into ``encode`` calls, and a
-    block length of 1-8 events."""
+    one pixel (or spread over a few), and cuts into ``encode`` calls."""
     w, h = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     geometry = SensorGeometry(w, h, 2)
     clips = []
@@ -580,7 +578,7 @@ def stamp_cases(draw):
                                      draw(st.sampled_from([700.0, 3000.0, 20_000.0])))],
                          False, draw(st.integers(0, 2**16)))
     cuts = draw(st.lists(st.integers(1, 12), min_size=1, max_size=10))
-    return net.layers[0], clips, cuts, draw(st.integers(1, 8))
+    return net.layers[0], clips, cuts
 
 
 def layer_input(net, stream):
@@ -690,40 +688,37 @@ class TestFrozenBlocks:
             assert np.array_equal(rows.sum(axis=1), [e.sum() for e in expected])
 
     @settings(max_examples=60, deadline=None)
-    @given(stamp_cases())
+    @given(burst_cases())
     def test_surfaces_across_calls_and_clips(self, case):
-        # the touched-key stamps of earlier blocks, calls and clips never
-        # hide an in-block event from a later block's surfaces
-        layer, clips, cuts, events_per_block = case
-        rows = []
-        block_surfaces = layer.block_surfaces
-
-        def recording(*args):
-            out = block_surfaces(*args)
-            rows.append(out.copy())
-            return out
-
-        layer.block_surfaces = recording
-        block_bytes = events_per_block * 32 * layer.config.surface_config.size
-        with mock.patch.object(network, "BLOCK_BYTES", block_bytes):
-            for s in clips:
-                layer.reset_memory()
-                rows.clear()
-                a, k = 0, 0
-                while a < len(s):
-                    b = a + cuts[k % len(cuts)]
-                    layer.encode(s.t[a:b], s.x[a:b], s.y[a:b], s.p[a:b])
-                    a, k = b, k + 1
-                memory = TimestampMemory(layer.geometry)
-                expected = []
-                for t, x, y, p in events_of(s):
-                    memory.record(t, x, y, p)
-                    expected.append(extract(memory, t, x, y, p, layer.config.surface_config)
-                                    .values.ravel())
-                if expected:
-                    assert max(len(r) for r in rows) <= events_per_block
-                    assert np.array_equal(np.concatenate(rows), np.array(expected))
-
+        # earlier calls and clips never hide an event from a later event's
+        # surface: each event, however the clip is cut into calls, is kept
+        # iff its surface from extract sums to >= 2R, with the pairwise
+        # argmin over the frozen bank, and after each clip the memory
+        # holds a replay of the clip inside its -inf border
+        layer, clips, cuts = case
+        R = layer.config.radius
+        for s in clips:
+            layer.reset_memory()
+            keep, ids, a, k = [], [], 0, 0
+            while a < len(s):
+                b = a + cuts[k % len(cuts)]
+                kb, ib = layer.encode(s.t[a:b], s.x[a:b], s.y[a:b], s.p[a:b])
+                keep += kb.tolist()
+                ids += ib.tolist()
+                a, k = b, k + 1
+            memory = TimestampMemory(layer.geometry)
+            expected_keep, expected_ids = [], []
+            for t, x, y, p in events_of(s):
+                memory.record(t, x, y, p)
+                flat = extract(memory, t, x, y, p, layer.config.surface_config).values.ravel()
+                expected_keep.append(bool(flat.sum() >= 2 * R))
+                if expected_keep[-1]:
+                    expected_ids.append(int(np.add.reduce((layer.bank - flat) ** 2, axis=1)
+                                            .argmin()))
+            assert keep == expected_keep
+            assert ids == expected_ids
+            assert np.array_equal(layer.memory, np.pad(memory.last_t, ((0, 0), (R, R), (R, R)),
+                                                       constant_values=-np.inf))
 
 class TestNearestRows:
     def test_exact_match(self):
@@ -820,6 +815,22 @@ def sparse_match_cases(draw):
     return bank, surfaces
 
 
+# Clips of (t, x, y) on a 5x5 array, one channel, whose last event, at
+# (2, 2), has a radius-1 surface at the edge of the validity gate: the
+# surface's tau, its events, and whether the last one is valid.
+GATE_EDGE_CLIPS = {
+    # a same-time neighbour: 1.0 + 1.0 is exactly 2R
+    "exactly-2R": (3000.0, [(5, 2, 1), (5, 2, 2)], True),
+    # a neighbour one microsecond earlier at tau 2**52: 1.0 + (1 - 2**-52)
+    "one-ulp-below": (2.0**52, [(4, 2, 1), (5, 2, 2)], False),
+    # 0.6 + 0.2 + 1.0 + 0.2 in row order: 2.0 in numpy's pairwise order,
+    # 2 - 2**-52 left to right
+    "pairwise-2.0": (5.0, [(6, 2, 1), (6, 3, 2), (8, 1, 1), (10, 2, 2)], True),
+    # 0.6 + 1.0 + 0.2 + 0.2: 2 - 2**-52 pairwise, 2.0 left to right
+    "pairwise-below": (5.0, [(6, 3, 2), (6, 3, 3), (8, 1, 1), (10, 2, 2)], False),
+}
+
+
 class TestCompiledLayer:
     """The compiled surface and matching loops: their inputs and bounds."""
 
@@ -887,6 +898,26 @@ class TestCompiledLayer:
             assert np.array_equal(layer.memory, reference.memory)
             assert layer.bank.tobytes() == reference.bank.tobytes()
             assert layer.match_counts == reference.match_counts
+
+    @pytest.mark.parametrize("learning", [True, False], ids=["learning", "frozen"])
+    @pytest.mark.parametrize("case", GATE_EDGE_CLIPS)
+    def test_gate_edge(self, case, learning):
+        # the last event of each clip sums to 2R exactly, or one ulp from
+        # it, or to either side of it by the order of summation alone;
+        # with a full bank, every valid surface is emitted
+        tau, events, last_valid = GATE_EDGE_CLIPS[case]
+        layer = Layer(LayerConfig(2, 1, tau, 1), SensorGeometry(5, 5, 1))
+        layer.install(np.eye(2, 9, 3), [1, 1])
+        layer.learning = learning
+        t, x, y = (np.array(v) for v in zip(*events))
+        keep, _ = layer.encode(t, x, y, np.zeros(len(t), dtype=np.int64))
+        memory = TimestampMemory(layer.geometry)
+        expected = []
+        for event in events:
+            memory.record(*event, 0)
+            expected.append(is_valid(extract(memory, *event, 0, layer.config.surface_config), 1))
+        assert keep.tolist() == expected
+        assert expected[-1] is last_valid
 
 
 # ---------------------------------------------------------------------------
@@ -1201,3 +1232,26 @@ class TestGoldenModels:
                              capture_output=True, text=True).stdout
         assert json.loads(out.splitlines()[-1]) == {
             case: digest for case, (_, _, digest) in GOLDEN_MODELS.items()}
+
+    @pytest.mark.parametrize("flags", [("-O0",), ("-O2", "-march=native")],
+                             ids=["O0", "O2-march-native"])
+    def test_same_under_optimisation_levels(self, flags, tmp_path):
+        # the compiled loops built at another optimisation level, and for
+        # this machine's widest vectors, train the same models: no flag
+        # lets the compiler contract or reorder a sum
+        if "-march=native" in flags and subprocess.run(
+                ["cc", *flags, "-fsyntax-only", "-x", "c", os.devnull]).returncode:
+            pytest.skip("cc rejects -march=native")
+        code = ("import json, test_network as t\n"
+                "from evgesture import _native, dbs, network\n"
+                f"_native.FLAGS = {(*flags, '-ffp-contract=off', '-fPIC', '-shared')!r}\n"
+                f"network._LIB = dbs._LIB = _native.load.__wrapped__({str(tmp_path)!r})\n"
+                "print(json.dumps([network._LIB._name, {c: t.model_digest(n, e) "
+                "for c, (n, e, _) in t.GOLDEN_MODELS.items()}]))")
+        here = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([here, os.path.join(here, "..", "src")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        library, digests = json.loads(out.splitlines()[-1])
+        assert os.path.dirname(library) == str(tmp_path)
+        assert digests == {case: digest for case, (_, _, digest) in GOLDEN_MODELS.items()}
