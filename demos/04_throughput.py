@@ -34,4 +34,4 @@ for stage in ("dbs", "layers", "full"):
           f"(median over runs, spread {m['spread']:.0f} ev/s)")
 slowest = min(("dbs", "layers"), key=lambda s: report.stages[s]["events_per_s"])
 print(f"the full cascade is bounded by its slowest stage, here {slowest}; "
-      "both evaluate blocks of events")
+      "both take each clip's events in one compiled pass")

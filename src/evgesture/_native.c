@@ -381,21 +381,25 @@ int64_t evg_layer(double *bank, int64_t n, int64_t d, int64_t *state, int64_t *c
 /* Background suppression over n events (dbs.DbsFilter.process_block).
 
    activity and last hold cells + 1 counters, the whole array's last.
-   Event k brings its cell's counter and then the whole array's forward
-   to t[k], a = a * exp(-(t - last) / tau) + 1, and is kept iff its
-   cell's is at least alpha times the whole array's over cells. exp is
-   libm's, the function math.exp calls, so every value and decision is
-   bit-equal to dbs.update_activity's. */
-void evg_dbs(const int64_t *t, const int64_t *cell, int64_t n, double *activity,
-             int64_t *last, int64_t cells, double tau, double alpha, uint8_t *keep)
+   Event k's cell is row_cell[y[k]] + col_cell[x[k]]: the tables hold
+   grid_cells at (0, y), the first cell of y's grid row, and at (x, 0),
+   x's grid column, so the sum is grid_cells(x, y). Event k brings its
+   cell's counter and then the whole array's forward to t[k], a = a *
+   exp(-(t - last) / tau) + 1, and is kept iff its cell's is at least
+   alpha times the whole array's over cells. exp is libm's, the function
+   math.exp calls, so every value and decision is bit-equal to
+   dbs.update_activity's. */
+void evg_dbs(const int64_t *t, const int32_t *x, const int32_t *y, const int64_t *row_cell,
+             const int64_t *col_cell, int64_t n, double *activity, int64_t *last,
+             int64_t cells, double tau, double alpha, uint8_t *keep)
 {
     for (int64_t k = 0; k < n; k++) {
-        const int64_t hits[2] = {cell[k], cells};
+        const int64_t hits[2] = {row_cell[y[k]] + col_cell[x[k]], cells};
         for (int j = 0; j < 2; j++) {
             int64_t c = hits[j];
             activity[c] = activity[c] * exp(-(double)(t[k] - last[c]) / tau) + 1.0;
             last[c] = t[k];
         }
-        keep[k] = activity[cell[k]] >= alpha * (activity[cells] / (double)cells);
+        keep[k] = activity[hits[0]] >= alpha * (activity[cells] / (double)cells);
     }
 }

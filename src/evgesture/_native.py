@@ -65,6 +65,6 @@ def load(out_dir: str | os.PathLike = SOURCE.parent / "__pycache__",
     lib.evg_layer.restype = i64
     lib.evg_surfaces.argtypes = [ptr, i64, i64, i64, i64, f64, ptr, ptr, ptr, ptr, i64, ptr]
     lib.evg_surfaces.restype = i64
-    lib.evg_dbs.argtypes = [ptr, ptr, i64, ptr, ptr, i64, f64, f64, ptr]
+    lib.evg_dbs.argtypes = [ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, f64, f64, ptr]
     lib.evg_dbs.restype = None
     return lib

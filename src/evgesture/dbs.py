@@ -10,11 +10,11 @@ activities is itself one decaying counter that gains +1 per event; the
 mean is that counter over the cell count, O(1) per event whatever the grid
 size. The filter keeps it after the cells' counters, so every event hits
 two counters, its cell's and the whole array's, and one rule updates both.
-Events come in blocks of arrays; the cells are found per block, and the
-rule itself runs one event after the other in one compiled loop,
-``evg_dbs`` in ``_native.c``, with libm's ``exp``, the function
-``math.exp`` calls, so every decision and counter is bit-equal to
-``update_activity``'s.
+A stream is taken whole, in one compiled loop, ``evg_dbs`` in
+``_native.c``: each event in turn finds its cell from two per-axis
+tables of ``grid_cells``, and runs the rule with libm's ``exp``, the
+function ``math.exp`` calls, so every decision and counter is bit-equal
+to ``update_activity``'s.
 
 Masks therefore depend on the platform's libm. glibc 2.36 rounds 1 of
 the 1,611 distinct decay arguments of one cluttered test workload
@@ -35,12 +35,6 @@ import numpy as np
 
 from . import _native
 from .events import EventStream, SensorGeometry, check_events, check_grid, grid_cells
-
-# Events per process_block call in filter_stream. A block's working arrays,
-# its cells, keep mask and the temporaries of grid_cells and check_events,
-# peak at about 28 bytes an event (tracemalloc), so a long input is filtered
-# in about 2 MB; a swipe clip fits in one block.
-BLOCK_EVENTS = 1 << 16
 
 _LIB = _native.load()
 
@@ -80,7 +74,8 @@ class RetentionStats:
 
 
 class DbsFilter:
-    """Stateful filter over a time-ordered event sequence, taken in blocks.
+    """Stateful filter over a time-ordered event sequence, taken whole or
+    in consecutive slices.
 
     State is one decaying counter per cell and one for the whole array,
     the sum of all cells' activities: ``activity`` holds their values and
@@ -88,46 +83,53 @@ class DbsFilter:
     Every counter starts at 0.0 at time 0, which the first event's decay
     and +1 take to exactly 1.0. Decay is lazy: a counter's stored value is
     only brought forward on its own events.
+
+    A pixel's cell is ``row_cell[y] + col_cell[x]``: ``grid_cells`` at
+    ``(0, y)``, its row's first cell, plus ``grid_cells`` at ``(x, 0)``,
+    its column, which sum to ``grid_cells(x, y)``. The tables are int64,
+    since a legal grid can have more than 2**31 cells, and hold one entry
+    per pixel row and column.
     """
 
     def __init__(self, geometry: SensorGeometry, config: DbsConfig = DbsConfig()):
-        check_grid(config.grid_rows, config.grid_cols, geometry, "DBS grid")
+        rows, cols = config.grid_rows, config.grid_cols
+        check_grid(rows, cols, geometry, "DBS grid")
         self.geometry = geometry
         self.config = config
-        n = config.grid_rows * config.grid_cols + 1
+        n = rows * cols + 1
         self.activity = np.zeros(n)
         self.last_t = np.zeros(n, dtype=np.int64)
+        self.row_cell = grid_cells(0, np.arange(geometry.height), geometry, rows, cols)
+        self.col_cell = grid_cells(np.arange(geometry.width), 0, geometry, rows, cols)
 
     def process_block(self, t, x, y) -> np.ndarray:
-        """Update state with a block of events and return their keep mask.
+        """Update state with a sequence of events and return their keep
+        mask, in one compiled loop.
 
         Each event's own cell is updated first; the mean then includes the
-        just-updated cell. Keep iff A_c >= alpha * mean. The block must not
-        go back in time, within itself or behind the last event already
-        taken, nor leave the array; otherwise ``StreamError`` is raised and
-        no state changes.
+        just-updated cell. Keep iff A_c >= alpha * mean. The events must not
+        go back in time, among themselves or behind the last event already
+        taken, nor leave the array; otherwise ``StreamError`` is raised,
+        naming the first bad event's index, and no state changes.
         """
         t = np.ascontiguousarray(t, dtype=np.int64)
         check_events(t, x, y, None, self.geometry, int(self.last_t[-1]))
+        # in [0, 65535) once checked, so the cast to the stream layout cannot wrap
+        x, y = (np.ascontiguousarray(v, dtype=np.int32) for v in (x, y))
         cfg = self.config
-        cell = np.ascontiguousarray(grid_cells(x, y, self.geometry, cfg.grid_rows,
-                                               cfg.grid_cols))
         keep = np.empty(len(t), dtype=bool)
-        _LIB.evg_dbs(t.ctypes.data, cell.ctypes.data, len(t), self.activity.ctypes.data,
+        _LIB.evg_dbs(t.ctypes.data, x.ctypes.data, y.ctypes.data, self.row_cell.ctypes.data,
+                     self.col_cell.ctypes.data, len(t), self.activity.ctypes.data,
                      self.last_t.ctypes.data, len(self.activity) - 1, cfg.tau_b_us,
                      cfg.alpha, keep.ctypes.data)
         return keep
 
 
 def filter_stream(filt: DbsFilter, stream: EventStream) -> tuple[EventStream, RetentionStats]:
-    """Run a stream through the filter, ``BLOCK_EVENTS`` at a time; kept
-    events preserve order and times. A block that goes back in time or
-    leaves the array raises before the filter takes any of it."""
-    n = len(stream)
-    keep = np.zeros(n, dtype=bool)
-    for lo in range(0, n, BLOCK_EVENTS):
-        hi = lo + BLOCK_EVENTS
-        keep[lo:hi] = filt.process_block(stream.t[lo:hi], stream.x[lo:hi],
-                                         stream.y[lo:hi])
-    kept = stream.select(keep)
-    return kept, RetentionStats(total=n, kept=int(keep.sum()), keep_mask=keep)
+    """Run a stream through the filter in one ``process_block`` call; kept
+    events preserve order and times. A stream that goes back in time or
+    leaves the array anywhere raises, naming the event's index in the
+    stream, before the filter takes any of it."""
+    keep = filt.process_block(stream.t, stream.x, stream.y)
+    return stream.select(keep), RetentionStats(total=len(stream), kept=int(keep.sum()),
+                                               keep_mask=keep)

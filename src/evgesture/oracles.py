@@ -7,7 +7,8 @@ event at a time through the scalar rule (no block arrays); the
 time-surface reference reconstructs each neighbor's latest timestamp from
 per-pixel event histories instead of a rolling memory array, and the
 learning reference takes one event at a time through every layer with the
-rule written out plainly.
+rule written out plainly. The pipeline reference joins these stages with
+plain loops, from background suppression to the k-NN label.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .classify import Signature, TrainedModel
 from .dbs import DbsConfig, update_activity
 from .events import EventStream, SensorGeometry
-from .network import learn_update
+from .network import LayerConfig, learn_update
 from .surfaces import TimeSurfaceConfig, TimestampMemory, extract
 
 
@@ -53,7 +54,7 @@ def dbs_scalar(stream: EventStream, config: DbsConfig):
     """Scalar reference for ``DbsFilter``: one event at a time, the event's
     cell and then the whole array's counter, the sum of all cells, brought
     forward by ``update_activity``; keep iff A_c >= alpha * (sum / cells).
-    These are the block filter's IEEE-754 operations in its order, so
+    These are the compiled filter's IEEE-754 operations in its order, so
     decisions and state are bit-equal to it.
 
     Returns the keep mask, the final state ``(activity, last_t)`` in the
@@ -242,33 +243,84 @@ def learn_bruteforce(configs, merge_polarity: bool, geometry: SensorGeometry,
     """
     layers = [_LayerReference(c, geometry) for c in configs]
     outputs = []
-
-    def run(active, stream):
-        for layer in active:
-            layer.memory.reset()
-        out = []
-        for i in range(len(stream)):
-            event = (int(stream.t[i]), int(stream.x[i]), int(stream.y[i]),
-                     0 if merge_polarity else int(stream.p[i]))
-            for layer in active:
-                idx = layer.step(*event)
-                if idx is None:
-                    break
-                event = event[:3] + (idx,)
-            else:
-                out.append(event)
-        outputs.append(out)
-
     if mode == "joint":
         for _ in range(epochs):
             for stream in streams:
-                run(layers, stream)
+                outputs.append(_cascade(layers, merge_polarity, stream))
     else:
         for i, layer in enumerate(layers):
             for _ in range(epochs):
                 for stream in streams:
-                    run(layers[: i + 1], stream)
+                    outputs.append(_cascade(layers[: i + 1], merge_polarity, stream))
             if layer.n_filled < layer.config.n_prototypes:
                 break
             layer.learning = False
     return layers, outputs
+
+
+def _cascade(layers, merge_polarity: bool, stream: EventStream) -> list:
+    """The end layer's output events (t, x, y, id) of ``stream`` taken
+    through ``layers`` from fresh memories, each event through every
+    layer before the next event."""
+    for layer in layers:
+        layer.memory.reset()
+    out = []
+    for i in range(len(stream)):
+        event = (int(stream.t[i]), int(stream.x[i]), int(stream.y[i]),
+                 0 if merge_polarity else int(stream.p[i]))
+        for layer in layers:
+            idx = layer.step(*event)
+            if idx is None:
+                break
+            event = event[:3] + (idx,)
+        else:
+            out.append(event)
+    return out
+
+
+def pipeline_bruteforce(config, train_clips, test_clips):
+    """Reference of ``pipeline.train_pipeline`` on ``train_clips``, then
+    the k-NN label of each of ``test_clips``, one event at a time:
+    ``dbs_scalar``'s mask where DBS is on, ``learn_bruteforce`` for the
+    banks, its layer references frozen for the signature pass, a plain
+    loop of pooled counts over the end layer's events, L1 normalisation
+    and ``knn_bruteforce``.
+
+    Returns ``(layers, model, test_signatures, test_labels)``: the layer
+    references, and, where every bank filled, the TrainedModel, the test
+    clips' signatures and their labels. Where a bank did not fill, and
+    ``train_pipeline`` raises UndertrainedLayerError, the last three are
+    None.
+    """
+    geometry = train_clips[0].stream.geometry
+    rows, cols = config.pooling.grid_rows, config.pooling.grid_cols
+    in_channels = 1 if config.merge_polarity else geometry.channels
+    configs = []
+    for spec in config.layers:
+        configs.append(LayerConfig(spec.n, spec.r, spec.tau_us, in_channels, spec.reinit_window))
+        in_channels = spec.n
+
+    def suppress(stream):
+        return stream if config.dbs is None else stream.select(dbs_scalar(stream, config.dbs)[0])
+
+    def signature(filtered):
+        n_out = configs[-1].n_prototypes
+        values = np.zeros(rows * cols * n_out)
+        for _, x, y, p in _cascade(layers, config.merge_polarity, filtered):
+            row = min(y * rows // geometry.height, rows - 1)
+            col = min(x * cols // geometry.width, cols - 1)
+            values[(row * cols + col) * n_out + p] += 1.0
+        total = values.sum()
+        return values / total if total else values
+
+    train = [suppress(c.stream) for c in train_clips]
+    layers, _ = learn_bruteforce(configs, config.merge_polarity, geometry, train,
+                                 config.epochs, config.training_mode)
+    if any(layer.n_filled < layer.config.n_prototypes for layer in layers):
+        return layers, None, None, None
+    for layer in layers:
+        layer.learning = False
+    model = TrainedModel(np.stack([signature(s) for s in train]),
+                         [c.label for c in train_clips], min(config.k, len(train_clips)))
+    tests = [signature(suppress(c.stream)) for c in test_clips]
+    return layers, model, tests, [knn_bruteforce(model, Signature(s)) for s in tests]

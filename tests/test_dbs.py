@@ -1,16 +1,14 @@
 import hashlib
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evgesture import dbs
 from evgesture.dbs import (
     DbsConfig, DbsFilter, RetentionStats, filter_stream, update_activity,
 )
-from evgesture.events import EventStream, SensorGeometry, grid_cells
+from evgesture.events import EventStream, SensorGeometry, StreamError, grid_cells
 from evgesture.oracles import dbs_decisions_eager, dbs_decisions_history, dbs_scalar
 from evgesture.synth import CompositeSpec, gen_composite, gen_gesture_set
 
@@ -229,6 +227,23 @@ class TestTimeRegression:
             filter_stream(f, EventStream([299], [8], [0], [0], self.G))
         assert _state(f) == before
 
+    @pytest.mark.parametrize("field, at, value, message", [
+        ("t", 66_000, 5, "time regression: 5 < 65999 at index 66000"),
+        ("x", 67_000, 9, r"pixel \(9, 4\) outside 9x9: x=9 out of bounds \[0, 9\) at index 67000"),
+    ], ids=["time-regression", "off-array"])
+    def test_filter_stream_is_all_or_nothing(self, field, at, value, message):
+        # a bad event far into a long stream is reported at its index in
+        # the stream, and none of the events before it are taken
+        n = 70_000
+        fields = {"t": np.arange(n), "x": np.full(n, 4), "y": np.full(n, 4)}
+        fields[field][at] = value
+        stream = EventStream(fields["t"], fields["x"], fields["y"], np.zeros(n), self.G,
+                             validate=False)
+        f = DbsFilter(self.G, DEFAULT_PARAMS)
+        with pytest.raises(StreamError, match=message):
+            filter_stream(f, stream)
+        assert _state(f) == ([0.0] * 10, [0] * 10)
+
     def test_negative_first_time_on_fresh_filter(self):
         # a fresh filter's counters start at time 0; a negative time is
         # reported as such, not as a regression behind that start
@@ -276,24 +291,21 @@ def dbs_cases(draw):
 
 
 class TestScalarReference:
-    """The block filter against ``oracles.dbs_scalar``, compared with ==."""
+    """The compiled filter against ``oracles.dbs_scalar``, compared with ==."""
 
     @settings(max_examples=150, deadline=None)
-    @given(dbs_cases(), st.integers(1, 160),
-           st.lists(st.integers(1, 160), min_size=1, max_size=12))
-    def test_bit_equal_under_any_cuts(self, case, block, pieces):
-        # BLOCK_EVENTS cuts inside each filter_stream call; ``pieces`` cuts
-        # the stream into calls that carry the filter's state.
+    @given(dbs_cases(), st.lists(st.integers(1, 160), min_size=1, max_size=12))
+    def test_bit_equal_under_any_cuts(self, case, pieces):
+        # ``pieces`` cuts the stream into calls that carry the filter's state
         config, stream = case
         f = DbsFilter(stream.geometry, config)
         idx = np.arange(len(stream))
         masks, a, k = [], 0, 0
-        with mock.patch.object(dbs, "BLOCK_EVENTS", block):
-            while a < len(stream):
-                b = a + pieces[k % len(pieces)]
-                piece = stream.select((idx >= a) & (idx < b))
-                masks.append(filter_stream(f, piece)[1].keep_mask)
-                a, k = b, k + 1
+        while a < len(stream):
+            b = a + pieces[k % len(pieces)]
+            piece = stream.select((idx >= a) & (idx < b))
+            masks.append(filter_stream(f, piece)[1].keep_mask)
+            a, k = b, k + 1
         mask = np.concatenate(masks) if masks else np.zeros(0, dtype=bool)
         ref_mask, ref_state, _ = dbs_scalar(stream, config)
         assert mask.tolist() == ref_mask.tolist()
@@ -402,48 +414,63 @@ def _cluttered_swipes(seed, clutter=4.0):
     return out
 
 
+# Acceptance 1's streams: (seed, events, kept, digest) of each one's mask.
+GOLDEN_COMPOSITE_MASKS = [
+    (0, 100074, 75029, "87ca6d61a3386f89228e85459e7f33aa6708f562877c33d41b32f047a43e4ecf"),
+    (1, 100129, 74961, "4c57256b546f05f6dd67081e6e3ca71ce21052968b3fe3b375da6f5955045b4d"),
+    (2, 100207, 75005, "4f51bf6f64b57d1532ca44dd334a655a9cd941eebfc91a92ca433590ca17fdd8"),
+    (3, 100023, 75126, "917ef0f81d467a18b93b48035ae7c72ff9005c2dc809036ae0b141e5b8b18eac"),
+    (4, 100099, 74907, "31453131e8acab00af0bdb86717c8073c592f36a0db44d56a6660fdf620ebc70"),
+    (5, 99852, 74880, "db289e2a2c3689288b17f4f30f398ef5bd286479c0a33d8c1ce472d8d6a3fcf5"),
+    (6, 99961, 74953, "02ca252768e6c16ccfae204753e717989b6a4c271050d620a4df6726b2080e1f"),
+    (7, 100029, 74977, "5287fbf1e9cea1eb30c2d1f03a6f64805ea127948d0b393e439020167eeaacef"),
+    (8, 100281, 74874, "be86c1a4a95123f603432ff04fb0e4f0efe48f8a79aab2a9b84c3f07deb01e12"),
+    (9, 100225, 75190, "98514cb34a60483c955f06a663a7b38496542e6943f927ad5c4d99467b48325d"),
+]
+
+# ``_cluttered_swipes(seed)`` under ``config``: (seed, config, events,
+# kept, digest) of the masks of its clips.
+GOLDEN_CLUTTERED_MASKS = [
+    (0, DEFAULT_PARAMS, 118126, 27165,
+     "d6b0a5f5fed1aef624bbe295e42d63e96abd1b5dc07972155a3dff51e92f6031"),
+    (1, DEFAULT_PARAMS, 133304, 31894,
+     "30f95941b356d1dcc8318a5b4a06d88e31b04fb27df0f7153b193fbc43f73346"),
+    (2, DEFAULT_PARAMS, 110859, 27913,
+     "d9483ab67d08d3566d30c24518e755a001ef0bffe530faf58834f2af1ff01326"),
+    (5, DbsConfig(1, 7, 2100.0, 1.5), 116192, 26816,
+     "ec9322fca812b52e85c5df714f1a3400c7c59a1f8d9f3e16855905e08ad22c7b"),
+    (5, DbsConfig(5, 5, 300.0, 3.0), 116192, 33514,
+     "33bcf81a25dfabd95a5a49e042aa6eb9ba46ffff69e41cf7079adbbf782d160e"),
+]
+
+
+def composite_mask(seed):
+    """(events, kept, digest) of the mask of acceptance 1's stream ``seed``."""
+    spec = CompositeSpec(
+        geometry=SensorGeometry(36, 36, 2), duration_us=500_000,
+        fg_region=(12, 12, 24, 24), fg_rate_hz=150_000.0, bg_rate_hz=50_000.0,
+    )
+    stream = gen_composite(spec, seed).stream
+    _, stats = filter_stream(DbsFilter(stream.geometry, DEFAULT_PARAMS), stream)
+    return stats.total, stats.kept, _mask_digest([stats.keep_mask])
+
+
+def cluttered_masks(seed, config):
+    """(events, kept, digest) of the masks of ``_cluttered_swipes(seed)``."""
+    masks = [filter_stream(DbsFilter(s.geometry, config), s)[1].keep_mask
+             for s in _cluttered_swipes(seed)]
+    return sum(map(len, masks)), int(sum(m.sum() for m in masks)), _mask_digest(masks)
+
+
 class TestGoldenMasks:
     """Pinned digests of keep masks (one uint8 per event, a newline after
     each stream). Any change to a DBS decision must be deliberate and
     show up here."""
 
-    @pytest.mark.parametrize("seed, events, kept, digest", [
-        (0, 100074, 75029, "87ca6d61a3386f89228e85459e7f33aa6708f562877c33d41b32f047a43e4ecf"),
-        (1, 100129, 74961, "4c57256b546f05f6dd67081e6e3ca71ce21052968b3fe3b375da6f5955045b4d"),
-        (2, 100207, 75005, "4f51bf6f64b57d1532ca44dd334a655a9cd941eebfc91a92ca433590ca17fdd8"),
-        (3, 100023, 75126, "917ef0f81d467a18b93b48035ae7c72ff9005c2dc809036ae0b141e5b8b18eac"),
-        (4, 100099, 74907, "31453131e8acab00af0bdb86717c8073c592f36a0db44d56a6660fdf620ebc70"),
-        (5, 99852, 74880, "db289e2a2c3689288b17f4f30f398ef5bd286479c0a33d8c1ce472d8d6a3fcf5"),
-        (6, 99961, 74953, "02ca252768e6c16ccfae204753e717989b6a4c271050d620a4df6726b2080e1f"),
-        (7, 100029, 74977, "5287fbf1e9cea1eb30c2d1f03a6f64805ea127948d0b393e439020167eeaacef"),
-        (8, 100281, 74874, "be86c1a4a95123f603432ff04fb0e4f0efe48f8a79aab2a9b84c3f07deb01e12"),
-        (9, 100225, 75190, "98514cb34a60483c955f06a663a7b38496542e6943f927ad5c4d99467b48325d"),
-    ])
+    @pytest.mark.parametrize("seed, events, kept, digest", GOLDEN_COMPOSITE_MASKS)
     def test_acceptance_composites(self, seed, events, kept, digest):
-        # acceptance 1's streams
-        spec = CompositeSpec(
-            geometry=SensorGeometry(36, 36, 2), duration_us=500_000,
-            fg_region=(12, 12, 24, 24), fg_rate_hz=150_000.0, bg_rate_hz=50_000.0,
-        )
-        stream = gen_composite(spec, seed).stream
-        _, stats = filter_stream(DbsFilter(stream.geometry, DEFAULT_PARAMS), stream)
-        assert (stats.total, stats.kept) == (events, kept)
-        assert _mask_digest([stats.keep_mask]) == digest
+        assert composite_mask(seed) == (events, kept, digest)
 
-    @pytest.mark.parametrize("seed, config, events, kept, digest", [
-        (0, DEFAULT_PARAMS, 118126, 27165,
-         "d6b0a5f5fed1aef624bbe295e42d63e96abd1b5dc07972155a3dff51e92f6031"),
-        (1, DEFAULT_PARAMS, 133304, 31894,
-         "30f95941b356d1dcc8318a5b4a06d88e31b04fb27df0f7153b193fbc43f73346"),
-        (2, DEFAULT_PARAMS, 110859, 27913,
-         "d9483ab67d08d3566d30c24518e755a001ef0bffe530faf58834f2af1ff01326"),
-        (5, DbsConfig(1, 7, 2100.0, 1.5), 116192, 26816,
-         "ec9322fca812b52e85c5df714f1a3400c7c59a1f8d9f3e16855905e08ad22c7b"),
-        (5, DbsConfig(5, 5, 300.0, 3.0), 116192, 33514,
-         "33bcf81a25dfabd95a5a49e042aa6eb9ba46ffff69e41cf7079adbbf782d160e"),
-    ])
+    @pytest.mark.parametrize("seed, config, events, kept, digest", GOLDEN_CLUTTERED_MASKS)
     def test_cluttered_swipes(self, seed, config, events, kept, digest):
-        masks = [filter_stream(DbsFilter(s.geometry, config), s)[1].keep_mask
-                 for s in _cluttered_swipes(seed)]
-        assert (sum(map(len, masks)), int(sum(m.sum() for m in masks))) == (events, kept)
-        assert _mask_digest(masks) == digest
+        assert cluttered_masks(seed, config) == (events, kept, digest)

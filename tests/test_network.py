@@ -10,19 +10,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evgesture import _native, cli, network
-from evgesture.config import parse_config
-from evgesture.events import EventStream, SensorGeometry, StreamError, write_binary_events
-from evgesture.network import (
-    DEFAULT_REINIT_WINDOW, Layer, LayerConfig, Network, UndertrainedLayerError,
-    learn_update, nearest_rows, train,
+from evgesture.classify import PoolingConfig, knn_classify
+from evgesture.config import LayerSpec, PipelineConfig, parse_config
+from evgesture.dbs import DbsConfig
+from evgesture.events import (
+    ClipRecord, EventStream, SensorGeometry, StreamError, write_binary_events,
 )
-from evgesture.oracles import _LayerReference, learn_bruteforce, surfaces_bruteforce
+from evgesture.network import (
+    DEFAULT_REINIT_WINDOW, TRAINING_MODES, Layer, LayerConfig, Network,
+    UndertrainedLayerError, learn_update, nearest_rows, train,
+)
+from evgesture.oracles import (
+    _LayerReference, learn_bruteforce, pipeline_bruteforce, surfaces_bruteforce,
+)
 from evgesture.pipeline import (
     TrainedPipeline, build_network, evaluate_pipeline, load_pipeline,
-    save_pipeline, train_pipeline,
+    save_pipeline, stream_signature, suppress_background, train_pipeline,
 )
 from evgesture.surfaces import TimestampMemory, extract, is_valid
-from evgesture.synth import gen_gesture_set
+from evgesture.synth import SWIPE_RATE_HZ, CompositeSpec, gen_composite, gen_gesture_set
+
+import test_dbs
 
 GEOM = SensorGeometry(32, 32, 2)
 
@@ -455,8 +463,8 @@ class TestSerialization:
 
 
 # ---------------------------------------------------------------------------
-# Frozen layers encode streams in blocks; these tests hold the block path to
-# the per-event path and to the brute-force surface oracle.
+# A frozen layer encodes a stream in one compiled pass; these tests hold that
+# pass to the per-event path and to the brute-force surface oracle.
 
 # The oracle's 1 - dt/tau and extract's (last - t)/tau + 1, and sums or
 # distances over either, differ far below this.
@@ -921,10 +929,9 @@ class TestCompiledLayer:
 
 
 # ---------------------------------------------------------------------------
-# Learning layers take streams in blocks too; only the learning rule runs
-# one valid surface after the other. These tests hold the block learner to
-# the per-event reference, which takes each event through every layer
-# before the next.
+# A learning layer takes a stream in the same compiled pass, one valid
+# surface after the other. These tests hold that learner to the per-event
+# reference, which takes each event through every layer before the next.
 
 @st.composite
 def learning_cases(draw):
@@ -1237,21 +1244,116 @@ class TestGoldenModels:
                              ids=["O0", "O2-march-native"])
     def test_same_under_optimisation_levels(self, flags, tmp_path):
         # the compiled loops built at another optimisation level, and for
-        # this machine's widest vectors, train the same models: no flag
-        # lets the compiler contract or reorder a sum
+        # this machine's widest vectors, train the same models and keep the
+        # same DBS masks: no flag lets the compiler contract or reorder a sum
         if "-march=native" in flags and subprocess.run(
                 ["cc", *flags, "-fsyntax-only", "-x", "c", os.devnull]).returncode:
             pytest.skip("cc rejects -march=native")
-        code = ("import json, test_network as t\n"
+        code = ("import json, test_dbs as d, test_network as t\n"
                 "from evgesture import _native, dbs, network\n"
                 f"_native.FLAGS = {(*flags, '-ffp-contract=off', '-fPIC', '-shared')!r}\n"
                 f"network._LIB = dbs._LIB = _native.load.__wrapped__({str(tmp_path)!r})\n"
                 "print(json.dumps([network._LIB._name, {c: t.model_digest(n, e) "
-                "for c, (n, e, _) in t.GOLDEN_MODELS.items()}]))")
+                "for c, (n, e, _) in t.GOLDEN_MODELS.items()}, "
+                "[d.composite_mask(s) for s, *_ in d.GOLDEN_COMPOSITE_MASKS] + "
+                "[d.cluttered_masks(s, c) for s, c, *_ in d.GOLDEN_CLUTTERED_MASKS]]))")
         here = os.path.dirname(os.path.abspath(__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([here, os.path.join(here, "..", "src")]))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        library, digests = json.loads(out.splitlines()[-1])
+        library, digests, masks = json.loads(out.splitlines()[-1])
         assert os.path.dirname(library) == str(tmp_path)
         assert digests == {case: digest for case, (_, _, digest) in GOLDEN_MODELS.items()}
+        assert masks == ([list(case[1:]) for case in test_dbs.GOLDEN_COMPOSITE_MASKS]
+                         + [list(case[2:]) for case in test_dbs.GOLDEN_CLUTTERED_MASKS])
+
+
+# ---------------------------------------------------------------------------
+# The whole pipeline, from raw clips to test labels, against the per-event
+# reference of every stage and every join between them.
+
+@st.composite
+def pipeline_cases(draw):
+    """A small random config (1-3 layers, DBS on or off, merge on or off,
+    a pooling grid, k, 1-2 epochs, joint or sequential training) with
+    training and test swipes on an 8-16 px array, each clip cut to its
+    first 100-500 events and, if drawn, merged with uniform clutter."""
+    geometry = SensorGeometry(draw(st.integers(8, 16)), draw(st.integers(8, 16)), 2)
+    specs = tuple(LayerSpec(draw(st.integers(1, 5)), draw(st.integers(1, 2)),
+                            draw(st.sampled_from([5e3, 2e4, 8e4])),
+                            draw(st.sampled_from([3, 40, DEFAULT_REINIT_WINDOW])))
+                  for _ in range(draw(st.integers(1, 3))))
+    dbs = draw(st.none() | st.builds(
+        DbsConfig, st.integers(1, 4), st.integers(1, 4),
+        st.sampled_from([50.0, 300.0, 3000.0]), st.sampled_from([0.5, 1.0, 2.0])))
+    config = PipelineConfig(
+        layers=specs, dbs=dbs, merge_polarity=draw(st.booleans()),
+        pooling=PoolingConfig(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+        k=draw(st.integers(1, 4)), epochs=draw(st.integers(1, 2)),
+        training_mode=draw(st.sampled_from(TRAINING_MODES)))
+    classes = draw(st.sampled_from([("left", "right"), ("up", "down", "right")]))
+    clutter = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    seed = draw(st.integers(0, 2**16))
+
+    def clips(per_class, seed):
+        out = []
+        for i, clip in enumerate(gen_gesture_set(geometry, per_class, seed, classes)):
+            stream = clip.stream
+            if clutter:
+                spec = CompositeSpec(geometry, int(stream.t[-1]) + 1, (0, 0, 0, 0), 0.0,
+                                     clutter * SWIPE_RATE_HZ)
+                bg = gen_composite(spec, seed + i).stream
+                order = np.argsort(np.concatenate([stream.t, bg.t]), kind="stable")
+                stream = EventStream(*(np.concatenate([a, b])[order] for a, b in (
+                    (stream.t, bg.t), (stream.x, bg.x), (stream.y, bg.y), (stream.p, bg.p))),
+                    geometry)
+            head = np.arange(len(stream)) < draw(st.integers(100, 500))
+            out.append(ClipRecord(clip.source, clip.label, clip.subject, stream.select(head)))
+        return out
+
+    return config, clips(draw(st.integers(1, 2)), seed), clips(1, seed + 1)
+
+
+def decided(model, values) -> bool:
+    """Whether k-NN on ``values`` has one answer under any rounding of
+    the distances: no run of distances within 1e-9 of each other that
+    reaches into the k nearest holds two labels."""
+    dist = np.sqrt(np.add.reduce((model.signatures - values) ** 2, axis=1))
+    order = np.argsort(dist, kind="stable")
+    start = 0
+    for i in range(1, len(order) + 1):
+        if i == len(order) or dist[order[i]] - dist[order[i - 1]] > 1e-9:
+            if start < model.k and len({model.labels[j] for j in order[start:i]}) > 1:
+                return False
+            start = i
+    return True
+
+
+class TestPipelineOracle:
+    """``train_pipeline`` and labelling, from raw clips to labels, against
+    ``oracles.pipeline_bruteforce``: bit-equal banks, match counts and
+    signatures, and the same labels, also after a model-file round trip."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pipeline_cases())
+    def test_equals_reference(self, case):
+        config, train, test = case
+        layers, model, signatures, labels = pipeline_bruteforce(config, train, test)
+        try:
+            trained = train_pipeline(config, train)
+        except UndertrainedLayerError:
+            assert model is None
+            return
+        assert model is not None
+        for layer, ref in zip(trained.network.layers, layers, strict=True):
+            assert layer.bank.tobytes() == ref.bank.tobytes()
+            assert layer.match_counts == ref.match_counts
+        assert trained.model.signatures.tobytes() == model.signatures.tobytes()
+        assert (trained.model.labels, trained.model.k) == (model.labels, model.k)
+        for pipeline in (trained, load_pipeline(save_pipeline(trained))):
+            for clip, values, label in zip(test, signatures, labels, strict=True):
+                filtered = suppress_background(config, clip.stream)[0]
+                signature = stream_signature(config, pipeline.network, filtered)
+                assert signature.values.tobytes() == values.tobytes()
+                if decided(model, values):
+                    assert knn_classify(pipeline.model, signature)[0] == label
