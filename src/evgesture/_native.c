@@ -1,10 +1,11 @@
-/* The per-event loops of evgesture: background suppression, one event
-   after the other; and a layer as one pass over its events, with no
-   blocks: each event is recorded in the timestamp memory, its surface
-   read into one row and gated on its sum, and a valid one taken through
-   the online learning rule or matched to the frozen bank, by one
-   nearest-row rule. The same pass takes surface rows given from Python,
-   ungated.
+/* The per-event loops of evgesture, as one pass: each event in turn goes
+   through background suppression and then through each layer of a
+   cascade, and stops at the first stage that drops it. A layer records
+   the event in its timestamp memory, reads its surface into one row,
+   gates it on its sum, and takes a valid one through the online learning
+   rule or matches it to the frozen bank, by one nearest-row rule; the id
+   it emits is the next layer's channel. The same pass takes surface rows
+   given from Python through one layer, ungated.
 
    Every dot product, sum and squared distance that decides an output is
    summed in one fixed order, numpy's pairwise summation, so each equals
@@ -95,14 +96,44 @@ static int64_t first_least(const int64_t *v, int64_t n)
     return at;
 }
 
+/* The records of the stages, mirrored field for field by _native.Dbs and
+   _native.Layer. Every field is 8 bytes wide, so neither has padding. */
+
+/* A DBS stage (dbs.DbsFilter): activity and last hold cells + 1
+   counters, the whole array's last; row_cell and col_cell hold
+   grid_cells at (0, y), for each of height pixel rows, and at (x, 0), for
+   each of width pixel columns. kept counts the events the stage keeps;
+   the caller sets it to 0. */
+struct dbs {
+    const int64_t *row_cell, *col_cell;
+    double *activity;
+    int64_t *last, cells, width, height, kept;
+    double tau, alpha;
+};
+
+/* A layer stage (network.Layer). bank is n x d; counts and last hold n
+   match counts and last-match ticks, of which the first filled are live;
+   tick counts the rows that went on, and since is the latest event time
+   in memory. memory is channels x (height + 2 radius) x (width + 2
+   radius), -inf where nothing fired, inside a radius-wide -inf border;
+   tau is the decay of its time-surfaces. scratch holds n (d + 2) + 2 d
+   doubles and nz d indices. */
+struct layer {
+    double *bank, *memory, *scratch;
+    int64_t *counts, *last, *nz;
+    int64_t n, d, filled, tick, since, window, learning, channels, height, width, radius;
+    double tau;
+};
+
 /* What the nearest-row rule reads besides the bank (n x d): each row's
    pairwise |b|^2, a bound on them all, the bank transposed (d x n), and
    scratch for n screened values; the surface row being matched, with
-   the q indices nz of its nonzero entries; and d ones, to sum a row as
-   its dot product with them. */
+   the q indices nz of its nonzero entries; d ones, to sum a row as its
+   dot product with them; and the first index of the least last-match
+   tick, the row a reseed takes. */
 struct screen {
     double *norm2, *bank_t, *v, *row, *ones;
-    int64_t *nz, q;
+    int64_t *nz, q, stalest;
     double sq_b_max;
 };
 
@@ -117,22 +148,23 @@ static void refresh(struct screen *c, const double *bank, int64_t n, int64_t d, 
         c->sq_b_max = c->norm2[r];
 }
 
-/* The caches of bank, in scratch of n (d + 2) + 2 d doubles and nz of d
-   indices */
-static void screen_init(struct screen *c, double *scratch, int64_t *nz, const double *bank,
-                        int64_t n, int64_t d)
+/* The caches of L's bank, in L's scratch */
+static void screen_init(struct screen *c, const struct layer *L)
 {
-    c->norm2 = scratch;
-    c->v = scratch + n;
-    c->bank_t = scratch + 2 * n;
+    int64_t n = L->n, d = L->d;
+    c->norm2 = L->scratch;
+    c->v = L->scratch + n;
+    c->bank_t = L->scratch + 2 * n;
     c->row = c->bank_t + n * d;
     c->ones = c->row + d;
-    c->nz = nz;
+    c->nz = L->nz;
     c->sq_b_max = 0.0;
+    /* only a write to its row, or of a tick at or below it, can move it */
+    c->stalest = L->learning && L->filled ? first_least(L->last, L->filled) : 0;
     for (int64_t j = 0; j < d; j++)
         c->ones[j] = 1.0;
     for (int64_t r = 0; r < n; r++)
-        refresh(c, bank, n, d, r);
+        refresh(c, L->bank, n, d, r);
 }
 
 /* The screened values of rows r0 .. r0 + rows - 1, over the q nonzero
@@ -220,50 +252,35 @@ static int64_t nearest(const struct screen *c, const double *bank, int64_t n, in
     return at;
 }
 
-/* A layer's timestamp memory: channels x (height + 2 radius) x (width +
-   2 radius), -inf where nothing fired, inside a radius-wide -inf border;
-   and the decay tau of its time-surfaces. */
-struct field {
-    double *memory;
-    int64_t channels, height, width, radius;
-    double tau;
-};
-
-/* 0, or -1 - k where event k is the first of the n events outside the
-   field's pixels or channels */
-static int64_t outside(const struct field *f, const int64_t *x, const int64_t *y,
-                       const int64_t *p, int64_t n)
+/* Whether pixel (x, y) on channel p lies outside width x height pixels
+   and channels */
+static int outside(int64_t x, int64_t y, int64_t p, int64_t width, int64_t height,
+                   int64_t channels)
 {
-    for (int64_t k = 0; k < n; k++)
-        if (x[k] < 0 || x[k] >= f->width || y[k] < 0 || y[k] >= f->height || p[k] < 0
-            || p[k] >= f->channels)
-            return -1 - k;
-    return 0;
+    return x < 0 || x >= width || y < 0 || y >= height || p < 0 || p >= channels;
 }
 
 /* One event's time-surface: the event first records its time at its own
-   pixel, then reads its (2 radius + 1)^2 field on every channel, in
-   channel-major (p, dy, dx) order, as v = (m - t) / tau + 1, clamped at
-   0: the arithmetic of surfaces.extract, so every value is bit-equal to
-   it. Writes the channels (2 radius + 1)^2 values to row and, unless nz
-   is NULL, the indices of the nonzero ones to nz; returns their count. */
-static int64_t read_surface(const struct field *f, int64_t t, int64_t x, int64_t y,
-                            int64_t p, double *row, int64_t *nz)
+   pixel of L's memory, then reads its (2 radius + 1)^2 field on every
+   channel, in channel-major (p, dy, dx) order, as v = (m - t) / tau + 1,
+   clamped at 0: the arithmetic of surfaces.extract, so every value is
+   bit-equal to it. Writes the channels (2 radius + 1)^2 values to row
+   and the indices of the nonzero ones to L's nz; returns their count. */
+static int64_t read_surface(const struct layer *L, int64_t t, int64_t x, int64_t y,
+                            int64_t p, double *row)
 {
-    int64_t R = f->radius, side = 2 * R + 1, rows = f->height + 2 * R;
-    int64_t cols = f->width + 2 * R, j = 0, q = 0;
+    int64_t R = L->radius, side = 2 * R + 1, rows = L->height + 2 * R;
+    int64_t cols = L->width + 2 * R, j = 0, q = 0;
     double now = (double)t;
-    f->memory[(p * rows + y + R) * cols + x + R] = now;
-    for (int64_t c = 0; c < f->channels; c++) {
+    L->memory[(p * rows + y + R) * cols + x + R] = now;
+    for (int64_t c = 0; c < L->channels; c++) {
         for (int64_t dy = 0; dy < side; dy++) {
-            const double *m = f->memory + (c * rows + y + dy) * cols + x;
+            const double *m = L->memory + (c * rows + y + dy) * cols + x;
             for (int64_t dx = 0; dx < side; dx++, j++) {
-                double v = (m[dx] - now) / f->tau + 1.0;
+                double v = (m[dx] - now) / L->tau + 1.0;
                 row[j] = v >= 0.0 ? v : 0.0;
-                if (nz) {
-                    nz[q] = j;
-                    q += row[j] != 0.0;
-                }
+                L->nz[q] = j;
+                q += row[j] != 0.0;
             }
         }
     }
@@ -271,135 +288,140 @@ static int64_t read_surface(const struct field *f, int64_t t, int64_t x, int64_t
 }
 
 /* The time-surfaces of n consecutive events (network.Layer.block_surfaces),
-   one row each, written to out; memory is updated to include them.
+   one row each, written to out; L's memory is updated to include them.
    Returns 0, or -1 - k, with memory unchanged, if event k lies outside
-   the layer's pixels or channels. */
-int64_t evg_surfaces(double *memory, int64_t channels, int64_t height, int64_t width,
-                     int64_t radius, double tau, const int64_t *t, const int64_t *x,
+   L's pixels or channels. */
+int64_t evg_surfaces(const struct layer *L, const int64_t *t, const int64_t *x,
                      const int64_t *y, const int64_t *p, int64_t n, double *out)
 {
-    const struct field f = {memory, channels, height, width, radius, tau};
-    int64_t bad = outside(&f, x, y, p, n), d = channels * (2 * radius + 1) * (2 * radius + 1);
-    for (int64_t k = 0; !bad && k < n; k++)
-        read_surface(&f, t[k], x[k], y[k], p[k], out + k * d, NULL);
-    return bad;
+    for (int64_t k = 0; k < n; k++)
+        if (outside(x[k], y[k], p[k], L->width, L->height, L->channels))
+            return -1 - k;
+    for (int64_t k = 0; k < n; k++)
+        read_surface(L, t[k], x[k], y[k], p[k], out + k * L->d);
+    return 0;
 }
 
-/* A layer's one pass (network._pass) over m events, or over m given
-   surface rows of length d.
-
-   bank is n x d; state holds n_filled and tick; counts and last hold n
-   match counts and last-match ticks, of which the first n_filled are
-   live; scratch holds n (d + 2) + 2 d doubles and nz d indices. Given
-   events (t not NULL), each in turn is recorded in memory and its
-   surface read into one row, which goes on only if its pairwise sum, the
-   order of np.add.reduce(surfaces, axis=1), is at least 2 radius (the
-   validity gate of surfaces.is_valid). Given rows (t NULL), every row
-   goes on. Each row that goes on adds 1 to tick, and is taken through
-   the learning rule if learning is set, else matched to its nearest bank
-   row. Writes keep[k] for each input, set iff its row went on and the
-   bank was past its warm-up, and the ids of the kept rows, in order, to
-   ids; updates bank, counts, last and state in place. Returns the number
-   kept, or -1 - k, with memory unchanged, if event k lies outside the
-   layer's pixels or channels. */
-int64_t evg_layer(double *bank, int64_t n, int64_t d, int64_t *state, int64_t *counts,
-                  int64_t *last, int64_t window, int learning, double *scratch, int64_t *nz,
-                  const double *surfaces, double *memory, int64_t channels, int64_t height,
-                  int64_t width, int64_t radius, double tau, const int64_t *t,
-                  const int64_t *x, const int64_t *y, const int64_t *p, int64_t m,
-                  uint8_t *keep, int64_t *ids)
-{
-    const struct field f = {memory, channels, height, width, radius, tau};
-    int64_t bad = t ? outside(&f, x, y, p, m) : 0;
-    if (bad)
-        return bad;
-    /* c.sq_b_max never falls, so it bounds every row's |b|^2 */
-    struct screen c;
-    screen_init(&c, scratch, nz, bank, n, d);
-    int64_t filled = state[0], tick = state[1], kept = 0;
-    /* the first index of the least tick; only a write to its row, or of a
-       tick at or below it, can move it */
-    int64_t stalest = learning && filled ? first_least(last, filled) : 0;
-    for (int64_t k = 0; k < m; k++) {
-        const double *s = t ? c.row : surfaces + k * d;
-        int64_t i, emit = 1;
-        if (t) {
-            c.q = read_surface(&f, t[k], x[k], y[k], p[k], c.row, nz);
-            keep[k] = 0;
-            if (!(evg_reduce(c.row, c.ones, d, 0) >= (double)(2 * radius)))
-                continue;
-        } else {
-            c.q = 0;
-            for (int64_t j = 0; j < d; j++) {
-                nz[c.q] = j;
-                c.q += s[j] != 0.0;
-            }
-        }
-        tick++;
-        if (!learning) {
-            i = nearest(&c, bank, n, d, s);
-        } else {
-            if (filled < n || tick - last[stalest] > window) {
-                /* seed an empty row (warm-up: no stable ids yet), or
-                   reseed the stalest */
-                emit = filled == n;
-                i = emit ? stalest : filled++;
-                memcpy(bank + i * d, s, (size_t)d * sizeof(double));
-                counts[i] = 1;
-            } else {
-                double ns2 = evg_reduce(s, s, d, 0);
-                i = nearest(&c, bank, n, d, s);
-                /* learn_update: a cosine-weighted pull at rate 1/(1 + count),
-                   the step clamped to [0, 1] */
-                double *row = bank + i * d;
-                if (ns2 != 0.0 && c.norm2[i] != 0.0) {
-                    double cos = evg_reduce(s, row, d, 0) / sqrt(ns2 * c.norm2[i]);
-                    double step = 1.0 / (1.0 + (double)counts[i]) * cos;
-                    if (0.0 > step)
-                        step = 0.0;
-                    if (1.0 < step)
-                        step = 1.0;
-                    for (int64_t j = 0; j < d; j++)
-                        row[j] += (s[j] - row[j]) * step;
-                }
-                counts[i]++;
-            }
-            last[i] = tick;
-            if (last[stalest] >= tick)
-                stalest = first_least(last, filled);
-            refresh(&c, bank, n, d, i);
-        }
-        keep[k] = (uint8_t)emit;
-        ids[kept] = i;
-        kept += emit;
-    }
-    state[0] = filled;
-    state[1] = tick;
-    return kept;
-}
-
-/* Background suppression over n events (dbs.DbsFilter.process_block).
-
-   activity and last hold cells + 1 counters, the whole array's last.
-   Event k's cell is row_cell[y[k]] + col_cell[x[k]]: the tables hold
-   grid_cells at (0, y), the first cell of y's grid row, and at (x, 0),
-   x's grid column, so the sum is grid_cells(x, y). Event k brings its
-   cell's counter and then the whole array's forward to t[k], a = a *
-   exp(-(t - last) / tau) + 1, and is kept iff its cell's is at least
-   alpha times the whole array's over cells. exp is libm's, the function
-   math.exp calls, so every value and decision is bit-equal to
+/* Background suppression of the event at time t in pixel (x, y): its
+   cell's counter and then the whole array's are brought forward to t,
+   a = a * exp(-(t - last) / tau) + 1, and the event is kept iff its
+   cell's is at least alpha times the whole array's over cells. The cell
+   is row_cell[y] + col_cell[x], grid_cells(x, y). exp is libm's, the
+   function math.exp calls, so every value and decision is bit-equal to
    dbs.update_activity's. */
-void evg_dbs(const int64_t *t, const int32_t *x, const int32_t *y, const int64_t *row_cell,
-             const int64_t *col_cell, int64_t n, double *activity, int64_t *last,
-             int64_t cells, double tau, double alpha, uint8_t *keep)
+static int dbs_step(struct dbs *D, int64_t t, int64_t x, int64_t y)
 {
-    for (int64_t k = 0; k < n; k++) {
-        const int64_t hits[2] = {row_cell[y[k]] + col_cell[x[k]], cells};
-        for (int j = 0; j < 2; j++) {
-            int64_t c = hits[j];
-            activity[c] = activity[c] * exp(-(double)(t[k] - last[c]) / tau) + 1.0;
-            last[c] = t[k];
-        }
-        keep[k] = activity[hits[0]] >= alpha * (activity[cells] / (double)cells);
+    const int64_t hits[2] = {D->row_cell[y] + D->col_cell[x], D->cells};
+    for (int j = 0; j < 2; j++) {
+        int64_t c = hits[j];
+        D->activity[c] = D->activity[c] * exp(-(double)(t - D->last[c]) / D->tau) + 1.0;
+        D->last[c] = t;
     }
+    int keep = D->activity[hits[0]] >= D->alpha * (D->activity[D->cells] / (double)D->cells);
+    D->kept += keep;
+    return keep;
+}
+
+/* Layer L's step, c its caches, on the event (t, x, y, p), or on the
+   given row s where s is not NULL. The event is recorded in memory and
+   its surface read into one row, which goes on only if its pairwise sum,
+   the order of np.add.reduce(surfaces, axis=1), is at least 2 radius
+   (the validity gate of surfaces.is_valid); a given row always goes on.
+   A row that goes on adds 1 to tick, and is taken through the learning
+   rule if learning is set, else matched to its nearest bank row. Returns
+   the id emitted, or -1 if the row did not go on or the bank is still in
+   its warm-up. */
+static int64_t layer_step(struct layer *L, struct screen *c, int64_t t, int64_t x,
+                          int64_t y, int64_t p, const double *s)
+{
+    int64_t n = L->n, d = L->d, *last = L->last, i, emit = 1;
+    if (!s) {
+        L->since = t;
+        c->q = read_surface(L, t, x, y, p, c->row);
+        if (!(evg_reduce(c->row, c->ones, d, 0) >= (double)(2 * L->radius)))
+            return -1;
+        s = c->row;
+    } else {
+        c->q = 0;
+        for (int64_t j = 0; j < d; j++) {
+            c->nz[c->q] = j;
+            c->q += s[j] != 0.0;
+        }
+    }
+    L->tick++;
+    if (!L->learning)
+        return nearest(c, L->bank, n, d, s);
+    /* c->sq_b_max never falls, so it bounds every row's |b|^2 */
+    if (L->filled < n || L->tick - last[c->stalest] > L->window) {
+        /* seed an empty row (warm-up: no stable ids yet), or reseed the
+           stalest */
+        emit = L->filled == n;
+        i = emit ? c->stalest : L->filled++;
+        memcpy(L->bank + i * d, s, (size_t)d * sizeof(double));
+        L->counts[i] = 1;
+    } else {
+        double ns2 = evg_reduce(s, s, d, 0);
+        i = nearest(c, L->bank, n, d, s);
+        /* learn_update: a cosine-weighted pull at rate 1/(1 + count), the
+           step clamped to [0, 1] */
+        double *row = L->bank + i * d;
+        if (ns2 != 0.0 && c->norm2[i] != 0.0) {
+            double cos = evg_reduce(s, row, d, 0) / sqrt(ns2 * c->norm2[i]);
+            double step = 1.0 / (1.0 + (double)L->counts[i]) * cos;
+            if (0.0 > step)
+                step = 0.0;
+            if (1.0 < step)
+                step = 1.0;
+            for (int64_t j = 0; j < d; j++)
+                row[j] += (s[j] - row[j]) * step;
+        }
+        L->counts[i]++;
+    }
+    last[i] = L->tick;
+    if (last[c->stalest] >= L->tick)
+        c->stalest = first_least(last, L->filled);
+    refresh(c, L->bank, n, d, i);
+    return emit ? i : -1;
+}
+
+/* The one pass (_native.run) over m events (t, x, y, p), or over m given
+   surface rows of layers[0] where rows is not NULL (then t, x, y and p
+   are NULL, D is NULL and nl is 1). p NULL puts every event on channel 0.
+
+   Each event in turn goes through D, unless D is NULL, then through each
+   of the nl layers, the id a layer emits being the next layer's
+   channel, and stops at the first stage that drops it. No stage reads
+   anything from a later one, so this equals running each stage over the
+   whole output of the stage before it. Writes keep[k] for each input,
+   set iff it passed every stage, and the end ids of the kept inputs, in
+   order, to ids (with no layer, their channels); updates every stage's
+   state in place. Returns the number kept, or -1 - k, with no state
+   changed, if event k lies outside D's pixels or layers[0]'s pixels or
+   channels. */
+int64_t evg_pass(struct dbs *D, struct layer *layers, int64_t nl, const int64_t *t,
+                 const int32_t *x, const int32_t *y, const int32_t *p, const double *rows,
+                 int64_t m, uint8_t *keep, int64_t *ids)
+{
+    for (int64_t k = 0; !rows && k < m; k++)
+        if ((D && outside(x[k], y[k], 0, D->width, D->height, 1))
+            || (nl && outside(x[k], y[k], p ? p[k] : 0, layers->width, layers->height,
+                              layers->channels)))
+            return -1 - k;
+    struct screen cs[nl ? nl : 1];
+    for (int64_t i = 0; i < nl; i++)
+        screen_init(&cs[i], &layers[i]);
+    int64_t kept = 0;
+    for (int64_t k = 0; k < m; k++) {
+        const double *s = rows ? rows + k * layers->d : NULL;
+        int64_t tk = s ? 0 : t[k], xk = s ? 0 : x[k], yk = s ? 0 : y[k];
+        int64_t id = p ? p[k] : 0, go = !D || dbs_step(D, tk, xk, yk);
+        for (int64_t i = 0; go && i < nl; i++) {
+            id = layer_step(&layers[i], &cs[i], tk, xk, yk, id, s);
+            go = id >= 0;
+        }
+        keep[k] = (uint8_t)go;
+        ids[kept] = id;
+        kept += go;
+    }
+    return kept;
 }

@@ -1,9 +1,14 @@
-"""Build and load ``_native.c``, the compiled per-event loops: background
-suppression (``evg_dbs``), and a layer as one pass over its events
-(``evg_layer``): each event's time-surface read from the timestamp
-memory, its validity gate, and the nearest-row rule, in the learning rule
-or in frozen matching, with no blocks. ``evg_surfaces`` reads the
-surfaces alone, and ``evg_reduce`` is the one summation order.
+"""Build, load and call ``_native.c``, the compiled per-event loops.
+
+``run`` is the one caller of ``evg_pass``, the one pass of every
+per-event stage: it takes events through background suppression (a
+``dbs.DbsFilter``) and then through a cascade of ``network.Layer``s,
+each event in turn, in one call, or takes surface rows given from Python
+through one layer. Each stage goes in as a record, ``Dbs`` or ``Layer``,
+that points at the stage's own arrays, so the call updates the filter's
+counters, the layers' memories and banks in place. ``surfaces`` calls
+``evg_surfaces``, which reads time-surfaces alone, and ``evg_reduce`` is
+the one summation order.
 
 The library is compiled on first import and kept in the package's
 ``__pycache__``, named by a hash of the source, the compiler and the
@@ -14,8 +19,8 @@ in its directory, the builds of older sources, but leaves the temporary
 files of builds still running. ``-ffp-contract=off`` keeps every product
 and sum a separately rounded IEEE-754 operation, and no flag lets the
 compiler reorder a sum, so the library computes what its source says on
-any machine, at any optimisation level; only ``evg_dbs``'s ``exp`` comes
-from the platform's libm.
+any machine, at any optimisation level; only the ``exp`` of background
+suppression comes from the platform's libm.
 """
 
 from __future__ import annotations
@@ -28,8 +33,32 @@ import os
 import subprocess
 from pathlib import Path
 
+import numpy as np
+
+from .events import StreamError, check_events
+
 SOURCE = Path(__file__).with_name("_native.c")
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+_ptr, _i64, _f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+
+
+def _fields(pointers: str, ints: str, doubles: str) -> list:
+    """A record's fields, in the order of its struct: pointers, int64s,
+    doubles."""
+    return [(name, kind) for names, kind in ((pointers, _ptr), (ints, _i64), (doubles, _f64))
+            for name in names.split()]
+
+
+class Dbs(ctypes.Structure):
+    """``struct dbs``: a DBS stage, over a ``DbsFilter``'s arrays."""
+    _fields_ = _fields("row_cell col_cell activity last", "cells width height kept", "tau alpha")
+
+
+class Layer(ctypes.Structure):
+    """``struct layer``: a layer stage, over a ``network.Layer``'s arrays."""
+    _fields_ = _fields("bank memory scratch counts last nz", "n d filled tick since window "
+                       "learning channels height width radius", "tau")
 
 
 @functools.cache
@@ -57,14 +86,93 @@ def load(out_dir: str | os.PathLike = SOURCE.parent / "__pycache__",
                 with contextlib.suppress(OSError):
                     stale.unlink()
     lib = ctypes.CDLL(str(target))
-    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.evg_reduce.argtypes = [ptr, ptr, i64, ctypes.c_int]
-    lib.evg_reduce.restype = f64
-    lib.evg_layer.argtypes = [ptr, i64, i64, ptr, ptr, ptr, i64, ctypes.c_int, ptr, ptr, ptr,
-                              ptr, i64, i64, i64, i64, f64, ptr, ptr, ptr, ptr, i64, ptr, ptr]
-    lib.evg_layer.restype = i64
-    lib.evg_surfaces.argtypes = [ptr, i64, i64, i64, i64, f64, ptr, ptr, ptr, ptr, i64, ptr]
-    lib.evg_surfaces.restype = i64
-    lib.evg_dbs.argtypes = [ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, i64, f64, f64, ptr]
-    lib.evg_dbs.restype = None
+    lib.evg_reduce.argtypes = [_ptr, _ptr, _i64, ctypes.c_int]
+    lib.evg_reduce.restype = _f64
+    lib.evg_surfaces.argtypes = [ctypes.POINTER(Layer), *[_ptr] * 4, _i64, _ptr]
+    lib.evg_surfaces.restype = _i64
+    lib.evg_pass.argtypes = [ctypes.POINTER(Dbs), ctypes.POINTER(Layer), _i64, *[_ptr] * 5,
+                             _i64, _ptr, _ptr]
+    lib.evg_pass.restype = _i64
     return lib
+
+
+def _data(a: np.ndarray | None) -> int | None:
+    return None if a is None else a.ctypes.data
+
+
+def _layer_record(layer) -> tuple[Layer, list[np.ndarray]]:
+    """The record of a ``network.Layer``, and the arrays it points at
+    besides the layer's own: the int64 match counts over ticks, then the
+    scratch. The bank is made a writable C-order float64 array in place,
+    if it is not one already."""
+    bank = layer.bank = np.require(layer.bank, np.float64, "CW")
+    (n, d), filled = bank.shape, len(layer.match_counts)
+    state = np.zeros((2, n), dtype=np.int64)
+    state[:, :filled] = layer.match_counts, layer.last_match_tick
+    scratch, nz = np.empty(n * (d + 2) + 2 * d), np.empty(d, dtype=np.int64)
+    g, c = layer.geometry, layer.config
+    record = Layer(*map(_data, (bank, layer.memory, scratch, *state, nz)), n, d, filled,
+                   layer.tick, layer.since, c.reinit_window, layer.learning, g.channels,
+                   g.height, g.width, c.radius, c.tau_us)
+    return record, [state, scratch, nz]
+
+
+def run(lib: ctypes.CDLL, filt, layers, t=None, x=None, y=None, p=None,
+        rows=None) -> tuple[np.ndarray, np.ndarray, int]:
+    """One call of ``evg_pass``: the events ``(t, x, y, p)`` through the
+    filter ``filt`` (None: no DBS), then through each of ``layers`` in
+    turn, an emitted id becoming the next layer's channel; ``p`` None puts
+    every event on channel 0. Or, given ``rows``, those surface rows
+    through the one layer in ``layers``. Continues from, and updates,
+    every stage's state. Returns the mask of the inputs that passed every
+    stage, the end ids of those (with no layer, their channels), and the
+    number of events the filter kept (all of them, with no filter).
+
+    Raises StreamError, before any state changes, at an event that is not
+    an integer, goes back in time (behind the latest time a stage has
+    taken, too), or lies outside the first stage's pixels or channels;
+    and ValueError if the rows are not of the bank's width."""
+    records, arrays = zip(*map(_layer_record, layers)) if layers else ((), ())
+    records = (Layer * len(layers))(*records)
+    dbs = None if filt is None else Dbs(
+        *map(_data, (filt.row_cell, filt.col_cell, filt.activity, filt.last_t)),
+        len(filt.activity) - 1, filt.geometry.width, filt.geometry.height, 0,
+        filt.config.tau_b_us, filt.config.alpha)
+    if rows is None:
+        since = max([r.since for r in records] + ([int(filt.last_t[-1])] if filt else []))
+        check_events(t, x, y, p, (layers[0] if layers else filt).geometry, since)
+        # in range once checked, so the casts to the stream layout cannot wrap
+        t, x, y, p = (None if v is None else np.ascontiguousarray(v, dtype=dtype)
+                      for v, dtype in zip((t, x, y, p), (np.int64, *[np.int32] * 3)))
+    else:
+        rows = np.require(rows, np.float64, "C")
+        if rows.shape[1:] != layers[0].bank.shape[1:]:
+            raise ValueError(f"surfaces {rows.shape} for a bank of {layers[0].bank.shape}")
+    m = len(t if rows is None else rows)
+    keep, ids = np.empty(m, dtype=bool), np.empty(m, dtype=np.int64)
+    kept = lib.evg_pass(dbs, records, len(layers), *map(_data, (t, x, y, p, rows)), m,
+                        _data(keep), _data(ids))
+    if kept < 0:  # check_events let through an event outside the first stage
+        raise StreamError(f"event {-1 - kept} lies outside the first stage")
+    for layer, record, (state, *_) in zip(layers, records, arrays):
+        layer.tick, layer.since = record.tick, record.since
+        layer.match_counts[:], layer.last_match_tick[:] = state[:, :record.filled].tolist()
+    return keep, ids[:kept], m if dbs is None else dbs.kept
+
+
+def surfaces(lib: ctypes.CDLL, layer, t, x, y, p) -> np.ndarray:
+    """``evg_surfaces``: the surfaces of the events ``(t, x, y, p)`` in
+    ``layer``'s memory, one row each, recording each event first; raises
+    StreamError, with the memory unchanged, if the event fields differ in
+    length or an event lies outside the layer's pixels or channels."""
+    t, x, y, p = events = [np.ascontiguousarray(v, dtype=np.int64) for v in (t, x, y, p)]
+    if not len(t) == len(x) == len(y) == len(p):
+        raise StreamError("event field arrays must have equal length")
+    record, _ = _layer_record(layer)
+    out = np.empty((len(t), record.d))
+    k = -1 - lib.evg_surfaces(record, *map(_data, events), len(t), _data(out))
+    if k >= 0:  # the memory is unchanged
+        raise StreamError(f"event {k} at pixel ({x[k]}, {y[k]}) on channel {p[k]} lies outside "
+                          f"the layer's {layer.geometry.width}x{layer.geometry.height} pixels "
+                          f"and {layer.geometry.channels} channels")
+    return out

@@ -10,11 +10,13 @@ activities is itself one decaying counter that gains +1 per event; the
 mean is that counter over the cell count, O(1) per event whatever the grid
 size. The filter keeps it after the cells' counters, so every event hits
 two counters, its cell's and the whole array's, and one rule updates both.
-A stream is taken whole, in one compiled loop, ``evg_dbs`` in
-``_native.c``: each event in turn finds its cell from two per-axis
-tables of ``grid_cells``, and runs the rule with libm's ``exp``, the
-function ``math.exp`` calls, so every decision and counter is bit-equal
-to ``update_activity``'s.
+A stream is taken whole, in one call of the compiled pass of
+``_native`` (``evg_pass`` in ``_native.c``), with no layers after the
+filter, or with a network's layers after it (``Network.forward_clip``):
+each event in turn finds its cell from two per-axis tables of
+``grid_cells``, and runs the rule with libm's ``exp``, the function
+``math.exp`` calls, so every decision and counter is bit-equal to
+``update_activity``'s.
 
 Masks therefore depend on the platform's libm. glibc 2.36 rounds 1 of
 the 1,611 distinct decay arguments of one cluttered test workload
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .events import EventStream, SensorGeometry, check_events, check_grid, grid_cells
+from .events import EventStream, SensorGeometry, check_grid, grid_cells
 
 _LIB = _native.load()
 
@@ -104,25 +106,16 @@ class DbsFilter:
 
     def process_block(self, t, x, y) -> np.ndarray:
         """Update state with a sequence of events and return their keep
-        mask, in one compiled loop.
+        mask, in one compiled pass.
 
         Each event's own cell is updated first; the mean then includes the
-        just-updated cell. Keep iff A_c >= alpha * mean. The events must not
-        go back in time, among themselves or behind the last event already
-        taken, nor leave the array; otherwise ``StreamError`` is raised,
-        naming the first bad event's index, and no state changes.
+        just-updated cell. Keep iff A_c >= alpha * mean. The events must be
+        integers, and must not go back in time, among themselves or behind
+        the last event already taken, nor leave the array; otherwise
+        ``StreamError`` is raised, naming the first bad event's index, and
+        no state changes.
         """
-        t = np.ascontiguousarray(t, dtype=np.int64)
-        check_events(t, x, y, None, self.geometry, int(self.last_t[-1]))
-        # in [0, 65535) once checked, so the cast to the stream layout cannot wrap
-        x, y = (np.ascontiguousarray(v, dtype=np.int32) for v in (x, y))
-        cfg = self.config
-        keep = np.empty(len(t), dtype=bool)
-        _LIB.evg_dbs(t.ctypes.data, x.ctypes.data, y.ctypes.data, self.row_cell.ctypes.data,
-                     self.col_cell.ctypes.data, len(t), self.activity.ctypes.data,
-                     self.last_t.ctypes.data, len(self.activity) - 1, cfg.tau_b_us,
-                     cfg.alpha, keep.ctypes.data)
-        return keep
+        return _native.run(_LIB, self, [], t, x, y)[0]
 
 
 def filter_stream(filt: DbsFilter, stream: EventStream) -> tuple[EventStream, RetentionStats]:

@@ -71,8 +71,9 @@ def check_grid(rows: int, cols: int, geometry: SensorGeometry, what: str) -> Non
 
 
 def check_events(t, x, y, p, geometry: SensorGeometry, since: int | None = None) -> None:
-    """The one check of raw event arrays: raise StreamError at a negative
-    first time, at the first event earlier than the one before it (``since``,
+    """The one check of raw event arrays: raise StreamError at the first
+    value that is not a 64-bit integer (NaN included), at a negative first
+    time, at the first event earlier than the one before it (``since``,
     the latest time already taken, before the first), or at the first
     coordinate outside ``geometry``; ``p`` None skips the channel bound."""
     t, x, y = np.asarray(t), np.asarray(x), np.asarray(y)
@@ -83,6 +84,12 @@ def check_events(t, x, y, p, geometry: SensorGeometry, since: int | None = None)
         raise StreamError("event field arrays must have equal length")
     if len(t) == 0:
         return
+    for name, v, _ in (("t", t, None), *fields):
+        if v.dtype.kind not in "iu":
+            off = np.flatnonzero(~((np.floor(v) == v) & (np.abs(v) < 2.0**63)))
+            if len(off):
+                i = int(off[0])
+                raise StreamError(f"{name}={v[i]} is not a 64-bit integer at index {i}")
     if t[0] < 0:
         raise StreamError(f"negative timestamp {int(t[0])} at index 0")
     if since is not None and t[0] < since:
@@ -92,7 +99,7 @@ def check_events(t, x, y, p, geometry: SensorGeometry, since: int | None = None)
         i = int(back[0]) + 1
         raise StreamError(f"time regression: {int(t[i])} < {int(t[i - 1])} at index {i}")
     for name, v, hi in fields:
-        off = np.flatnonzero((v < 0) | (v >= hi))
+        off = np.flatnonzero(~((v >= 0) & (v < hi)))
         if len(off):
             i = int(off[0])
             pixel = (f"pixel ({int(x[i])}, {int(y[i])}) outside "

@@ -13,17 +13,21 @@ they pass through layers.
 
 An event's surface depends only on the latest earlier event at each pixel
 of its receptive field, never on the bank, and a layer reads nothing from
-the layers after it. So every layer takes the whole stream at once
-(``Layer.encode``), one layer after the other, in one pass with no
-blocks: one compiled loop, ``evg_layer`` in ``_native.c`` (built on first
-import by ``_native``), takes each event in turn, records it in the
-layer's timestamp memory, reads its surface from it with the arithmetic
-of ``surfaces.extract``, gates the surface on its sum, and takes a valid
-one through the learning rule or matches it to the frozen bank. Outputs
-equal the per-event semantics bit for bit, ties included.
-``Layer.encode`` carries the timestamp memory from call to call, so
-events that arrive a few at a time are encoded by calling it on each
-slice in turn.
+the layers after it. So a stream goes through the whole cascade, and
+through background suppression before it (``Network.forward_clip``), in
+one call of the compiled pass of ``_native`` (``evg_pass`` in
+``_native.c``, built on first import), with no copy of the stream
+between stages. The pass takes each event in turn through each layer:
+the layer records it in its timestamp memory, reads its surface from it
+with the arithmetic of ``surfaces.extract``, gates the surface on its
+sum, and takes a valid one through the learning rule or matches it to
+the frozen bank; the id it emits is the event's channel in the next
+layer, and an event a layer drops goes no further. Outputs equal the
+per-event semantics, and each layer taking the whole output of the one
+before it, bit for bit, ties included. ``Layer.encode`` is the pass over
+one layer; it carries the timestamp memory from call to call, so events
+that arrive a few at a time are encoded by calling it on each slice in
+turn.
 
 Learning and frozen matching find the nearest prototype with one rule: a
 screen over the surface's nonzero entries, then an exact recheck of near
@@ -43,7 +47,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _native
-from .events import Event, EventStream, SensorGeometry, StreamError, check_events
+from .dbs import DbsConfig, DbsFilter
+from .events import Event, EventStream, SensorGeometry, StreamError
 from .surfaces import TimeSurfaceConfig
 
 DEFAULT_REINIT_WINDOW = 10_000  # valid surfaces without a match before reseed
@@ -83,55 +88,15 @@ def nearest_rows(bank: np.ndarray, surfaces: np.ndarray) -> np.ndarray:
 
     The ids equal ``argmin`` of the per-surface distance
     ``np.add.reduce((bank - s)**2, axis=1)``, summed in numpy's pairwise
-    order as in learning, bit for bit: the frozen pass of ``evg_layer``
-    screens each surface over its nonzero entries and recomputes near
-    ties in the pairwise order, the rule that learning uses. Raises
-    ValueError unless the surfaces are rows of the bank's width.
+    order as in learning, bit for bit: they are a frozen layer's pass over
+    the rows, which screens each surface over its nonzero entries and
+    recomputes near ties in the pairwise order, the rule that learning
+    uses. Raises ValueError unless the surfaces are rows of the bank's
+    width.
     """
-    return _pass(np.require(bank, np.float64, "C"), np.zeros(2, np.int64), surfaces=surfaces)[1]
-
-
-def _ptr(a: np.ndarray | None) -> int | None:
-    return None if a is None else a.ctypes.data
-
-
-def _check_inside(code: int, field: tuple, events) -> None:
-    """Raise StreamError if a compiled loop returned ``code = -1 - k``: it
-    found event k outside ``field``'s pixels or channels, and left the
-    memory unchanged."""
-    if code < 0:
-        k, (_, channels, height, width) = -1 - code, field[:4]
-        _, x, y, p = events
-        raise StreamError(f"event {k} at pixel ({x[k]}, {y[k]}) on channel {p[k]} "
-                          f"lies outside the layer's {width}x{height} pixels "
-                          f"and {channels} channels")
-
-
-def _pass(bank, state, counts=None, last=None, window=0, learning=False, surfaces=None,
-          field=(None, 0, 0, 0, 0, 1.0), events=(None,) * 4):
-    """One call of ``evg_layer``: the rows ``surfaces``, or else the events
-    ``(t, x, y, p)``, their surfaces read from ``field`` (the address of a
-    timestamp memory, its channels, height, width, radius and tau) and
-    gated on validity, each in turn through the nearest-row rule of
-    ``bank`` (N x D float64 in C order), and the learning rule where
-    ``learning``. ``state`` (n_filled and tick), ``counts`` and ``last``
-    are int64 and updated in place, like the bank and the memory. Returns
-    the mask of kept rows (valid, and past the bank's warm-up) and their
-    ids."""
-    n, d = bank.shape
-    if surfaces is not None:
-        surfaces = np.require(surfaces, np.float64, "C")
-        if surfaces.shape[1:] != (d,):
-            raise ValueError(f"surfaces {surfaces.shape} for a bank of {bank.shape}")
-    events = [v if v is None else np.ascontiguousarray(v, dtype=np.int64) for v in events]
-    m = len(events[0] if surfaces is None else surfaces)
-    keep, ids = np.empty(m, dtype=bool), np.empty(m, dtype=np.int64)
-    scratch, nz = np.empty(n * (d + 2) + 2 * d), np.empty(d, dtype=np.int64)
-    kept = _LIB.evg_layer(_ptr(bank), n, d, _ptr(state), _ptr(counts), _ptr(last), window,
-                          learning, _ptr(scratch), _ptr(nz), _ptr(surfaces), *field,
-                          *map(_ptr, events), m, _ptr(keep), _ptr(ids))
-    _check_inside(kept, field, events)
-    return keep, ids[:kept]
+    frozen = Layer(LayerConfig(len(bank), 1, 1.0, 1), SensorGeometry(1, 1, 1))
+    frozen.bank, frozen.learning = bank, False
+    return _native.run(_LIB, None, [frozen], rows=surfaces)[1]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -148,7 +113,7 @@ def learn_update(prototype: np.ndarray, match_count: int, flat_surface: np.ndarr
     leave the prototype untouched. Returns the updated prototype array.
     |s|^2, s.p and |p|^2 are pairwise ``np.add.reduce`` sums, and the move
     is ``prototype + step * (flat_surface - prototype)``, the arithmetic
-    of the learning rule of ``evg_layer`` bit for bit.
+    of the compiled learning rule bit for bit.
     """
     moved = prototype.copy()
     ns2, nc2 = _dot(flat_surface, flat_surface), _dot(prototype, prototype)
@@ -180,7 +145,7 @@ class Layer:
         self.config = config
         self.geometry = SensorGeometry(geometry.width, geometry.height, config.in_channels)
         self.bank_shape = (config.n_prototypes, config.surface_config.size)
-        self._since: int | None = None  # the latest event time in memory
+        self.since = 0  # the latest event time in memory
         self.match_counts: list[int] = []
         self.last_match_tick: list[int] = []
         self.tick = 0  # valid surfaces processed
@@ -211,7 +176,7 @@ class Layer:
 
     def reset_memory(self) -> None:
         self.memory.fill(-np.inf)
-        self._since = None
+        self.since = 0
 
     def freeze(self) -> None:
         if not self.bank_full:
@@ -249,7 +214,7 @@ class Layer:
         the stalest unmatched prototype, or pulls its nearest prototype
         toward itself. When frozen it is only matched.
         """
-        keep, ids = self._run(surfaces=flat[None, :])
+        keep, ids, _ = _native.run(_LIB, None, [self], rows=flat[None, :])
         return int(ids[0]) if keep[0] else None
 
     def _learn(self, surfaces: np.ndarray) -> np.ndarray:
@@ -265,7 +230,7 @@ class Layer:
         squared distance is a pairwise ``np.add.reduce`` sum, with no
         BLAS, so the bank is the same on every machine.
         """
-        keep, ids = self._run(surfaces=surfaces)
+        keep, ids, _ = _native.run(_LIB, None, [self], rows=surfaces)
         found = np.full(len(keep), -1)
         found[keep] = ids
         return found
@@ -278,35 +243,11 @@ class Layer:
         their prototype ids, equal to ``forward_event`` on each event in
         turn.
 
-        Raises StreamError, before the memory changes, if an event is
-        earlier than the one before it or than the memory's latest, or
-        lies outside the layer's pixels or input channels."""
-        check_events(t, x, y, p, self.geometry, self._since)
-        if len(t):
-            self._since = int(t[-1])
-        return self._run(events=(t, x, y, p))
-
-    def _run(self, surfaces=None, events=(None,) * 4) -> tuple[np.ndarray, np.ndarray]:
-        """One ``_pass`` of the layer, learning or frozen, over ``events``
-        or else valid surface rows. The match counts and ticks go in as
-        int64 arrays and come back as lists, once per call. The compiled
-        loop derives its caches afresh from ``bank`` and
-        ``last_match_tick`` on each call."""
-        bank = self.bank = np.require(self.bank, np.float64, "CW")
-        filled = self.n_filled
-        counts, last = np.zeros((2, len(bank)), dtype=np.int64)
-        counts[:filled], last[:filled] = self.match_counts, self.last_match_tick
-        state = np.array([filled, self.tick], dtype=np.int64)
-        found = _pass(bank, state, counts, last, self.config.reinit_window, self.learning,
-                      surfaces, self._field(), events)
-        filled, self.tick = state.tolist()
-        self.match_counts[:] = counts[:filled].tolist()
-        self.last_match_tick[:] = last[:filled].tolist()
-        return found
-
-    def _field(self) -> tuple:
-        g, c = self.geometry, self.config
-        return _ptr(self.memory), g.channels, g.height, g.width, c.radius, c.tau_us
+        Raises StreamError, before the memory changes, if a value is not
+        an integer, or an event is earlier than the one before it or than
+        the memory's latest, or lies outside the layer's pixels or input
+        channels."""
+        return _native.run(_LIB, None, [self], t, x, y, p)[:2]
 
     def block_surfaces(self, t, x, y, p) -> np.ndarray:
         """Flattened time-surfaces of consecutive events, one row each,
@@ -314,19 +255,12 @@ class Layer:
         timestamp memory is updated to include them.
 
         One compiled loop, ``evg_surfaces``, records each event in the
-        memory and then reads its field, with the reader of ``evg_layer``.
+        memory and then reads its field, with the reader of ``evg_pass``.
         Event times are not checked here; raises StreamError, with the
         memory unchanged, if the event fields differ in length or an event
         lies outside the layer's pixels or channels.
         """
-        t, x, y, p = events = [np.ascontiguousarray(v, dtype=np.int64) for v in (t, x, y, p)]
-        if not len(t) == len(x) == len(y) == len(p):
-            raise StreamError("event field arrays must have equal length")
-        field = self._field()
-        surfaces = np.empty((len(t), self.bank_shape[1]))
-        _check_inside(_LIB.evg_surfaces(*field, *map(_ptr, events), len(surfaces), _ptr(surfaces)),
-                field, events)
-        return surfaces
+        return _native.surfaces(_LIB, self, t, x, y, p)
 
 
 class Network:
@@ -359,12 +293,24 @@ class Network:
         """Push a stream through the cascade; returns the end layer's output.
 
         ``learn_upto`` bounds the cascade during sequential training: only
-        layers [0, learn_upto] see events. Memories are reset first; streams
-        are always processed against fresh per-clip context. Each layer
-        encodes the whole stream, learning from it if it is still
-        learning, and hands the events it emits to the next. A layer's
-        state depends only on its own input sequence, so this equals
-        taking each event through every layer before the next event.
+        layers [0, learn_upto] see events. See ``forward_clip``, which this
+        is with no background suppression.
+        """
+        return self.forward_clip(stream, None, learn_upto)[0]
+
+    def forward_clip(self, stream: EventStream, dbs: DbsConfig | None,
+                     learn_upto: int | None = None) -> tuple[EventStream, int]:
+        """Push a raw stream through background suppression by a fresh
+        filter of ``dbs`` (None: none) and the cascade up to layer
+        ``learn_upto`` (None: all), in one compiled pass; returns the end
+        layer's output and the number of events the filter kept.
+
+        Memories are reset first; streams are always processed against
+        fresh per-clip context. Each event in turn goes through the filter
+        and then every layer, learning where a layer is still learning,
+        and stops at the first stage that drops it. A stage's state
+        depends only on its own input sequence, so this equals each stage
+        taking the whole stream the stage before it emits.
 
         Raises StreamError if the stream's array size differs from the
         network's, or, without polarity merge, if it has more channels
@@ -379,14 +325,12 @@ class Network:
                               f"takes {self.layers[0].config.in_channels}")
         self.reset_memories()
         layers = self.layers if learn_upto is None else self.layers[: learn_upto + 1]
-        t, x, y = stream.t, stream.x, stream.y
-        p = np.zeros(len(stream), dtype=np.int64) if self.merge_polarity else stream.p
-        for layer in layers:
-            keep, p = layer.encode(t, x, y, p)
-            t, x, y = t[keep], x[keep], y[keep]
-        geom = SensorGeometry(self.geometry.width, self.geometry.height,
-                              layers[-1].config.n_prototypes)
-        return EventStream(t, x, y, p, geom, validate=False)
+        filt = None if dbs is None else DbsFilter(g, dbs)
+        keep, ids, kept = _native.run(_LIB, filt, layers, stream.t, stream.x, stream.y,
+                                      None if self.merge_polarity else stream.p)
+        geom = SensorGeometry(own.width, own.height, layers[-1].config.n_prototypes)
+        return EventStream(stream.t[keep], stream.x[keep], stream.y[keep], ids, geom,
+                           validate=False), kept
 
 
 def train(network: Network, clips, epochs: int = 1, mode: str = "joint") -> Network:

@@ -1,10 +1,13 @@
 """End-to-end orchestration: train, evaluate, benchmark.
 
 A pipeline is: optional background suppression -> polarity merge ->
-layer cascade -> pooled histogram signature -> k-NN. All stages are
-deterministic given their inputs and input ordering. No stage reads the
-config's ``seed``; it is there for callers that draw their own train/test
-split from it.
+layer cascade -> pooled histogram signature -> k-NN. A clip to label
+goes through suppression and the cascade in one compiled pass
+(``clip_signature``). Training filters each clip once, since every
+epoch and the signature pass read the same filtered stream. All stages
+are deterministic given their inputs and input ordering. No stage reads
+the config's ``seed``; it is there for callers that draw their own
+train/test split from it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from . import classify, network as net
 from .classify import EvalResult, Signature, TrainedModel
 from .config import ConfigError, PipelineConfig, config_echo, format_kv, parse_config
-from .dbs import DbsFilter, filter_stream
+from .dbs import DbsConfig, DbsFilter, filter_stream
 from .events import (
     _HEADER_DTYPE, ClipRecord, EventStream, SensorGeometry, StreamError, check_grid,
 )
@@ -60,12 +63,20 @@ def suppress_background(config: PipelineConfig, stream: EventStream):
     return filter_stream(filt, stream)
 
 
+def clip_signature(config: PipelineConfig, network: Network, stream: EventStream,
+                   dbs: DbsConfig | None) -> tuple[Signature, int]:
+    """The normalised pooled signature of a stream taken through DBS by
+    ``dbs`` (None: none) and the cascade in one pass, and the number of
+    events DBS kept."""
+    out, kept = network.forward_clip(stream, dbs)
+    return classify.normalize(classify.accumulate(
+        out, network.geometry, config.pooling, network.out_channels)), kept
+
+
 def stream_signature(config: PipelineConfig, network: Network,
                      filtered: EventStream) -> Signature:
     """The normalised pooled signature of a DBS-filtered stream."""
-    out = network.forward_stream(filtered)
-    return classify.normalize(classify.accumulate(
-        out, network.geometry, config.pooling, network.out_channels))
+    return clip_signature(config, network, filtered, None)[0]
 
 
 @dataclass
@@ -229,10 +240,10 @@ def evaluate_pipeline(pipeline: TrainedPipeline,
     signatures = []
     retained: dict[str, list[float]] = {}
     for clip in clips:
-        filtered, stats = suppress_background(config, clip.stream)
-        if stats is not None:
-            retained.setdefault(clip.label, []).append(stats.retention)
-        signatures.append(stream_signature(config, pipeline.network, filtered))
+        signature, kept = clip_signature(config, pipeline.network, clip.stream, config.dbs)
+        if config.dbs is not None:  # kept / total, and 0.0 for an empty clip
+            retained.setdefault(clip.label, []).append(kept / max(len(clip.stream), 1))
+        signatures.append(signature)
     result = classify.evaluate(pipeline.model, signatures, [c.label for c in clips])
     return RunReport(
         **vars(result),
@@ -264,11 +275,13 @@ def benchmark(pipeline: TrainedPipeline, clips: list[ClipRecord],
               runs: int = 5) -> BenchReport:
     """Median per-stage throughput over ``runs`` repeated runs.
 
-    Stages: dbs (filter alone), layers (cascade alone, on filtered
-    events), full (filter + cascade + signature). Each stage's rate is
-    over the events that enter it: raw events for dbs and full, the
-    DBS-kept events for layers. Stages also report events in and out
-    (full's output is the end layer's events).
+    Stages: dbs (filter alone, ``DbsFilter.process_block``), layers
+    (cascade alone, on filtered events, ``Network.forward_stream``), full
+    (filter + cascade + signature, ``clip_signature``). Each is one call
+    of the compiled pass per clip, so no stage pays round trips that the
+    others skip. Each stage's rate is over the events that enter it: raw
+    events for dbs and full, the DBS-kept events for layers. Stages also
+    report events in and out (full's output is the end layer's events).
 
     Each run times every stage in turn, so a burst of load on a shared
     machine slows one run of each stage rather than every run of one.
@@ -282,32 +295,24 @@ def benchmark(pipeline: TrainedPipeline, clips: list[ClipRecord],
         return BenchReport(stages={}, total_events=0, runs=0)
     filtered = [suppress_background(config, s)[0] for s in streams]
     kept = sum(len(s) for s in filtered)
-    emitted = sum(len(pipeline.network.forward_stream(s)) for s in filtered)
-
-    def run_dbs():
-        for s in streams:
-            suppress_background(config, s)
-
-    def run_layers():
-        for s in filtered:
-            pipeline.network.forward_stream(s)
-
-    def run_full():
-        for s in streams:
-            stream_signature(config, pipeline.network,
-                             suppress_background(config, s)[0])
-
-    plan = [("layers", run_layers, kept, emitted), ("full", run_full, total, emitted)]
+    network = pipeline.network
+    emitted = sum(len(network.forward_stream(s)) for s in filtered)
+    # each stage: its name, its inputs, one call per input, events in and out
+    plan = [("layers", filtered, network.forward_stream, kept, emitted),
+            ("full", streams, lambda s: clip_signature(config, network, s, config.dbs),
+             total, emitted)]
     if config.dbs is not None:
-        plan.insert(0, ("dbs", run_dbs, total, kept))
+        plan.insert(0, ("dbs", streams, lambda s: DbsFilter(s.geometry, config.dbs)
+                        .process_block(s.t, s.x, s.y), total, kept))
     times = {name: [] for name, *_ in plan}
     for _ in range(runs):
-        for name, fn, *_ in plan:
+        for name, inputs, call, *_ in plan:
             t0 = time.perf_counter()
-            fn()
+            for s in inputs:
+                call(s)
             times[name].append(time.perf_counter() - t0)
     stages = {}
-    for name, _, n_in, n_out in plan:
+    for name, _, _, n_in, n_out in plan:
         med = float(np.median(times[name]))
         stages[name] = {
             "events_per_s": n_in / med,

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evgesture.dbs import DbsFilter
 from evgesture.events import (
     ClipRecord, EventStream, SensorGeometry, StreamError, load_manifest,
     read_binary_events, read_text_events,
     write_binary_events, write_text_events,
 )
+from evgesture.network import Layer, LayerConfig
 
 GEOM = SensorGeometry(16, 12, 2)
 
@@ -25,6 +27,30 @@ class TestWrapAround:
         with pytest.raises(StreamError, match="x=4294967297 out of bounds"):
             EventStream(np.array([0]), np.array([2**32 + 1]), np.array([0]),
                         np.array([0]), GEOM)
+
+
+    @pytest.mark.parametrize("entry, field, value", [
+        (entry, field, value)
+        for field, value in (("t", np.nan), ("t", 2.5), ("t", np.inf), ("t", 1e19),
+                             ("x", np.nan), ("x", 1.5), ("y", -np.inf), ("p", np.nan),
+                             ("p", 0.5))
+        for entry in ("process_block", "encode", "EventStream")
+        if not (entry == "process_block" and field == "p")  # the filter reads no p
+    ])
+    def test_not_an_integer(self, entry, field, value):
+        # NaN compares false with every bound, and a cast of NaN or of a
+        # fraction to the int fields would make some other pixel of it
+        events = {"t": [0.0, 10.0], "x": [4.0, 4.0], "y": [4.0, 4.0], "p": [0.0, 0.0]}
+        events[field][1] = value
+        t, x, y, p = (np.array(events[k]) for k in "txyp")
+        geometry = SensorGeometry(9, 9, 2)
+        with pytest.raises(StreamError, match=rf"{field}=.* is not a 64-bit integer at index 1"):
+            if entry == "process_block":
+                DbsFilter(geometry).process_block(t, x, y)
+            elif entry == "encode":
+                Layer(LayerConfig(2, 1, 100.0, 2), geometry).encode(t, x, y, p)
+            else:
+                EventStream(t, x, y, p, geometry)
 
 
 class TestTextCodec:

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from evgesture import _native, cli, network
 from evgesture.classify import PoolingConfig, knn_classify
 from evgesture.config import LayerSpec, PipelineConfig, parse_config
-from evgesture.dbs import DbsConfig
+from evgesture.dbs import DbsConfig, DbsFilter, filter_stream
 from evgesture.events import (
     ClipRecord, EventStream, SensorGeometry, StreamError, write_binary_events,
 )
@@ -1141,6 +1142,170 @@ class TestLearnBlocks:
         assert_same_state(net.layers, reference)
         assert outputs == expected
         assert len(outputs[0]) > 100
+
+
+# ---------------------------------------------------------------------------
+# The one compiled pass takes raw events through DBS and every layer, each
+# event in turn. These tests hold it to the stages run one after the other,
+# each on the whole output of the one before it.
+
+@st.composite
+def chain_cases(draw):
+    """Twin stage sets (``build()`` makes each): DBS on or off, then 1-3
+    layers, each learning from scratch or frozen on seeded random rows;
+    a wandering blob with uniform clutter on an 8-12 px array, cut into
+    consecutive calls; and one bad event to plant in one call, if the
+    stream reaches it: (call, index in the call, what is wrong with it)."""
+    geometry = SensorGeometry(draw(st.integers(8, 12)), draw(st.integers(8, 12)), 2)
+    w, h = geometry.width, geometry.height
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n = draw(st.integers(0, 400))
+    clutter = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.8]))
+    walk = [np.clip(size // 2 + np.cumsum(rng.integers(-1, 2, n)), 0, size - 1)
+            for size in (w, h)]
+    x, y = (np.where(clutter, rng.integers(0, size, n), v) for size, v in zip((w, h), walk))
+    stream = EventStream(np.cumsum(rng.integers(0, 40, n)), x, y, rng.integers(0, 2, n),
+                         geometry)
+    dbs = draw(st.none() | st.builds(
+        DbsConfig, st.integers(1, 3), st.integers(1, 3),
+        st.sampled_from([50.0, 300.0, 3000.0]), st.sampled_from([0.5, 1.0, 2.0])))
+    merge = draw(st.booleans())
+    specs, in_channels = [], 1 if merge else 2
+    for _ in range(draw(st.integers(1, 3))):
+        specs.append((LayerConfig(draw(st.integers(1, 5)), draw(st.integers(1, 2)),
+                                  draw(st.sampled_from([700.0, 3000.0, 20_000.0])),
+                                  in_channels, draw(st.sampled_from([3, 40, 10_000]))),
+                      draw(st.booleans())))
+        in_channels = specs[-1][0].n_prototypes
+    bank_seed = draw(st.integers(0, 2**16))
+
+    def build():
+        filt = None if dbs is None else DbsFilter(geometry, dbs)
+        layers, bank_rng = [], np.random.default_rng(bank_seed)
+        for config, learning in specs:
+            layer = Layer(config, geometry)
+            if not learning:
+                n, d = layer.bank_shape
+                layer.install(bank_rng.random((n, d)) * (bank_rng.random((n, d)) < 0.6),
+                              bank_rng.integers(1, 50, n).tolist())
+            layers.append(layer)
+        return filt, layers
+
+    cuts = draw(st.lists(st.integers(1, 120), min_size=1, max_size=8))
+    kinds = ["x", "y", "t-back", "t-nan"] + ([] if merge else ["p"])
+    bad = draw(st.tuples(st.integers(0, 3), st.just(0) | st.integers(0, 119),
+                         st.sampled_from(kinds)))
+    return build, stream, merge, cuts, bad
+
+
+def stage_state(filt, layers) -> list:
+    """Every stage's state, as bytes and lists."""
+    state = [] if filt is None else [filt.activity.tobytes(), filt.last_t.tolist()]
+    for layer in layers:
+        state += [layer.memory.tobytes(), layer.bank.tobytes(), layer.match_counts,
+                  layer.last_match_tick, layer.tick, layer.since]
+    return state
+
+
+def stage_by_stage(filt, layers, stream, merge):
+    """The reference of one call: ``filter_stream``, then each layer's
+    ``encode`` on the events the stage before it kept. Returns the end
+    mask over the input, the end ids and the DBS-kept count."""
+    mask = np.ones(len(stream), dtype=bool)
+    kept = len(stream)
+    if filt is not None:
+        stream, stats = filter_stream(filt, stream)
+        mask, kept = stats.keep_mask.copy(), stats.kept
+    t, x, y = stream.t, stream.x, stream.y
+    p = np.zeros(len(t), dtype=np.int64) if merge else stream.p
+    for layer in layers:
+        keep, p = layer.encode(t, x, y, p)
+        mask[np.flatnonzero(mask)[~keep]] = False
+        t, x, y = t[keep], x[keep], y[keep]
+    return mask, p, kept
+
+
+def plant(t, x, y, p, at, kind, geometry, taken):
+    """Copies of the call's event arrays, with event ``at`` made bad;
+    ``taken`` is the time of the event before the call (-1 if none)."""
+    t, x, y, p = (np.array(v, dtype=np.float64 if kind == "t-nan" else np.int64)
+                  for v in (t, x, y, p))
+    if kind == "x":
+        x[at] = geometry.width
+    elif kind == "y":
+        y[at] = -1
+    elif kind == "p":
+        p[at] = 2
+    elif kind == "t-nan":
+        t[at] = np.nan
+    else:  # behind the event before it: negative, if it is the stream's first
+        t[at] = (t[at - 1] if at else taken) - 1
+    return t, x, y, p
+
+
+class TestOnePass:
+    @settings(max_examples=100, deadline=None)
+    @given(chain_cases())
+    def test_equals_stage_by_stage(self, case):
+        build, stream, merge, cuts, bad = case
+        (filt, layers), (ref_filt, ref_layers) = build(), build()
+        a = call = 0
+        while a < len(stream):
+            b = min(a + cuts[call % len(cuts)], len(stream))
+            t, x, y, p = (v[a:b] for v in (stream.t, stream.x, stream.y, stream.p))
+            if bad[0] == call and a + bad[1] < b:
+                at, before = bad[1], stage_state(filt, layers)
+                bad_t, bad_x, bad_y, bad_p = plant(t, x, y, p, at, bad[2], stream.geometry,
+                                                   stream.t[a - 1] if a else -1)
+                with pytest.raises(StreamError, match=rf"at index {at}$"):
+                    _native.run(network._LIB, filt, layers, bad_t, bad_x, bad_y,
+                                None if merge else bad_p)
+                assert stage_state(filt, layers) == before
+            keep, ids, kept = _native.run(network._LIB, filt, layers, t, x, y,
+                                          None if merge else p)
+            ref_keep, ref_ids, ref_kept = stage_by_stage(
+                ref_filt, ref_layers, EventStream(t, x, y, p, stream.geometry), merge)
+            assert keep.tolist() == ref_keep.tolist()
+            assert ids.tolist() == ref_ids.tolist()
+            assert kept == ref_kept
+            assert stage_state(filt, layers) == stage_state(ref_filt, ref_layers)
+            a, call = b, call + 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(frozen_cases(), st.builds(DbsConfig, st.integers(1, 3), st.integers(1, 3),
+                                     st.sampled_from([50.0, 300.0]),
+                                     st.sampled_from([0.5, 2.0])))
+    def test_forward_clip_equals_filter_then_forward(self, case, dbs):
+        net, stream = case
+        if dbs.grid_rows > stream.geometry.height or dbs.grid_cols > stream.geometry.width:
+            dbs = DbsConfig(1, 1, dbs.tau_b_us, dbs.alpha)
+        out, kept = net.forward_clip(stream, dbs)
+        filtered, stats = filter_stream(DbsFilter(stream.geometry, dbs), stream)
+        assert out == net.forward_stream(filtered)
+        assert kept == stats.kept
+
+
+class TestRecords:
+    def test_records_match_the_c_structs(self, tmp_path):
+        # a ctypes record that drifts from its struct would hand the pass
+        # one field for another; the compiler's own layout is the reference
+        records = {"dbs": _native.Dbs, "layer": _native.Layer}
+        lines = [f'#include "{_native.SOURCE}"', "#include <stddef.h>", "#include <stdio.h>",
+                 "int main(void)", "{"]
+        for name, record in records.items():
+            lines.append(f'    printf("%zu\\n", sizeof(struct {name}));')
+            lines += [f'    printf("%zu\\n", offsetof(struct {name}, {field}));'
+                      for field, _ in record._fields_]
+        (tmp_path / "layout.c").write_text("\n".join(lines + ["}", ""]))
+        subprocess.run(["cc", "-o", str(tmp_path / "layout"), str(tmp_path / "layout.c"),
+                        "-lm"], check=True, capture_output=True)
+        printed = subprocess.run([str(tmp_path / "layout")], check=True, capture_output=True,
+                                 text=True).stdout.split()
+        expected = []
+        for record in records.values():
+            expected.append(ctypes.sizeof(record))
+            expected += [getattr(record, field).offset for field, _ in record._fields_]
+        assert [int(v) for v in printed] == expected
 
 
 class TestCompiledRule:
