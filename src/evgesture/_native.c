@@ -4,8 +4,14 @@
    the event in its timestamp memory, reads its surface into one row,
    gates it on its sum, and takes a valid one through the online learning
    rule or matches it to the frozen bank, by one nearest-row rule; the id
-   it emits is the next layer's channel. The same pass takes surface rows
-   given from Python through one layer, ungated.
+   it emits is the next layer's channel. The pass writes what its callers
+   read: the kept events' times and pixels, compacted, and, for a
+   signature, the end ids counted into pooled bins. The same pass takes
+   surface rows given from Python through one layer, ungated.
+
+   Two shortcuts skip work only where it changes no bit: suppression
+   memoises its decay, exp of the same argument, for small integer gaps,
+   and the surface reader divides no entry that is at least tau old.
 
    Every dot product, sum and squared distance that decides an output is
    summed in one fixed order, numpy's pairwise summation, so each equals
@@ -102,12 +108,13 @@ static int64_t first_least(const int64_t *v, int64_t n)
 /* A DBS stage (dbs.DbsFilter): activity and last hold cells + 1
    counters, the whole array's last; row_cell and col_cell hold
    grid_cells at (0, y), for each of height pixel rows, and at (x, 0), for
-   each of width pixel columns. kept counts the events the stage keeps;
-   the caller sets it to 0. */
+   each of width pixel columns. decay memoises the counters' decay over
+   the gaps dt below gaps: exp(-dt / tau), or -1.0 until first needed.
+   kept counts the events the stage keeps; the caller sets it to 0. */
 struct dbs {
     const int64_t *row_cell, *col_cell;
-    double *activity;
-    int64_t *last, cells, width, height, kept;
+    double *activity, *decay;
+    int64_t *last, cells, width, height, gaps, kept;
     double tau, alpha;
 };
 
@@ -264,22 +271,28 @@ static int outside(int64_t x, int64_t y, int64_t p, int64_t width, int64_t heigh
    pixel of L's memory, then reads its (2 radius + 1)^2 field on every
    channel, in channel-major (p, dy, dx) order, as v = (m - t) / tau + 1,
    clamped at 0: the arithmetic of surfaces.extract, so every value is
-   bit-equal to it. Writes the channels (2 radius + 1)^2 values to row
-   and the indices of the nonzero ones to L's nz; returns their count. */
+   bit-equal to it. An entry with m - t <= -tau, -inf included, has
+   (m - t) / tau <= -1 under any rounding, since division rounds
+   monotonically and -tau / tau is exactly -1, so it reads 0.0 with no
+   division. Writes the channels (2 radius + 1)^2 values to row and the
+   indices of the nonzero ones to L's nz; returns their count. */
 static int64_t read_surface(const struct layer *L, int64_t t, int64_t x, int64_t y,
-                            int64_t p, double *row)
+                            int64_t p, double *restrict row)
 {
-    int64_t R = L->radius, side = 2 * R + 1, rows = L->height + 2 * R;
-    int64_t cols = L->width + 2 * R, j = 0, q = 0;
-    double now = (double)t;
-    L->memory[(p * rows + y + R) * cols + x + R] = now;
-    for (int64_t c = 0; c < L->channels; c++) {
+    const int64_t R = L->radius, side = 2 * R + 1, rows = L->height + 2 * R;
+    const int64_t cols = L->width + 2 * R, channels = L->channels;
+    double *restrict memory = L->memory;
+    int64_t *restrict nz = L->nz;
+    const double tau = L->tau, now = (double)t;
+    int64_t j = 0, q = 0;
+    memory[(p * rows + y + R) * cols + x + R] = now;
+    for (int64_t c = 0; c < channels; c++) {
         for (int64_t dy = 0; dy < side; dy++) {
-            const double *m = L->memory + (c * rows + y + dy) * cols + x;
+            const double *m = memory + (c * rows + y + dy) * cols + x;
             for (int64_t dx = 0; dx < side; dx++, j++) {
-                double v = (m[dx] - now) / L->tau + 1.0;
+                double age = m[dx] - now, v = age > -tau ? age / tau + 1.0 : 0.0;
                 row[j] = v >= 0.0 ? v : 0.0;
-                L->nz[q] = j;
+                nz[q] = j;
                 q += row[j] != 0.0;
             }
         }
@@ -302,6 +315,19 @@ int64_t evg_surfaces(const struct layer *L, const int64_t *t, const int64_t *x,
     return 0;
 }
 
+/* exp(-dt / tau) for D's counters, the gap dt >= 0: from D's memo where
+   dt < gaps, computed on first use. The argument and the function are
+   those of the unmemoised call, so the value is the same bit for bit. */
+static double decay(struct dbs *D, int64_t dt)
+{
+    if (dt >= D->gaps)
+        return exp(-(double)dt / D->tau);
+    double *e = D->decay + dt;
+    if (*e < 0.0)
+        *e = exp(-(double)dt / D->tau);
+    return *e;
+}
+
 /* Background suppression of the event at time t in pixel (x, y): its
    cell's counter and then the whole array's are brought forward to t,
    a = a * exp(-(t - last) / tau) + 1, and the event is kept iff its
@@ -314,7 +340,7 @@ static int dbs_step(struct dbs *D, int64_t t, int64_t x, int64_t y)
     const int64_t hits[2] = {D->row_cell[y] + D->col_cell[x], D->cells};
     for (int j = 0; j < 2; j++) {
         int64_t c = hits[j];
-        D->activity[c] = D->activity[c] * exp(-(double)(t - D->last[c]) / D->tau) + 1.0;
+        D->activity[c] = D->activity[c] * decay(D, t - D->last[c]) + 1.0;
         D->last[c] = t;
     }
     int keep = D->activity[hits[0]] >= D->alpha * (D->activity[D->cells] / (double)D->cells);
@@ -393,14 +419,19 @@ static int64_t layer_step(struct layer *L, struct screen *c, int64_t t, int64_t 
    channel, and stops at the first stage that drops it. No stage reads
    anything from a later one, so this equals running each stage over the
    whole output of the stage before it. Writes keep[k] for each input,
-   set iff it passed every stage, and the end ids of the kept inputs, in
-   order, to ids (with no layer, their channels); updates every stage's
-   state in place. Returns the number kept, or -1 - k, with no state
-   changed, if event k lies outside D's pixels or layers[0]'s pixels or
-   channels. */
+   set iff it passed every stage; the end ids of the kept inputs, in
+   order, to ids (with no layer, their channels), and, where kt is not
+   NULL, their t, x and y to kt, kx and ky; and, where counts is not NULL
+   (then nl >= 1), adds 1 to counts[cell * n + id] for each, where cell
+   is pool_row[y] + pool_col[x] and n the last layer's bank rows. Updates
+   every stage's state in place. Returns the number kept, or -1 - k, with
+   no state changed, if event k lies outside D's pixels or layers[0]'s
+   pixels or channels. */
 int64_t evg_pass(struct dbs *D, struct layer *layers, int64_t nl, const int64_t *t,
                  const int32_t *x, const int32_t *y, const int32_t *p, const double *rows,
-                 int64_t m, uint8_t *keep, int64_t *ids)
+                 int64_t m, uint8_t *keep, int32_t *ids, int64_t *kt, int32_t *kx,
+                 int32_t *ky, const int64_t *pool_row, const int64_t *pool_col,
+                 double *counts)
 {
     for (int64_t k = 0; !rows && k < m; k++)
         if ((D && outside(x[k], y[k], 0, D->width, D->height, 1))
@@ -420,7 +451,14 @@ int64_t evg_pass(struct dbs *D, struct layer *layers, int64_t nl, const int64_t 
             go = id >= 0;
         }
         keep[k] = (uint8_t)go;
-        ids[kept] = id;
+        ids[kept] = (int32_t)id;
+        if (kt) {
+            kt[kept] = tk;
+            kx[kept] = (int32_t)xk;
+            ky[kept] = (int32_t)yk;
+        }
+        if (counts && go)
+            counts[(pool_row[yk] + pool_col[xk]) * layers[nl - 1].n + id] += 1.0;
         kept += go;
     }
     return kept;

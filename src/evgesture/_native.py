@@ -6,7 +6,12 @@ per-event stage: it takes events through background suppression (a
 each event in turn, in one call, or takes surface rows given from Python
 through one layer. Each stage goes in as a record, ``Dbs`` or ``Layer``,
 that points at the stage's own arrays, so the call updates the filter's
-counters, the layers' memories and banks in place. ``surfaces`` calls
+counters and decay memo, the layers' memories and banks in place. The
+pass writes what the callers read: the keep mask, the end ids, and on
+request the kept events' ``t``, ``x`` and ``y``, compacted, or the end
+ids counted into pooled bins; each output array is cut to the length of
+its contents in place, so no select runs after the call and no
+raw-length buffer outlives it. ``surfaces`` calls
 ``evg_surfaces``, which reads time-surfaces alone, and ``evg_reduce`` is
 the one summation order.
 
@@ -35,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import StreamError, check_events
+from .events import StreamError, check_events, grid_tables
 
 SOURCE = Path(__file__).with_name("_native.c")
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
@@ -52,7 +57,8 @@ def _fields(pointers: str, ints: str, doubles: str) -> list:
 
 class Dbs(ctypes.Structure):
     """``struct dbs``: a DBS stage, over a ``DbsFilter``'s arrays."""
-    _fields_ = _fields("row_cell col_cell activity last", "cells width height kept", "tau alpha")
+    _fields_ = _fields("row_cell col_cell activity decay last", "cells width height gaps kept",
+                       "tau alpha")
 
 
 class Layer(ctypes.Structure):
@@ -91,7 +97,7 @@ def load(out_dir: str | os.PathLike = SOURCE.parent / "__pycache__",
     lib.evg_surfaces.argtypes = [ctypes.POINTER(Layer), *[_ptr] * 4, _i64, _ptr]
     lib.evg_surfaces.restype = _i64
     lib.evg_pass.argtypes = [ctypes.POINTER(Dbs), ctypes.POINTER(Layer), _i64, *[_ptr] * 5,
-                             _i64, _ptr, _ptr]
+                             _i64, *[_ptr] * 8]
     lib.evg_pass.restype = _i64
     return lib
 
@@ -117,16 +123,23 @@ def _layer_record(layer) -> tuple[Layer, list[np.ndarray]]:
     return record, [state, scratch, nz]
 
 
-def run(lib: ctypes.CDLL, filt, layers, t=None, x=None, y=None, p=None,
-        rows=None) -> tuple[np.ndarray, np.ndarray, int]:
+def run(lib: ctypes.CDLL, filt, layers, t=None, x=None, y=None, p=None, rows=None,
+        events=False, pool=None) -> tuple:
     """One call of ``evg_pass``: the events ``(t, x, y, p)`` through the
     filter ``filt`` (None: no DBS), then through each of ``layers`` in
     turn, an emitted id becoming the next layer's channel; ``p`` None puts
     every event on channel 0. Or, given ``rows``, those surface rows
     through the one layer in ``layers``. Continues from, and updates,
-    every stage's state. Returns the mask of the inputs that passed every
-    stage, the end ids of those (with no layer, their channels), and the
-    number of events the filter kept (all of them, with no filter).
+    every stage's state.
+
+    Returns the mask of the inputs that passed every stage, the int32
+    end ids of those (with no layer, their channels), and the number of
+    events the filter kept (all of them, with no filter); with
+    ``events``, then the kept events' ``t`` (int64), ``x`` and ``y``
+    (int32); with ``pool``, a ``(rows, cols)`` grid, then the kept
+    events' float64 counts per bin ``cell * n + id``, where ``cell`` is
+    ``grid_cells`` of the event's pixel on that grid and ``n`` the last
+    layer's bank rows. Each array is exactly as long as its contents.
 
     Raises StreamError, before any state changes, at an event that is not
     an integer, goes back in time (behind the latest time a stage has
@@ -135,12 +148,13 @@ def run(lib: ctypes.CDLL, filt, layers, t=None, x=None, y=None, p=None,
     records, arrays = zip(*map(_layer_record, layers)) if layers else ((), ())
     records = (Layer * len(layers))(*records)
     dbs = None if filt is None else Dbs(
-        *map(_data, (filt.row_cell, filt.col_cell, filt.activity, filt.last_t)),
-        len(filt.activity) - 1, filt.geometry.width, filt.geometry.height, 0,
+        *map(_data, (filt.row_cell, filt.col_cell, filt.activity, filt.decay, filt.last_t)),
+        len(filt.activity) - 1, filt.geometry.width, filt.geometry.height, len(filt.decay), 0,
         filt.config.tau_b_us, filt.config.alpha)
     if rows is None:
+        first = (layers[0] if layers else filt).geometry
         since = max([r.since for r in records] + ([int(filt.last_t[-1])] if filt else []))
-        check_events(t, x, y, p, (layers[0] if layers else filt).geometry, since)
+        check_events(t, x, y, p, first, since)
         # in range once checked, so the casts to the stream layout cannot wrap
         t, x, y, p = (None if v is None else np.ascontiguousarray(v, dtype=dtype)
                       for v, dtype in zip((t, x, y, p), (np.int64, *[np.int32] * 3)))
@@ -149,15 +163,23 @@ def run(lib: ctypes.CDLL, filt, layers, t=None, x=None, y=None, p=None,
         if rows.shape[1:] != layers[0].bank.shape[1:]:
             raise ValueError(f"surfaces {rows.shape} for a bank of {layers[0].bank.shape}")
     m = len(t if rows is None else rows)
-    keep, ids = np.empty(m, dtype=bool), np.empty(m, dtype=np.int64)
+    keep, ids = np.empty(m, dtype=bool), np.empty(m, dtype=np.int32)
+    kept_events = [np.empty(m, dtype=dtype) for dtype in (np.int64, np.int32, np.int32)] \
+        if events else []
+    pooling = [*grid_tables(first, *pool), np.zeros(pool[0] * pool[1] * records[-1].n)] \
+        if pool else []
     kept = lib.evg_pass(dbs, records, len(layers), *map(_data, (t, x, y, p, rows)), m,
-                        _data(keep), _data(ids))
+                        _data(keep), _data(ids),
+                        *(map(_data, kept_events) if events else [None] * 3),
+                        *(map(_data, pooling) if pool else [None] * 3))
     if kept < 0:  # check_events let through an event outside the first stage
         raise StreamError(f"event {-1 - kept} lies outside the first stage")
     for layer, record, (state, *_) in zip(layers, records, arrays):
         layer.tick, layer.since = record.tick, record.since
         layer.match_counts[:], layer.last_match_tick[:] = state[:, :record.filled].tolist()
-    return keep, ids[:kept], m if dbs is None else dbs.kept
+    for a in (ids, *kept_events):  # in place, so that no raw-length buffer stays
+        a.resize(kept, refcheck=False)
+    return (keep, ids, m if dbs is None else dbs.kept, *kept_events, *pooling[2:])
 
 
 def surfaces(lib: ctypes.CDLL, layer, t, x, y, p) -> np.ndarray:

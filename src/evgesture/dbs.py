@@ -16,7 +16,12 @@ filter, or with a network's layers after it (``Network.forward_clip``):
 each event in turn finds its cell from two per-axis tables of
 ``grid_cells``, and runs the rule with libm's ``exp``, the function
 ``math.exp`` calls, so every decision and counter is bit-equal to
-``update_activity``'s.
+``update_activity``'s. The filter memoises the decay of each integer gap
+below ``DECAY_GAPS`` microseconds: the pass fills an entry with that
+``exp`` the first time a counter needs it, and reads it after that, for
+as long as the filter lives. The argument is the same, so the memo moves
+no bit; larger gaps call ``exp`` each time. ``filter_stream`` takes the
+kept events' times and pixels from the pass, already compacted.
 
 Masks therefore depend on the platform's libm. glibc 2.36 rounds 1 of
 the 1,611 distinct decay arguments of one cluttered test workload
@@ -36,9 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .events import EventStream, SensorGeometry, check_grid, grid_cells
+from .events import EventStream, SensorGeometry, check_grid, grid_tables
 
 _LIB = _native.load()
+DECAY_GAPS = 4096  # the gaps, in microseconds, below which a filter memoises its decay
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,8 @@ class DbsFilter:
     State is one decaying counter per cell and one for the whole array,
     the sum of all cells' activities: ``activity`` holds their values and
     ``last_t`` the time of each one's last event, the whole array's last.
+    ``decay`` memoises ``exp(-dt / tau_b_us)`` for gaps ``dt`` below
+    ``DECAY_GAPS``, -1.0 where not yet needed.
     Every counter starts at 0.0 at time 0, which the first event's decay
     and +1 take to exactly 1.0. Decay is lazy: a counter's stored value is
     only brought forward on its own events.
@@ -101,8 +109,8 @@ class DbsFilter:
         n = rows * cols + 1
         self.activity = np.zeros(n)
         self.last_t = np.zeros(n, dtype=np.int64)
-        self.row_cell = grid_cells(0, np.arange(geometry.height), geometry, rows, cols)
-        self.col_cell = grid_cells(np.arange(geometry.width), 0, geometry, rows, cols)
+        self.row_cell, self.col_cell = grid_tables(geometry, rows, cols)
+        self.decay = np.full(DECAY_GAPS, -1.0)
 
     def process_block(self, t, x, y) -> np.ndarray:
         """Update state with a sequence of events and return their keep
@@ -119,10 +127,13 @@ class DbsFilter:
 
 
 def filter_stream(filt: DbsFilter, stream: EventStream) -> tuple[EventStream, RetentionStats]:
-    """Run a stream through the filter in one ``process_block`` call; kept
-    events preserve order and times. A stream that goes back in time or
-    leaves the array anywhere raises, naming the event's index in the
+    """Run a stream through the filter in one compiled pass, the
+    ``process_block`` rule, which also writes the kept events, compacted,
+    so no mask selects them; kept events preserve order and times. A
+    stream that goes back in time, leaves the array or has a channel
+    outside the filter's anywhere raises, naming the event's index in the
     stream, before the filter takes any of it."""
-    keep = filt.process_block(stream.t, stream.x, stream.y)
-    return stream.select(keep), RetentionStats(total=len(stream), kept=int(keep.sum()),
-                                               keep_mask=keep)
+    keep, p, kept, t, x, y = _native.run(_LIB, filt, [], stream.t, stream.x, stream.y,
+                                         stream.p, events=True)
+    return (EventStream(t, x, y, p, stream.geometry, validate=False),
+            RetentionStats(total=len(stream), kept=kept, keep_mask=keep))

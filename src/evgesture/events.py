@@ -44,6 +44,15 @@ def grid_cells(x, y, geometry: SensorGeometry, rows: int, cols: int) -> np.ndarr
     return row * cols + col
 
 
+def grid_tables(geometry: SensorGeometry, rows: int,
+                cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """``grid_cells`` at ``(0, y)`` for each pixel row and at ``(x, 0)``
+    for each pixel column: int64 tables whose entries for ``y`` and ``x``
+    sum to ``grid_cells(x, y)``, the cell a compiled loop reads."""
+    return (grid_cells(0, np.arange(geometry.height), geometry, rows, cols),
+            grid_cells(np.arange(geometry.width), 0, geometry, rows, cols))
+
+
 class StreamError(ValueError):
     """Malformed input data: bad syntax, ordering or bounds violations."""
 
@@ -72,10 +81,11 @@ def check_grid(rows: int, cols: int, geometry: SensorGeometry, what: str) -> Non
 
 def check_events(t, x, y, p, geometry: SensorGeometry, since: int | None = None) -> None:
     """The one check of raw event arrays: raise StreamError at the first
-    value that is not a 64-bit integer (NaN included), at a negative first
-    time, at the first event earlier than the one before it (``since``,
-    the latest time already taken, before the first), or at the first
-    coordinate outside ``geometry``; ``p`` None skips the channel bound."""
+    value that is not a signed 64-bit integer (NaN and unsigned values of
+    2**63 or more included), at a negative first time, at the first event
+    earlier than the one before it (``since``, the latest time already
+    taken, before the first), or at the first coordinate outside
+    ``geometry``; ``p`` None skips the channel bound."""
     t, x, y = np.asarray(t), np.asarray(x), np.asarray(y)
     fields = (("x", x, geometry.width), ("y", y, geometry.height))
     if p is not None:
@@ -85,11 +95,15 @@ def check_events(t, x, y, p, geometry: SensorGeometry, since: int | None = None)
     if len(t) == 0:
         return
     for name, v, _ in (("t", t, None), *fields):
-        if v.dtype.kind not in "iu":
+        if v.dtype.kind == "i":
+            continue
+        if v.dtype.kind == "u":  # uint64 holds values that int64 does not
+            off = np.flatnonzero(v > np.iinfo(np.int64).max)
+        else:
             off = np.flatnonzero(~((np.floor(v) == v) & (np.abs(v) < 2.0**63)))
-            if len(off):
-                i = int(off[0])
-                raise StreamError(f"{name}={v[i]} is not a 64-bit integer at index {i}")
+        if len(off):
+            i = int(off[0])
+            raise StreamError(f"{name}={v[i]} is not a 64-bit integer at index {i}")
     if t[0] < 0:
         raise StreamError(f"negative timestamp {int(t[0])} at index 0")
     if since is not None and t[0] < since:

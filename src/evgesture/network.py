@@ -24,7 +24,11 @@ sum, and takes a valid one through the learning rule or matches it to
 the frozen bank; the id it emits is the event's channel in the next
 layer, and an event a layer drops goes no further. Outputs equal the
 per-event semantics, and each layer taking the whole output of the one
-before it, bit for bit, ties included. ``Layer.encode`` is the pass over
+before it, bit for bit, ties included. The pass writes the end layer's
+output events itself (``forward_clip``), or only counts them into pooled
+bins (``pooled_counts``, for a signature). Its surface reader skips the
+division for an entry at least tau old, which reads 0.0 under any
+rounding. ``Layer.encode`` is the pass over
 one layer; it carries the timestamp memory from call to call, so events
 that arrive a few at a time are encoded by calling it on each slice in
 turn.
@@ -47,6 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _native
+from .classify import PoolingConfig
 from .dbs import DbsConfig, DbsFilter
 from .events import Event, EventStream, SensorGeometry, StreamError
 from .surfaces import TimeSurfaceConfig
@@ -310,12 +315,35 @@ class Network:
         and then every layer, learning where a layer is still learning,
         and stops at the first stage that drops it. A stage's state
         depends only on its own input sequence, so this equals each stage
-        taking the whole stream the stage before it emits.
+        taking the whole stream the stage before it emits. The pass
+        writes the kept events' times and pixels itself, so no mask
+        selects them.
 
         Raises StreamError if the stream's array size differs from the
         network's, or, without polarity merge, if it has more channels
         than layer 1 takes.
         """
+        _, ids, kept, t, x, y = self._pass(stream, dbs, learn_upto, events=True)
+        last = self.layers[-1 if learn_upto is None else learn_upto]
+        geom = SensorGeometry(self.geometry.width, self.geometry.height,
+                              last.config.n_prototypes)
+        return EventStream(t, x, y, ids, geom, validate=False), kept
+
+    def pooled_counts(self, stream: EventStream, dbs: DbsConfig | None,
+                      pooling: PoolingConfig) -> tuple[np.ndarray, int]:
+        """``classify.accumulate`` of ``forward_clip``'s output, as float64
+        counts per ``cell * out_channels + id`` bin, and the number of
+        events the filter kept; the pass counts each emitted event itself,
+        so no output stream is built."""
+        *_, kept, counts = self._pass(stream, dbs, None,
+                                      pool=(pooling.grid_rows, pooling.grid_cols))
+        return counts, kept
+
+    def _pass(self, stream: EventStream, dbs: DbsConfig | None, learn_upto: int | None,
+              **outputs) -> tuple:
+        """``_native.run`` of a fresh filter of ``dbs`` and the layers up
+        to ``learn_upto``, their memories reset, on ``stream``, asking for
+        ``outputs``; the checks of ``forward_clip``."""
         g, own = stream.geometry, self.geometry
         if (g.width, g.height) != (own.width, own.height):
             raise StreamError(f"stream is {g.width}x{g.height}, the network "
@@ -326,11 +354,8 @@ class Network:
         self.reset_memories()
         layers = self.layers if learn_upto is None else self.layers[: learn_upto + 1]
         filt = None if dbs is None else DbsFilter(g, dbs)
-        keep, ids, kept = _native.run(_LIB, filt, layers, stream.t, stream.x, stream.y,
-                                      None if self.merge_polarity else stream.p)
-        geom = SensorGeometry(own.width, own.height, layers[-1].config.n_prototypes)
-        return EventStream(stream.t[keep], stream.x[keep], stream.y[keep], ids, geom,
-                           validate=False), kept
+        return _native.run(_LIB, filt, layers, stream.t, stream.x, stream.y,
+                           None if self.merge_polarity else stream.p, **outputs)
 
 
 def train(network: Network, clips, epochs: int = 1, mode: str = "joint") -> Network:

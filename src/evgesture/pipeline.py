@@ -2,12 +2,13 @@
 
 A pipeline is: optional background suppression -> polarity merge ->
 layer cascade -> pooled histogram signature -> k-NN. A clip to label
-goes through suppression and the cascade in one compiled pass
-(``clip_signature``). Training filters each clip once, since every
-epoch and the signature pass read the same filtered stream. All stages
-are deterministic given their inputs and input ordering. No stage reads
-the config's ``seed``; it is there for callers that draw their own
-train/test split from it.
+goes through suppression and the cascade in one compiled pass, which
+counts the end layer's events into the pooled bins itself
+(``clip_signature``), so no output stream is built. Training filters
+each clip once, since every epoch and the signature pass read the same
+filtered stream. All stages are deterministic given their inputs and
+input ordering. No stage reads the config's ``seed``; it is there for
+callers that draw their own train/test split from it.
 """
 
 from __future__ import annotations
@@ -66,11 +67,11 @@ def suppress_background(config: PipelineConfig, stream: EventStream):
 def clip_signature(config: PipelineConfig, network: Network, stream: EventStream,
                    dbs: DbsConfig | None) -> tuple[Signature, int]:
     """The normalised pooled signature of a stream taken through DBS by
-    ``dbs`` (None: none) and the cascade in one pass, and the number of
-    events DBS kept."""
-    out, kept = network.forward_clip(stream, dbs)
-    return classify.normalize(classify.accumulate(
-        out, network.geometry, config.pooling, network.out_channels)), kept
+    ``dbs`` (None: none) and the cascade in one pass, which counts the
+    end layer's events itself (``Network.pooled_counts``), and the number
+    of events DBS kept."""
+    counts, kept = network.pooled_counts(stream, dbs, config.pooling)
+    return classify.normalize(Signature(counts)), kept
 
 
 def stream_signature(config: PipelineConfig, network: Network,
@@ -276,12 +277,14 @@ def benchmark(pipeline: TrainedPipeline, clips: list[ClipRecord],
     """Median per-stage throughput over ``runs`` repeated runs.
 
     Stages: dbs (filter alone, ``DbsFilter.process_block``), layers
-    (cascade alone, on filtered events, ``Network.forward_stream``), full
-    (filter + cascade + signature, ``clip_signature``). Each is one call
-    of the compiled pass per clip, so no stage pays round trips that the
-    others skip. Each stage's rate is over the events that enter it: raw
-    events for dbs and full, the DBS-kept events for layers. Stages also
-    report events in and out (full's output is the end layer's events).
+    (cascade and signature on filtered events, ``stream_signature``),
+    full (filter, cascade and signature, ``clip_signature``). Each is one
+    call of the compiled pass per clip, and layers and full both count
+    the end layer's events into pooled bins inside it, so no stage builds
+    outputs that the others skip. Each stage's rate is over the events
+    that enter it: raw events for dbs and full, the DBS-kept events for
+    layers. Stages also report events in and out (the output of layers
+    and full is the end layer's events).
 
     Each run times every stage in turn, so a burst of load on a shared
     machine slows one run of each stage rather than every run of one.
@@ -298,7 +301,8 @@ def benchmark(pipeline: TrainedPipeline, clips: list[ClipRecord],
     network = pipeline.network
     emitted = sum(len(network.forward_stream(s)) for s in filtered)
     # each stage: its name, its inputs, one call per input, events in and out
-    plan = [("layers", filtered, network.forward_stream, kept, emitted),
+    plan = [("layers", filtered, lambda s: stream_signature(config, network, s),
+             kept, emitted),
             ("full", streams, lambda s: clip_signature(config, network, s, config.dbs),
              total, emitted)]
     if config.dbs is not None:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evgesture.dbs import (
-    DbsConfig, DbsFilter, RetentionStats, filter_stream, update_activity,
+    DECAY_GAPS, DbsConfig, DbsFilter, RetentionStats, filter_stream, update_activity,
 )
 from evgesture.events import EventStream, SensorGeometry, StreamError, grid_cells
 from evgesture.oracles import dbs_decisions_eager, dbs_decisions_history, dbs_scalar
@@ -115,6 +115,11 @@ def _labeled_composite(seed, n_target=20_000):
 
 def _head(stream, n):
     return stream.select(np.arange(len(stream)) < n)
+
+
+def _slice(stream, a, b):
+    return EventStream(stream.t[a:b], stream.x[a:b], stream.y[a:b], stream.p[a:b],
+                       stream.geometry)
 
 
 def _composite(seed):
@@ -373,6 +378,34 @@ class TestScalarReference:
         ref_mask, ref_state, _ = dbs_scalar(stream, DEFAULT_PARAMS)
         assert mask.tolist() == ref_mask.tolist()
         assert _state(strided) == ref_state
+
+    @pytest.mark.parametrize("tau", [3.0, 0.5, 300.0, 5000.0])
+    def test_decay_memo_edges(self, tau):
+        # gaps at the memo's first and last entries and either side of its
+        # end, runs of equal times, and gaps past 745 tau, where exp
+        # underflows to 0.0: inside the memo for tau 3.0 and 0.5, past it
+        # for the others. The pixels cycle over the cells, so each cell's
+        # own gaps differ from the whole array's.
+        geometry, config = SensorGeometry(9, 9, 2), DbsConfig(3, 3, tau, 0.5)
+        gaps = np.tile([0, 0, 1, DECAY_GAPS - 1, DECAY_GAPS, 0, 0, DECAY_GAPS + 1, 2,
+                        int(746 * tau) + 1, DECAY_GAPS - 1, 0, 3, DECAY_GAPS, 1], 3)
+        xy = np.resize([0, 4, 8, 0, 0, 4], len(gaps))
+        stream = EventStream(7 + np.cumsum(gaps), xy, xy[::-1], np.zeros(len(gaps)), geometry)
+        ref_mask, ref_state, _ = dbs_scalar(stream, config)
+        for cuts in ([len(gaps)], [1, 5, 2, 20], [1]):  # one filter, in consecutive calls
+            f = DbsFilter(geometry, config)
+            masks, a, k = [], 0, 0
+            while a < len(gaps):
+                b = a + cuts[k % len(cuts)]
+                masks += filter_stream(f, _slice(stream, a, b))[1].keep_mask.tolist()
+                a, k = b, k + 1
+            assert masks == ref_mask.tolist()
+            assert _state(f) == ref_state
+            # the memo holds the unmemoised decay of every gap it was asked
+            # for, the whole array's gaps among them, and -1.0 elsewhere
+            filled = np.flatnonzero(f.decay != -1.0)
+            assert set(gaps[gaps < DECAY_GAPS].tolist()) <= set(filled.tolist())
+            assert f.decay[filled].tolist() == [math.exp(-int(dt) / tau) for dt in filled]
 
     def test_composite_at_scale(self):
         stream = _composite(seed=23)

@@ -29,6 +29,27 @@ class TestWrapAround:
                         np.array([0]), GEOM)
 
 
+    @pytest.mark.parametrize("entry", ["process_block", "encode", "EventStream"])
+    def test_unsigned_past_int64(self, entry):
+        # 2**63 is a uint64 but no int64: the cast to the stream layout
+        # would wrap it to -2**63, a stream that goes back in time. 2**63 - 1
+        # fits, though as a double it rounds to 2**63.
+        geometry = SensorGeometry(9, 9, 2)
+        x = y = np.array([1, 1], dtype=np.uint64)
+        p = np.array([0, 0], dtype=np.uint64)
+
+        def call(last):
+            t = np.array([0, last], dtype=np.uint64)
+            if entry == "process_block":
+                return DbsFilter(geometry).process_block(t, x, y)
+            if entry == "encode":
+                return Layer(LayerConfig(2, 1, 100.0, 2), geometry).encode(t, x, y, p)
+            return EventStream(t, x, y, p, geometry)
+
+        with pytest.raises(StreamError, match=f"t={2**63} is not a 64-bit integer at index 1"):
+            call(2**63)
+        call(2**63 - 1)
+
     @pytest.mark.parametrize("entry, field, value", [
         (entry, field, value)
         for field, value in (("t", np.nan), ("t", 2.5), ("t", np.inf), ("t", 1e19),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evgesture import _native, cli, network
-from evgesture.classify import PoolingConfig, knn_classify
+from evgesture.classify import PoolingConfig, accumulate, knn_classify
 from evgesture.config import LayerSpec, PipelineConfig, parse_config
 from evgesture.dbs import DbsConfig, DbsFilter, filter_stream
 from evgesture.events import (
@@ -908,6 +908,33 @@ class TestCompiledLayer:
             assert layer.bank.tobytes() == reference.bank.tobytes()
             assert layer.match_counts == reference.match_counts
 
+    @pytest.mark.parametrize("tau", [3.0, 2.5, 0.5])
+    @pytest.mark.parametrize("t0", [0, 2**53 - 6, 2**62], ids=["small", "2**53", "2**62"])
+    def test_reader_at_the_decay_edge(self, tau, t0):
+        # the ring fires 0-7 us apart and then the centre, up to 3 us after
+        # the last of it, so entries lie tau old, 1 us either side of it
+        # and long expired; past 2**53 the times round to even as doubles
+        geometry = SensorGeometry(3, 3, 1)
+        ring = [(x, y) for y in range(3) for x in range(3) if (x, y) != (1, 1)]
+        events = []
+        for group, lag in enumerate((0, 1, 3)):
+            base = t0 + group * 1000
+            events += [(base + i, x, y, 0) for i, (x, y) in enumerate(ring)]
+            events.append((base + 7 + lag, 1, 1, 0))
+        t, x, y, p = (np.array(v) for v in zip(*events))
+        config = LayerConfig(2, 1, tau, 1, reinit_window=3)
+        rows = Layer(config, geometry).block_surfaces(t, x, y, p)
+        memory = TimestampMemory(geometry)
+        for row, event in zip(rows, events):
+            memory.record(*event)
+            assert row.tobytes() == extract(memory, *event, config.surface_config).values.tobytes()
+        stream = EventStream(t, x, y, p, geometry)
+        net = Network((config,), geometry, merge_polarity=True)
+        outputs = train_recording(net, [stream], 1, "joint")
+        reference, expected = learn_bruteforce((config,), True, geometry, [stream])
+        assert_same_state(net.layers, reference)
+        assert outputs == expected
+
     @pytest.mark.parametrize("learning", [True, False], ids=["learning", "frozen"])
     @pytest.mark.parametrize("case", GATE_EDGE_CLIPS)
     def test_gate_edge(self, case, learning):
@@ -1283,6 +1310,50 @@ class TestOnePass:
         filtered, stats = filter_stream(DbsFilter(stream.geometry, dbs), stream)
         assert out == net.forward_stream(filtered)
         assert kept == stats.kept
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(chain_cases(), st.one_of(st.just(1), st.integers(1, 12), st.just(99)),
+           st.one_of(st.just(1), st.integers(1, 12), st.just(99)))
+    def test_pooled_counts_equal_accumulate(self, case, rows, cols):
+        # grids of 1x1, of any size up to the array's, which need not
+        # divide it, and (99, clamped) of one cell per pixel row or column
+        build, stream, merge, _, _ = case
+        g = stream.geometry
+        pooling = PoolingConfig(min(rows, g.height), min(cols, g.width))
+        nets = []
+        for _ in range(2):  # twins: learning layers learn from the one pass
+            filt, layers = build()
+            net = Network(tuple(layer.config for layer in layers), g, merge)
+            net.layers = layers
+            nets.append(net)
+        dbs = None if filt is None else filt.config
+        out, kept = nets[0].forward_clip(stream, dbs)
+        counts, pooled_kept = nets[1].pooled_counts(stream, dbs, pooling)
+        expected = accumulate(out, g, pooling, nets[0].out_channels).values
+        assert counts.dtype == expected.dtype and counts.tobytes() == expected.tobytes()
+        assert pooled_kept == kept
+        assert stage_state(None, nets[0].layers) == stage_state(None, nets[1].layers)
+
+    @settings(max_examples=60, deadline=None)
+    @given(chain_cases(), st.builds(DbsConfig, st.integers(1, 3), st.integers(1, 3),
+                                    st.sampled_from([50.0, 300.0]),
+                                    st.sampled_from([0.5, 2.0])))
+    def test_filter_stream_equals_select(self, case, dbs):
+        # one filter, in the case's consecutive calls; each output owns its
+        # arrays, so none holds on to a buffer of the input's length
+        _, stream, _, cuts, _ = case
+        filt = DbsFilter(stream.geometry, dbs)
+        a = call = 0
+        while a < len(stream):
+            b = min(a + cuts[call % len(cuts)], len(stream))
+            piece = EventStream(*(v[a:b] for v in (stream.t, stream.x, stream.y, stream.p)),
+                                stream.geometry)
+            out, stats = filter_stream(filt, piece)
+            assert out == piece.select(stats.keep_mask)
+            assert stats.kept == stats.keep_mask.sum() == len(out)
+            assert all(v.flags.owndata for v in (out.t, out.x, out.y, out.p))
+            a, call = b, call + 1
 
 
 class TestRecords:
