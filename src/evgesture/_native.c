@@ -7,11 +7,14 @@
    it emits is the next layer's channel. The pass writes what its callers
    read: the kept events' times and pixels, compacted, and, for a
    signature, the end ids counted into pooled bins. The same pass takes
-   surface rows given from Python through one layer, ungated.
+   surface rows given from Python through one layer, ungated. Before it
+   takes any event, it checks them all for time order and bounds, so
+   events that need no cast reach it unchecked.
 
    Two shortcuts skip work only where it changes no bit: suppression
    memoises its decay, exp of the same argument, for small integer gaps,
-   and the surface reader divides no entry that is at least tau old.
+   and the surface reader lists the entries younger than tau first, with
+   no branch, and then divides only those.
 
    Every dot product, sum and squared distance that decides an output is
    summed in one fixed order, numpy's pairwise summation, so each equals
@@ -26,10 +29,15 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* a[i] * b[i], or (a[i] - b[i])^2 where sq is set */
-static inline double term(const double *a, const double *b, int64_t i, int sq)
+/* The term a sum adds: a[i] * b[i] (DOT), (a[i] - b[i])^2 (SQDIST) or a[i]
+   alone (SUM), which reads nothing of b */
+enum { DOT, SQDIST, SUM };
+
+static inline double term(const double *a, const double *b, int64_t i, int mode)
 {
-    if (sq) {
+    if (mode == SUM)
+        return a[i];
+    if (mode == SQDIST) {
         double d = a[i] - b[i];
         return d * d;
     }
@@ -40,12 +48,14 @@ static inline double term(const double *a, const double *b, int64_t i, int sq)
    scalar form; the vector type only makes sure the loop is vectorised. */
 typedef double pair __attribute__((vector_size(16)));
 
-static inline pair terms(const double *a, const double *b, int64_t i, int sq)
+static inline pair terms(const double *a, const double *b, int64_t i, int mode)
 {
     pair x, y;
     memcpy(&x, a + i, sizeof x);
+    if (mode == SUM)
+        return x;
     memcpy(&y, b + i, sizeof y);
-    if (sq) {
+    if (mode == SQDIST) {
         pair d = x - y;
         return d * d;
     }
@@ -57,40 +67,42 @@ static inline pair terms(const double *a, const double *b, int64_t i, int sq)
    r23, r45, r67), combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
    (r6 + r7)), then the tail; above 128, the two halves split at a
    multiple of 8. */
-static double pairwise(const double *a, const double *b, int64_t n, int sq)
+static double pairwise(const double *a, const double *b, int64_t n, int mode)
 {
     if (n < 8) {
         double res = -0.0;
         for (int64_t i = 0; i < n; i++)
-            res += term(a, b, i, sq);
+            res += term(a, b, i, mode);
         return res;
     }
     if (n <= 128) {
-        pair r01 = terms(a, b, 0, sq), r23 = terms(a, b, 2, sq);
-        pair r45 = terms(a, b, 4, sq), r67 = terms(a, b, 6, sq);
+        pair r01 = terms(a, b, 0, mode), r23 = terms(a, b, 2, mode);
+        pair r45 = terms(a, b, 4, mode), r67 = terms(a, b, 6, mode);
         int64_t i;
         for (i = 8; i < n - n % 8; i += 8) {
-            r01 += terms(a, b, i, sq);
-            r23 += terms(a, b, i + 2, sq);
-            r45 += terms(a, b, i + 4, sq);
-            r67 += terms(a, b, i + 6, sq);
+            r01 += terms(a, b, i, mode);
+            r23 += terms(a, b, i + 2, mode);
+            r45 += terms(a, b, i + 4, mode);
+            r67 += terms(a, b, i + 6, mode);
         }
         double res = ((r01[0] + r01[1]) + (r23[0] + r23[1]))
                      + ((r45[0] + r45[1]) + (r67[0] + r67[1]));
         for (; i < n; i++)
-            res += term(a, b, i, sq);
+            res += term(a, b, i, mode);
         return res;
     }
     int64_t n2 = n / 2;
     n2 -= n2 % 8;
-    return pairwise(a, b, n2, sq) + pairwise(a + n2, b + n2, n - n2, sq);
+    return pairwise(a, b, n2, mode) + pairwise(a + n2, b + n2, n - n2, mode);
 }
 
-/* np.add.reduce(a * b), or np.add.reduce((a - b) ** 2) where sq is set:
-   the pairwise sum added to the reduction's initial 0.0 */
-double evg_reduce(const double *a, const double *b, int64_t n, int sq)
+/* np.add.reduce of a * b (mode DOT), (a - b) ** 2 (SQDIST) or a (SUM): the
+   pairwise sum added to the reduction's initial 0.0. Also the pass's own
+   sums, as a call: inlined, the recursion bloats the per-event loop. */
+__attribute__((noinline)) double evg_reduce(const double *a, const double *b, int64_t n,
+                                            int mode)
 {
-    return 0.0 + pairwise(a, b, n, sq);
+    return 0.0 + pairwise(a, b, n, mode);
 }
 
 static int64_t first_least(const int64_t *v, int64_t n)
@@ -110,11 +122,12 @@ static int64_t first_least(const int64_t *v, int64_t n)
    grid_cells at (0, y), for each of height pixel rows, and at (x, 0), for
    each of width pixel columns. decay memoises the counters' decay over
    the gaps dt below gaps: exp(-dt / tau), or -1.0 until first needed.
-   kept counts the events the stage keeps; the caller sets it to 0. */
+   channels bounds the events' channels on a pass with no layer. kept
+   counts the events the stage keeps; the caller sets it to 0. */
 struct dbs {
     const int64_t *row_cell, *col_cell;
     double *activity, *decay;
-    int64_t *last, cells, width, height, gaps, kept;
+    int64_t *last, cells, width, height, channels, gaps, kept;
     double tau, alpha;
 };
 
@@ -124,7 +137,7 @@ struct dbs {
    in memory. memory is channels x (height + 2 radius) x (width + 2
    radius), -inf where nothing fired, inside a radius-wide -inf border;
    tau is the decay of its time-surfaces. scratch holds n (d + 2) + 2 d
-   doubles and nz d indices. */
+   doubles, the last d of them the reader's, and nz d indices. */
 struct layer {
     double *bank, *memory, *scratch;
     int64_t *counts, *last, *nz;
@@ -135,11 +148,10 @@ struct layer {
 /* What the nearest-row rule reads besides the bank (n x d): each row's
    pairwise |b|^2, a bound on them all, the bank transposed (d x n), and
    scratch for n screened values; the surface row being matched, with
-   the q indices nz of its nonzero entries; d ones, to sum a row as its
-   dot product with them; and the first index of the least last-match
-   tick, the row a reseed takes. */
+   the q indices nz of its nonzero entries; and the first index of the
+   least last-match tick, the row a reseed takes. */
 struct screen {
-    double *norm2, *bank_t, *v, *row, *ones;
+    double *norm2, *bank_t, *v, *row;
     int64_t *nz, q, stalest;
     double sq_b_max;
 };
@@ -150,7 +162,7 @@ static void refresh(struct screen *c, const double *bank, int64_t n, int64_t d, 
     const double *row = bank + r * d;
     for (int64_t j = 0; j < d; j++)
         c->bank_t[j * n + r] = row[j];
-    c->norm2[r] = evg_reduce(row, row, d, 0);
+    c->norm2[r] = evg_reduce(row, row, d, DOT);
     if (c->norm2[r] > c->sq_b_max)
         c->sq_b_max = c->norm2[r];
 }
@@ -163,13 +175,10 @@ static void screen_init(struct screen *c, const struct layer *L)
     c->v = L->scratch + n;
     c->bank_t = L->scratch + 2 * n;
     c->row = c->bank_t + n * d;
-    c->ones = c->row + d;
     c->nz = L->nz;
     c->sq_b_max = 0.0;
     /* only a write to its row, or of a tick at or below it, can move it */
     c->stalest = L->learning && L->filled ? first_least(L->last, L->filled) : 0;
-    for (int64_t j = 0; j < d; j++)
-        c->ones[j] = 1.0;
     for (int64_t r = 0; r < n; r++)
         refresh(c, L->bank, n, d, r);
 }
@@ -249,7 +258,7 @@ static int64_t nearest(const struct screen *c, const double *bank, int64_t n, in
     if (!(gap > (double)(16 * (d + 2)) * DBL_EPSILON * (ns2 + c->sq_b_max))) {
         double least = INFINITY;
         for (r = 0; r < n; r++) {
-            double dist = evg_reduce(bank + r * d, s, d, 1);
+            double dist = evg_reduce(bank + r * d, s, d, SQDIST);
             if (dist < least) {
                 least = dist;
                 at = r;
@@ -271,33 +280,51 @@ static int outside(int64_t x, int64_t y, int64_t p, int64_t width, int64_t heigh
    pixel of L's memory, then reads its (2 radius + 1)^2 field on every
    channel, in channel-major (p, dy, dx) order, as v = (m - t) / tau + 1,
    clamped at 0: the arithmetic of surfaces.extract, so every value is
-   bit-equal to it. An entry with m - t <= -tau, -inf included, has
-   (m - t) / tau <= -1 under any rounding, since division rounds
-   monotonically and -tau / tau is exactly -1, so it reads 0.0 with no
-   division. Writes the channels (2 radius + 1)^2 values to row and the
-   indices of the nonzero ones to L's nz; returns their count. */
+   bit-equal to it. Writes the channels (2 radius + 1)^2 values to row and
+   the indices of the nonzero ones, ascending, to L's nz; returns their
+   count.
+
+   Most entries are at least tau old, and an entry with m - t <= -tau,
+   -inf included, has (m - t) / tau <= -1 under any rounding, since
+   division rounds monotonically and -tau / tau is exactly -1: it reads
+   0.0 with no division. So the read runs in two phases, with no branch
+   on an entry's value. The first walks the field once, writes 0.0 to
+   every entry and lists each entry's index in nz and its age m - t in
+   the last d doubles of L's scratch, moving on to the next slot only for
+   an entry younger than tau. The second takes just those candidates
+   through the division, writes them, and keeps in nz, in order, the
+   indices of those that read nonzero. */
 static int64_t read_surface(const struct layer *L, int64_t t, int64_t x, int64_t y,
                             int64_t p, double *restrict row)
 {
     const int64_t R = L->radius, side = 2 * R + 1, rows = L->height + 2 * R;
     const int64_t cols = L->width + 2 * R, channels = L->channels;
-    double *restrict memory = L->memory;
+    double *restrict ages = L->scratch + L->n * (L->d + 2) + L->d;
     int64_t *restrict nz = L->nz;
     const double tau = L->tau, now = (double)t;
-    int64_t j = 0, q = 0;
-    memory[(p * rows + y + R) * cols + x + R] = now;
+    int64_t j = 0, q = 0, live = 0;
+    L->memory[(p * rows + y + R) * cols + x + R] = now;
     for (int64_t c = 0; c < channels; c++) {
         for (int64_t dy = 0; dy < side; dy++) {
-            const double *m = memory + (c * rows + y + dy) * cols + x;
+            const double *m = L->memory + (c * rows + y + dy) * cols + x;
             for (int64_t dx = 0; dx < side; dx++, j++) {
-                double age = m[dx] - now, v = age > -tau ? age / tau + 1.0 : 0.0;
-                row[j] = v >= 0.0 ? v : 0.0;
+                double age = m[dx] - now;
+                row[j] = 0.0;
                 nz[q] = j;
-                q += row[j] != 0.0;
+                ages[q] = age;
+                q += age > -tau;
             }
         }
     }
-    return q;
+    for (int64_t k = 0; k < q; k++) {
+        double v = ages[k] / tau + 1.0;
+        int64_t i = nz[k];
+        v = v >= 0.0 ? v : 0.0;
+        row[i] = v;
+        nz[live] = i;
+        live += v != 0.0;
+    }
+    return live;
 }
 
 /* The time-surfaces of n consecutive events (network.Layer.block_surfaces),
@@ -332,20 +359,20 @@ static double decay(struct dbs *D, int64_t dt)
    cell's counter and then the whole array's are brought forward to t,
    a = a * exp(-(t - last) / tau) + 1, and the event is kept iff its
    cell's is at least alpha times the whole array's over cells. The cell
-   is row_cell[y] + col_cell[x], grid_cells(x, y). exp is libm's, the
-   function math.exp calls, so every value and decision is bit-equal to
-   dbs.update_activity's. */
-static int dbs_step(struct dbs *D, int64_t t, int64_t x, int64_t y)
+   is row_cell[y] + col_cell[x], grid_cells(x, y). The whole array's
+   counter and its last time are the pass's locals all and all_last, in
+   registers, not D's. exp is libm's, the function math.exp calls, so
+   every value and decision is bit-equal to dbs.update_activity's. */
+static inline int dbs_step(struct dbs *D, double *all, int64_t *all_last, int64_t t,
+                           int64_t x, int64_t y)
 {
-    const int64_t hits[2] = {D->row_cell[y] + D->col_cell[x], D->cells};
-    for (int j = 0; j < 2; j++) {
-        int64_t c = hits[j];
-        D->activity[c] = D->activity[c] * decay(D, t - D->last[c]) + 1.0;
-        D->last[c] = t;
-    }
-    int keep = D->activity[hits[0]] >= D->alpha * (D->activity[D->cells] / (double)D->cells);
-    D->kept += keep;
-    return keep;
+    const int64_t c = D->row_cell[y] + D->col_cell[x];
+    const double a = D->activity[c] * decay(D, t - D->last[c]) + 1.0;
+    D->activity[c] = a;
+    D->last[c] = t;
+    *all = *all * decay(D, t - *all_last) + 1.0;
+    *all_last = t;
+    return a >= D->alpha * (*all / (double)D->cells);
 }
 
 /* Layer L's step, c its caches, on the event (t, x, y, p), or on the
@@ -364,7 +391,7 @@ static int64_t layer_step(struct layer *L, struct screen *c, int64_t t, int64_t 
     if (!s) {
         L->since = t;
         c->q = read_surface(L, t, x, y, p, c->row);
-        if (!(evg_reduce(c->row, c->ones, d, 0) >= (double)(2 * L->radius)))
+        if (!(evg_reduce(c->row, c->row, d, SUM) >= (double)(2 * L->radius)))
             return -1;
         s = c->row;
     } else {
@@ -386,13 +413,13 @@ static int64_t layer_step(struct layer *L, struct screen *c, int64_t t, int64_t 
         memcpy(L->bank + i * d, s, (size_t)d * sizeof(double));
         L->counts[i] = 1;
     } else {
-        double ns2 = evg_reduce(s, s, d, 0);
+        double ns2 = evg_reduce(s, s, d, DOT);
         i = nearest(c, L->bank, n, d, s);
         /* learn_update: a cosine-weighted pull at rate 1/(1 + count), the
            step clamped to [0, 1] */
         double *row = L->bank + i * d;
         if (ns2 != 0.0 && c->norm2[i] != 0.0) {
-            double cos = evg_reduce(s, row, d, 0) / sqrt(ns2 * c->norm2[i]);
+            double cos = evg_reduce(s, row, d, DOT) / sqrt(ns2 * c->norm2[i]);
             double step = 1.0 / (1.0 + (double)L->counts[i]) * cos;
             if (0.0 > step)
                 step = 0.0;
@@ -424,28 +451,44 @@ static int64_t layer_step(struct layer *L, struct screen *c, int64_t t, int64_t 
    NULL, their t, x and y to kt, kx and ky; and, where counts is not NULL
    (then nl >= 1), adds 1 to counts[cell * n + id] for each, where cell
    is pool_row[y] + pool_col[x] and n the last layer's bank rows. Updates
-   every stage's state in place. Returns the number kept, or -1 - k, with
-   no state changed, if event k lies outside D's pixels or layers[0]'s
-   pixels or channels. */
+   every stage's state in place; D's whole-array counter, its last time
+   and its kept count stay in registers until the pass ends.
+
+   Returns the number kept, or -1 - k, with no state changed, at the
+   first event k that goes back in time: below 0, behind the latest time
+   any stage has taken or behind the event before it; or that lies
+   outside D's pixels, or, given p with no layer, D's channels; or
+   outside layers[0]'s pixels or channels. */
 int64_t evg_pass(struct dbs *D, struct layer *layers, int64_t nl, const int64_t *t,
                  const int32_t *x, const int32_t *y, const int32_t *p, const double *rows,
                  int64_t m, uint8_t *keep, int32_t *ids, int64_t *kt, int32_t *kx,
                  int32_t *ky, const int64_t *pool_row, const int64_t *pool_col,
                  double *counts)
 {
-    for (int64_t k = 0; !rows && k < m; k++)
-        if ((D && outside(x[k], y[k], 0, D->width, D->height, 1))
-            || (nl && outside(x[k], y[k], p ? p[k] : 0, layers->width, layers->height,
+    /* at least 0, since every time a stage has taken was checked, so a
+       negative first time is refused too */
+    int64_t since = D ? D->last[D->cells] : 0;
+    for (int64_t i = 0; i < nl; i++)
+        since = layers[i].since > since ? layers[i].since : since;
+    for (int64_t k = 0; !rows && k < m; k++) {
+        int64_t pk = p ? p[k] : 0;
+        if (t[k] < (k ? t[k - 1] : since)
+            || (D && outside(x[k], y[k], nl ? 0 : pk, D->width, D->height,
+                             nl ? 1 : D->channels))
+            || (nl && outside(x[k], y[k], pk, layers->width, layers->height,
                               layers->channels)))
             return -1 - k;
+    }
     struct screen cs[nl ? nl : 1];
     for (int64_t i = 0; i < nl; i++)
         screen_init(&cs[i], &layers[i]);
-    int64_t kept = 0;
+    double all = D ? D->activity[D->cells] : 0.0;
+    int64_t all_last = D ? D->last[D->cells] : 0, dbs_kept = D ? D->kept : 0, kept = 0;
     for (int64_t k = 0; k < m; k++) {
         const double *s = rows ? rows + k * layers->d : NULL;
         int64_t tk = s ? 0 : t[k], xk = s ? 0 : x[k], yk = s ? 0 : y[k];
-        int64_t id = p ? p[k] : 0, go = !D || dbs_step(D, tk, xk, yk);
+        int64_t id = p ? p[k] : 0, go = !D || dbs_step(D, &all, &all_last, tk, xk, yk);
+        dbs_kept += go;
         for (int64_t i = 0; go && i < nl; i++) {
             id = layer_step(&layers[i], &cs[i], tk, xk, yk, id, s);
             go = id >= 0;
@@ -460,6 +503,11 @@ int64_t evg_pass(struct dbs *D, struct layer *layers, int64_t nl, const int64_t 
         if (counts && go)
             counts[(pool_row[yk] + pool_col[xk]) * layers[nl - 1].n + id] += 1.0;
         kept += go;
+    }
+    if (D) {
+        D->activity[D->cells] = all;
+        D->last[D->cells] = all_last;
+        D->kept = dbs_kept;
     }
     return kept;
 }

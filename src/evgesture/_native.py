@@ -13,7 +13,9 @@ ids counted into pooled bins; each output array is cut to the length of
 its contents in place, so no select runs after the call and no
 raw-length buffer outlives it. ``surfaces`` calls
 ``evg_surfaces``, which reads time-surfaces alone, and ``evg_reduce`` is
-the one summation order.
+the one summation order. The pass checks the events' order and bounds
+itself; ``run`` calls ``check_events`` first only on events that the
+cast to the stream layout could wrap, and after a refusal, to name it.
 
 The library is compiled on first import and kept in the package's
 ``__pycache__``, named by a hash of the source, the compiler and the
@@ -57,8 +59,8 @@ def _fields(pointers: str, ints: str, doubles: str) -> list:
 
 class Dbs(ctypes.Structure):
     """``struct dbs``: a DBS stage, over a ``DbsFilter``'s arrays."""
-    _fields_ = _fields("row_cell col_cell activity decay last", "cells width height gaps kept",
-                       "tau alpha")
+    _fields_ = _fields("row_cell col_cell activity decay last",
+                       "cells width height channels gaps kept", "tau alpha")
 
 
 class Layer(ctypes.Structure):
@@ -123,6 +125,15 @@ def _layer_record(layer) -> tuple[Layer, list[np.ndarray]]:
     return record, [state, scratch, nz]
 
 
+def _stream_layout(t, x, y, p) -> bool:
+    """Whether the events are already arrays of the stream layout, int64
+    ``t`` and int32 ``x``, ``y`` and ``p``, one-dimensional and of one
+    length: no cast can wrap them, so the pass checks them alone."""
+    fields = [(v, np.int32) for v in (x, y, p) if v is not None]
+    return all(isinstance(v, np.ndarray) and v.dtype == dtype and v.ndim == 1
+               and len(v) == len(t) for v, dtype in [(t, np.int64), *fields])
+
+
 def run(lib: ctypes.CDLL, filt, layers, t=None, x=None, y=None, p=None, rows=None,
         events=False, pool=None) -> tuple:
     """One call of ``evg_pass``: the events ``(t, x, y, p)`` through the
@@ -144,18 +155,22 @@ def run(lib: ctypes.CDLL, filt, layers, t=None, x=None, y=None, p=None, rows=Non
     Raises StreamError, before any state changes, at an event that is not
     an integer, goes back in time (behind the latest time a stage has
     taken, too), or lies outside the first stage's pixels or channels;
-    and ValueError if the rows are not of the bank's width."""
+    and ValueError if the rows are not of the bank's width. Events in the
+    stream layout go to the pass unchecked, which refuses the same events
+    and then leaves ``check_events`` to name the fault; others are
+    checked first, since the casts to that layout could wrap them."""
     records, arrays = zip(*map(_layer_record, layers)) if layers else ((), ())
     records = (Layer * len(layers))(*records)
+    g = None if filt is None else filt.geometry
     dbs = None if filt is None else Dbs(
         *map(_data, (filt.row_cell, filt.col_cell, filt.activity, filt.decay, filt.last_t)),
-        len(filt.activity) - 1, filt.geometry.width, filt.geometry.height, len(filt.decay), 0,
+        len(filt.activity) - 1, g.width, g.height, g.channels, len(filt.decay), 0,
         filt.config.tau_b_us, filt.config.alpha)
     if rows is None:
         first = (layers[0] if layers else filt).geometry
         since = max([r.since for r in records] + ([int(filt.last_t[-1])] if filt else []))
-        check_events(t, x, y, p, first, since)
-        # in range once checked, so the casts to the stream layout cannot wrap
+        if not _stream_layout(t, x, y, p):  # before the casts, which could wrap values
+            check_events(t, x, y, p, first, since)
         t, x, y, p = (None if v is None else np.ascontiguousarray(v, dtype=dtype)
                       for v, dtype in zip((t, x, y, p), (np.int64, *[np.int32] * 3)))
     else:
@@ -172,7 +187,8 @@ def run(lib: ctypes.CDLL, filt, layers, t=None, x=None, y=None, p=None, rows=Non
                         _data(keep), _data(ids),
                         *(map(_data, kept_events) if events else [None] * 3),
                         *(map(_data, pooling) if pool else [None] * 3))
-    if kept < 0:  # check_events let through an event outside the first stage
+    if kept < 0:  # no state has changed: check_events names the fault
+        check_events(t, x, y, p, first, since)
         raise StreamError(f"event {-1 - kept} lies outside the first stage")
     for layer, record, (state, *_) in zip(layers, records, arrays):
         layer.tick, layer.since = record.tick, record.since

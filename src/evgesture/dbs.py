@@ -98,7 +98,8 @@ class DbsFilter:
     ``(0, y)``, its row's first cell, plus ``grid_cells`` at ``(x, 0)``,
     its column, which sum to ``grid_cells(x, y)``. The tables are int64,
     since a legal grid can have more than 2**31 cells, and hold one entry
-    per pixel row and column.
+    per pixel row and column; every filter of one geometry and grid
+    shares them, read-only.
     """
 
     def __init__(self, geometry: SensorGeometry, config: DbsConfig = DbsConfig()):

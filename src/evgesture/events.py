@@ -8,6 +8,7 @@ layer.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -44,13 +45,19 @@ def grid_cells(x, y, geometry: SensorGeometry, rows: int, cols: int) -> np.ndarr
     return row * cols + col
 
 
+@functools.cache
 def grid_tables(geometry: SensorGeometry, rows: int,
                 cols: int) -> tuple[np.ndarray, np.ndarray]:
     """``grid_cells`` at ``(0, y)`` for each pixel row and at ``(x, 0)``
     for each pixel column: int64 tables whose entries for ``y`` and ``x``
-    sum to ``grid_cells(x, y)``, the cell a compiled loop reads."""
-    return (grid_cells(0, np.arange(geometry.height), geometry, rows, cols),
-            grid_cells(np.arange(geometry.width), 0, geometry, rows, cols))
+    sum to ``grid_cells(x, y)``, the cell a compiled loop reads. Built
+    once per geometry and grid, and read-only, since every caller shares
+    them."""
+    tables = (grid_cells(0, np.arange(geometry.height), geometry, rows, cols),
+              grid_cells(np.arange(geometry.width), 0, geometry, rows, cols))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 class StreamError(ValueError):

@@ -26,12 +26,12 @@ layer, and an event a layer drops goes no further. Outputs equal the
 per-event semantics, and each layer taking the whole output of the one
 before it, bit for bit, ties included. The pass writes the end layer's
 output events itself (``forward_clip``), or only counts them into pooled
-bins (``pooled_counts``, for a signature). Its surface reader skips the
-division for an entry at least tau old, which reads 0.0 under any
-rounding. ``Layer.encode`` is the pass over
-one layer; it carries the timestamp memory from call to call, so events
-that arrive a few at a time are encoded by calling it on each slice in
-turn.
+bins (``pooled_counts``, for a signature). Its surface reader reads in
+two phases with no branch on an entry's value: it lists the entries
+younger than tau, then divides only those, since an entry at least tau
+old reads 0.0 under any rounding. ``Layer.encode`` is the pass over one
+layer; it carries the timestamp memory from call to call, so events that
+arrive a few at a time are encoded by calling it on each slice in turn.
 
 Learning and frozen matching find the nearest prototype with one rule: a
 screen over the surface's nonzero entries, then an exact recheck of near

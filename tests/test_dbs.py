@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from evgesture.dbs import (
     DECAY_GAPS, DbsConfig, DbsFilter, RetentionStats, filter_stream, update_activity,
 )
-from evgesture.events import EventStream, SensorGeometry, StreamError, grid_cells
+from evgesture.events import EventStream, SensorGeometry, StreamError, grid_cells, grid_tables
 from evgesture.oracles import dbs_decisions_eager, dbs_decisions_history, dbs_scalar
 from evgesture.synth import CompositeSpec, gen_composite, gen_gesture_set
 
@@ -33,6 +33,21 @@ class TestCellIndex:
         g = SensorGeometry(10, 7, 2)
         x, y = np.meshgrid(np.arange(g.width), np.arange(g.height))
         assert set(grid_cells(x.ravel(), y.ravel(), g, 3, 3).tolist()) == set(range(9))
+
+    def test_tables_shared_and_read_only(self):
+        # built once per geometry and grid: every filter reads the same
+        # arrays, which no caller can write
+        g = SensorGeometry(10, 7, 2)
+        row_cell, col_cell = grid_tables(g, 3, 3)
+        again = grid_tables(SensorGeometry(10, 7, 2), 3, 3)
+        assert again[0] is row_cell and again[1] is col_cell
+        assert DbsFilter(g, DbsConfig(3, 3)).row_cell is row_cell
+        assert grid_tables(g, 3, 2)[1] is not col_cell
+        x, y = np.meshgrid(np.arange(g.width), np.arange(g.height))
+        assert np.array_equal(row_cell[y] + col_cell[x], grid_cells(x, y, g, 3, 3))
+        for table in (row_cell, col_cell):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
 
 
 class TestUpdateActivity:

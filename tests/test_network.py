@@ -1356,6 +1356,174 @@ class TestOnePass:
             a, call = b, call + 1
 
 
+# ---------------------------------------------------------------------------
+# The surface reader lists each entry younger than tau, then divides only
+# those. These tests hold it to ``extract`` and the per-event oracle at the
+# edges of that list: entries tau old and 1 us to either side of it, -inf
+# entries, equal times, times past 2**53, and a field with every entry live.
+
+@st.composite
+def reader_cases(draw):
+    """A layer of 1-8 channels and radius 1-3, learning, and a frozen twin
+    of it on seeded random rows, and a clip on an array up to one pixel
+    wider than the field. Gaps of 0-8 us against taus of 1-7 us put
+    entries exactly tau old and 1 us either side of it; the clip may
+    start with every pixel on every channel at one time, so that a field
+    can have every entry live, and may start near 2**53 or at 2**62,
+    where times round as doubles."""
+    channels, radius = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    side = 2 * radius + 1
+    geometry = SensorGeometry(draw(st.integers(1, side + 1)), draw(st.integers(1, side + 1)),
+                              channels)
+    config = LayerConfig(draw(st.integers(1, 4)), radius,
+                         draw(st.sampled_from([1.0, 2.0, 2.5, 3.0, 7.0])), channels,
+                         draw(st.sampled_from([1, 3, DEFAULT_REINIT_WINDOW])))
+    now = draw(st.sampled_from([0, 2**53 - 8, 2**62]))
+    events = []
+    if draw(st.booleans()):
+        events += [(now, x, y, p) for p in range(channels) for y in range(geometry.height)
+                   for x in range(geometry.width)]
+    for _ in range(draw(st.integers(0 if events else 1, 40))):
+        now += draw(st.sampled_from([0, 0, 1, 2, 3, 4, 8, 100]))
+        events.append((now, draw(st.integers(0, geometry.width - 1)),
+                       draw(st.integers(0, geometry.height - 1)),
+                       draw(st.integers(0, channels - 1))))
+    return config, geometry, events, draw(st.integers(0, 2**16))
+
+
+def reader_oracles(config, geometry, events, memory=None):
+    """The layer's rows of ``block_surfaces`` and the rows of ``extract``
+    after ``record``, on ``events`` from ``memory`` (fresh where None,
+    else the last times of every channel and pixel)."""
+    layer, reference = Layer(config, geometry), TimestampMemory(geometry)
+    if memory is not None:
+        R = config.radius
+        layer.memory[:, R:R + geometry.height, R:R + geometry.width] = memory
+        reference.last_t[:] = memory
+    rows = layer.block_surfaces(*(np.array(v, dtype=np.int64) for v in zip(*events)))
+    expected = []
+    for event in events:
+        reference.record(*event)
+        expected.append(extract(reference, *event, config.surface_config).values.ravel())
+    return rows, expected
+
+
+def assert_encode_equals_reference(config, geometry, events, bank_seed, memory=None):
+    """``encode`` of ``events`` through a learning layer and a frozen one
+    on seeded random rows, each against the oracle's layer, from the
+    same memory: the same mask, ids and state."""
+    t, x, y, p = (np.array(v, dtype=np.int64) for v in zip(*events))
+    rng = np.random.default_rng(bank_seed)
+    n, d = config.n_prototypes, config.surface_config.size
+    for learning in (True, False):
+        layer, reference = Layer(config, geometry), _LayerReference(config, geometry)
+        if not learning:
+            bank, counts = rng.random((n, d)) * (rng.random((n, d)) < 0.6), [1] * n
+            layer.install(bank, counts)
+            reference.bank, reference.match_counts = bank.copy(), list(counts)
+            reference.last_match_tick, reference.learning = [0] * n, False
+        if memory is not None:
+            R = config.radius
+            layer.memory[:, R:R + geometry.height, R:R + geometry.width] = memory
+            reference.memory.last_t[:] = memory
+        keep, ids = layer.encode(t, x, y, p)
+        expected = [reference.step(*event) for event in events]
+        assert keep.tolist() == [i is not None for i in expected]
+        assert ids.tolist() == [i for i in expected if i is not None]
+        assert_same_state([layer], [reference])
+
+
+class TestReader:
+    @settings(max_examples=150, deadline=None)
+    @given(reader_cases())
+    def test_rows_and_encode_equal_the_oracles(self, case):
+        config, geometry, events, bank_seed = case
+        rows, expected = reader_oracles(config, geometry, events)
+        assert [row.tobytes() for row in rows] == [row.tobytes() for row in expected]
+        assert_encode_equals_reference(config, geometry, events, bank_seed)
+
+    def test_every_entry_live_at_d_7688(self):
+        # 8 channels of radius 15 on a 31x31 array, every pixel fired on
+        # every channel within tau: the centre's field lists all 7,688
+        # entries as candidates, the whole of the reader's scratch
+        config = LayerConfig(3, 15, 1000.0, 8)
+        geometry = SensorGeometry(31, 31, 8)
+        now = 2**40
+        rng = np.random.default_rng(41)
+        memory = now - rng.integers(0, 1000, (8, 31, 31)).astype(np.float64)
+        events = [(now, 15, 15, 0), (now, 15, 15, 5), (now + 1, 14, 16, 7),
+                  (now + 1, 15, 15, 2), (now + 3, 16, 14, 0), (now + 999, 15, 15, 1)]
+        rows, expected = reader_oracles(config, geometry, events, memory)
+        assert rows.shape == (6, 7688) and (rows[0] > 0.0).all()
+        assert [row.tobytes() for row in rows] == [row.tobytes() for row in expected]
+        assert_encode_equals_reference(config, geometry, events, 42, memory)
+
+
+# ---------------------------------------------------------------------------
+# Events in the stream layout (int64 t, int32 x, y and p) go to the pass
+# unchecked; the pass refuses what ``check_events`` refuses, and the caller
+# then raises ``check_events``'s own message, with no state changed.
+
+READER_GEOMETRY = SensorGeometry(8, 8, 2)
+PRIOR = [(10, 4, 4, 0)]  # taken first, except on a fresh stage
+REFUSALS = {
+    "negative-first": ([(-5, 3, 3, 0)], "negative timestamp -5 at index 0"),
+    "behind-taken": ([(5, 3, 3, 0)], "time regression: 5 < 10 at index 0"),
+    "regression": ([(30, 3, 3, 0), (20, 4, 4, 1)], "time regression: 20 < 30 at index 1"),
+    "pixel": ([(30, 3, 3, 0), (40, 8, 3, 0)],
+              "pixel (8, 3) outside 8x8: x=8 out of bounds [0, 8) at index 1"),
+    "channel": ([(30, 3, 3, 0), (40, 3, 3, 2)], "p=2 out of bounds [0, 2) at index 1"),
+}
+
+
+def refusal_stage(entry):
+    """A fresh stage of ``entry``, the call of it on event arrays, and its
+    state: a learning 8x8 two-channel layer, a 3x3 DBS filter, or a
+    network of such a layer behind DBS."""
+    config = LayerConfig(2, 1, 100.0, 2)
+    if entry == "encode":
+        stage = Layer(config, READER_GEOMETRY)
+        return stage, stage.encode, lambda: stage_state(None, [stage])
+    if entry == "forward_clip":
+        stage = Network((config,), READER_GEOMETRY, merge_polarity=False)
+
+        def call(t, x, y, p):
+            stream = EventStream(t, x, y, p, READER_GEOMETRY, validate=False)
+            return stage.forward_clip(stream, DbsConfig())
+        # the clip's fresh memories are the call's; the bank and counts stay
+        return stage, call, lambda: stage_state(None, stage.layers)[1:]
+    stage = DbsFilter(READER_GEOMETRY)
+    state = lambda: [stage.activity.tobytes(), stage.last_t.tolist(), stage.decay.tobytes()]
+    if entry == "process_block":
+        return stage, lambda t, x, y, p: stage.process_block(t, x, y), state
+    return stage, lambda t, x, y, p: filter_stream(
+        stage, EventStream(t, x, y, p, READER_GEOMETRY, validate=False)), state
+
+
+class TestPassChecks:
+    # the filter alone takes no channel, and a clip starts from fresh stages
+    @pytest.mark.parametrize("entry, fault", [
+        (entry, fault) for entry in ("encode", "process_block", "filter_stream", "forward_clip")
+        for fault in REFUSALS
+        if (entry, fault) not in {("process_block", "channel"), ("forward_clip", "behind-taken")}])
+    def test_stream_layout_refused_as_checked(self, entry, fault):
+        events, says = REFUSALS[fault]
+        stage, call, state = refusal_stage(entry)
+        if fault != "negative-first" and entry != "forward_clip":
+            call(*(np.array(v, dtype=np.int64) for v in zip(*PRIOR)))
+        before = state()
+        fields = [np.array(v, dtype=np.int64) for v in zip(*events)]
+        layout = [fields[0], *(v.astype(np.int32) for v in fields[1:])]
+        messages = []
+        for arrays in (layout, fields) if entry in ("encode", "process_block") else (layout,):
+            with pytest.raises(StreamError) as raised:
+                call(*arrays)
+            messages.append(str(raised.value))
+            assert state() == before
+        assert messages[0].endswith(says)
+        assert len(set(messages)) == 1
+
+
 class TestRecords:
     def test_records_match_the_c_structs(self, tmp_path):
         # a ctypes record that drifts from its struct would hand the pass
@@ -1389,8 +1557,8 @@ class TestCompiledRule:
         for n in [*range(300), 480, 1000, 1089, 4097, 10_000, 20_000]:
             a = rng.random((2, n)) * 10.0 ** rng.integers(-8, 9, (2, n))
             b = rng.random(n)
-            for sq, terms in ((0, a * b), (1, (a - b) * (a - b))):
-                got = [network._LIB.evg_reduce(row.ctypes.data, b.ctypes.data, n, sq)
+            for mode, terms in ((0, a * b), (1, (a - b) * (a - b)), (2, a)):
+                got = [network._LIB.evg_reduce(row.ctypes.data, b.ctypes.data, n, mode)
                        for row in a]
                 assert got == [float(np.add.reduce(row)) for row in terms]
                 assert got == np.add.reduce(terms, axis=1).tolist()
