@@ -317,9 +317,10 @@ static int64_t read_surface(const struct layer *L, int64_t t, int64_t x, int64_t
         }
     }
     for (int64_t k = 0; k < q; k++) {
+        /* age > -tau, so age / tau >= -1 by the same monotone rounding,
+           and v >= +0.0 with no clamp: -1.0 + 1.0 is +0.0 */
         double v = ages[k] / tau + 1.0;
         int64_t i = nz[k];
-        v = v >= 0.0 ? v : 0.0;
         row[i] = v;
         nz[live] = i;
         live += v != 0.0;
@@ -437,9 +438,10 @@ static int64_t layer_step(struct layer *L, struct screen *c, int64_t t, int64_t 
     return emit ? i : -1;
 }
 
-/* The one pass (_native.run) over m events (t, x, y, p), or over m given
-   surface rows of layers[0] where rows is not NULL (then t, x, y and p
-   are NULL, D is NULL and nl is 1). p NULL puts every event on channel 0.
+/* The one pass (_native.run) over m events (t, x, y, p) in the stream
+   layout (events.LAYOUT), or over m given surface rows of layers[0]
+   where rows is not NULL (then t, x, y and p are NULL, D is NULL and nl
+   is 1). p NULL puts every event on channel 0.
 
    Each event in turn goes through D, unless D is NULL, then through each
    of the nl layers, the id a layer emits being the next layer's

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import StreamError, check_events, grid_tables
+from .events import LAYOUT, StreamError, check_events, check_integers, grid_tables
 
 SOURCE = Path(__file__).with_name("_native.c")
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
@@ -126,12 +126,11 @@ def _layer_record(layer) -> tuple[Layer, list[np.ndarray]]:
 
 
 def _stream_layout(t, x, y, p) -> bool:
-    """Whether the events are already arrays of the stream layout, int64
-    ``t`` and int32 ``x``, ``y`` and ``p``, one-dimensional and of one
-    length: no cast can wrap them, so the pass checks them alone."""
-    fields = [(v, np.int32) for v in (x, y, p) if v is not None]
+    """Whether the events are already arrays of the stream layout,
+    ``events.LAYOUT``, one-dimensional and of one length: no cast can wrap
+    them, so the pass checks them alone."""
     return all(isinstance(v, np.ndarray) and v.dtype == dtype and v.ndim == 1
-               and len(v) == len(t) for v, dtype in [(t, np.int64), *fields])
+               and len(v) == len(t) for v, dtype in zip((t, x, y, p), LAYOUT) if v is not None)
 
 
 def run(lib: ctypes.CDLL, filt, layers, t=None, x=None, y=None, p=None, rows=None,
@@ -143,14 +142,15 @@ def run(lib: ctypes.CDLL, filt, layers, t=None, x=None, y=None, p=None, rows=Non
     through the one layer in ``layers``. Continues from, and updates,
     every stage's state.
 
-    Returns the mask of the inputs that passed every stage, the int32
-    end ids of those (with no layer, their channels), and the number of
-    events the filter kept (all of them, with no filter); with
-    ``events``, then the kept events' ``t`` (int64), ``x`` and ``y``
-    (int32); with ``pool``, a ``(rows, cols)`` grid, then the kept
-    events' float64 counts per bin ``cell * n + id``, where ``cell`` is
-    ``grid_cells`` of the event's pixel on that grid and ``n`` the last
-    layer's bank rows. Each array is exactly as long as its contents.
+    Returns the mask of the inputs that passed every stage, the end ids
+    of those (with no layer, their channels), and the number of events
+    the filter kept (all of them, with no filter); with ``events``, then
+    the kept events' ``t``, ``x`` and ``y``. The ids and these are in the
+    stream layout, ``events.LAYOUT``. With ``pool``, a ``(rows, cols)``
+    grid, then the kept events' float64 counts per bin ``cell * n + id``,
+    where ``cell`` is ``grid_cells`` of the event's pixel on that grid and
+    ``n`` the last layer's bank rows. Each array is exactly as long as its
+    contents.
 
     Raises StreamError, before any state changes, at an event that is not
     an integer, goes back in time (behind the latest time a stage has
@@ -172,15 +172,14 @@ def run(lib: ctypes.CDLL, filt, layers, t=None, x=None, y=None, p=None, rows=Non
         if not _stream_layout(t, x, y, p):  # before the casts, which could wrap values
             check_events(t, x, y, p, first, since)
         t, x, y, p = (None if v is None else np.ascontiguousarray(v, dtype=dtype)
-                      for v, dtype in zip((t, x, y, p), (np.int64, *[np.int32] * 3)))
+                      for v, dtype in zip((t, x, y, p), LAYOUT))
     else:
         rows = np.require(rows, np.float64, "C")
         if rows.shape[1:] != layers[0].bank.shape[1:]:
             raise ValueError(f"surfaces {rows.shape} for a bank of {layers[0].bank.shape}")
     m = len(t if rows is None else rows)
-    keep, ids = np.empty(m, dtype=bool), np.empty(m, dtype=np.int32)
-    kept_events = [np.empty(m, dtype=dtype) for dtype in (np.int64, np.int32, np.int32)] \
-        if events else []
+    keep, ids = np.empty(m, dtype=bool), np.empty(m, dtype=LAYOUT[3])
+    kept_events = [np.empty(m, dtype=dtype) for dtype in LAYOUT[:3]] if events else []
     pooling = [*grid_tables(first, *pool), np.zeros(pool[0] * pool[1] * records[-1].n)] \
         if pool else []
     kept = lib.evg_pass(dbs, records, len(layers), *map(_data, (t, x, y, p, rows)), m,
@@ -201,8 +200,10 @@ def run(lib: ctypes.CDLL, filt, layers, t=None, x=None, y=None, p=None, rows=Non
 def surfaces(lib: ctypes.CDLL, layer, t, x, y, p) -> np.ndarray:
     """``evg_surfaces``: the surfaces of the events ``(t, x, y, p)`` in
     ``layer``'s memory, one row each, recording each event first; raises
-    StreamError, with the memory unchanged, if the event fields differ in
-    length or an event lies outside the layer's pixels or channels."""
+    StreamError, with the memory unchanged, at a value that is not an
+    integer (``check_integers``), if the event fields differ in length, or
+    at an event outside the layer's pixels or channels."""
+    check_integers(zip("txyp", map(np.asarray, (t, x, y, p))))  # before the casts
     t, x, y, p = events = [np.ascontiguousarray(v, dtype=np.int64) for v in (t, x, y, p)]
     if not len(t) == len(x) == len(y) == len(p):
         raise StreamError("event field arrays must have equal length")

@@ -23,6 +23,11 @@ class Event(NamedTuple):
     p: int  # channel: polarity or prototype id
 
 
+# The stream layout: the dtypes of t, x, y and p in an EventStream, and the
+# arrays the compiled pass reads and writes.
+LAYOUT = (np.int64, np.int32, np.int32, np.int32)
+
+
 @dataclass(frozen=True)
 class SensorGeometry:
     width: int
@@ -86,6 +91,23 @@ def check_grid(rows: int, cols: int, geometry: SensorGeometry, what: str) -> Non
                          f"and {geometry.width} columns")
 
 
+def check_integers(fields) -> None:
+    """Raise StreamError at the first value of the ``(name, array)`` pairs
+    ``fields``, taken in turn, that is not a signed 64-bit integer (NaN and
+    unsigned values of 2**63 or more included): the integer rule of
+    ``check_events``."""
+    for name, v in fields:
+        if v.dtype.kind == "i":
+            continue
+        if v.dtype.kind == "u":  # uint64 holds values that int64 does not
+            off = np.flatnonzero(v > np.iinfo(np.int64).max)
+        else:
+            off = np.flatnonzero(~((np.floor(v) == v) & (np.abs(v) < 2.0**63)))
+        if len(off):
+            i = int(off[0])
+            raise StreamError(f"{name}={v[i]} is not a 64-bit integer at index {i}")
+
+
 def check_events(t, x, y, p, geometry: SensorGeometry, since: int | None = None) -> None:
     """The one check of raw event arrays: raise StreamError at the first
     value that is not a signed 64-bit integer (NaN and unsigned values of
@@ -101,16 +123,7 @@ def check_events(t, x, y, p, geometry: SensorGeometry, since: int | None = None)
         raise StreamError("event field arrays must have equal length")
     if len(t) == 0:
         return
-    for name, v, _ in (("t", t, None), *fields):
-        if v.dtype.kind == "i":
-            continue
-        if v.dtype.kind == "u":  # uint64 holds values that int64 does not
-            off = np.flatnonzero(v > np.iinfo(np.int64).max)
-        else:
-            off = np.flatnonzero(~((np.floor(v) == v) & (np.abs(v) < 2.0**63)))
-        if len(off):
-            i = int(off[0])
-            raise StreamError(f"{name}={v[i]} is not a 64-bit integer at index {i}")
+    check_integers((name, v) for name, v, _ in (("t", t, None), *fields))
     if t[0] < 0:
         raise StreamError(f"negative timestamp {int(t[0])} at index 0")
     if since is not None and t[0] < since:
@@ -146,10 +159,8 @@ class EventStream:
     def __init__(self, t, x, y, p, geometry: SensorGeometry, validate: bool = True):
         if validate:  # before the casts, which would wrap values out of range
             check_events(t, x, y, p, geometry)
-        self.t = np.ascontiguousarray(t, dtype=np.int64)
-        self.x = np.ascontiguousarray(x, dtype=np.int32)
-        self.y = np.ascontiguousarray(y, dtype=np.int32)
-        self.p = np.ascontiguousarray(p, dtype=np.int32)
+        self.t, self.x, self.y, self.p = (np.ascontiguousarray(v, dtype=dtype)
+                                          for v, dtype in zip((t, x, y, p), LAYOUT))
         self.geometry = geometry
         for a in (self.t, self.x, self.y, self.p):
             a.flags.writeable = False
@@ -247,8 +258,7 @@ def read_binary_events(source: bytes) -> EventStream:
         )
     rec = np.frombuffer(body, dtype=_RECORD_DTYPE)
     # Cast first, so that the check reads the contiguous arrays the stream keeps.
-    x, y, p = (rec[k].astype(np.int32) for k in "xyp")
-    return EventStream(rec["t"].astype(np.int64), x, y, p, geometry)
+    return EventStream(*(rec[k].astype(dtype) for k, dtype in zip("txyp", LAYOUT)), geometry)
 
 
 def write_binary_events(stream: EventStream) -> bytes:

@@ -261,9 +261,10 @@ class Layer:
 
         One compiled loop, ``evg_surfaces``, records each event in the
         memory and then reads its field, with the reader of ``evg_pass``.
-        Event times are not checked here; raises StreamError, with the
-        memory unchanged, if the event fields differ in length or an event
-        lies outside the layer's pixels or channels.
+        Event times are not checked for order here; raises StreamError,
+        with the memory unchanged, at a value that is not a 64-bit integer,
+        as ``encode`` does, if the event fields differ in length, or at an
+        event outside the layer's pixels or channels.
         """
         return _native.surfaces(_LIB, self, t, x, y, p)
 

@@ -25,6 +25,16 @@ from .network import LayerConfig, learn_update
 from .surfaces import TimeSurfaceConfig, TimestampMemory, extract
 
 
+def _cell(x: int, y: int, geometry: SensorGeometry, rows: int, cols: int) -> int:
+    """The row-major cell of pixel ``(x, y)`` on a ``rows`` x ``cols`` grid
+    over the array, remainder pixels joining the last row and column:
+    the references' own statement of the tiling rule, written apart from
+    ``events.grid_cells``."""
+    row = min(y * rows // geometry.height, rows - 1)
+    col = min(x * cols // geometry.width, cols - 1)
+    return row * cols + col
+
+
 def dbs_decisions_history(stream: EventStream, config: DbsConfig) -> np.ndarray:
     """Literal history-sum reference for the background filter: O(N^2).
 
@@ -38,9 +48,7 @@ def dbs_decisions_history(stream: EventStream, config: DbsConfig) -> np.ndarray:
     keep = np.zeros(len(stream), dtype=bool)
     for i in range(len(stream)):
         t, x, y = int(stream.t[i]), int(stream.x[i]), int(stream.y[i])
-        row = min(y * config.grid_rows // g.height, config.grid_rows - 1)
-        col = min(x * config.grid_cols // g.width, config.grid_cols - 1)
-        idx = row * config.grid_cols + col
+        idx = _cell(x, y, g, config.grid_rows, config.grid_cols)
         cell_events[idx].append(t)
         acts = [
             sum(math.exp(-(t - ti) / config.tau_b_us) for ti in ev)
@@ -71,9 +79,7 @@ def dbs_scalar(stream: EventStream, config: DbsConfig):
     margin = np.zeros(len(stream))
     for i, (t, x, y) in enumerate(zip(stream.t.tolist(), stream.x.tolist(),
                                       stream.y.tolist())):
-        row = min(y * config.grid_rows // g.height, config.grid_rows - 1)
-        col = min(x * config.grid_cols // g.width, config.grid_cols - 1)
-        idx = row * config.grid_cols + col
+        idx = _cell(x, y, g, config.grid_rows, config.grid_cols)
         for c in (idx, n_cells):
             activity[c] = update_activity(activity[c], last_t[c], t, config.tau_b_us)
             last_t[c] = t
@@ -103,9 +109,7 @@ def dbs_decisions_eager(stream: EventStream, config: DbsConfig) -> np.ndarray:
             for c in range(n_cells):
                 act[c] *= decay
         prev_t = t
-        row = min(y * config.grid_rows // g.height, config.grid_rows - 1)
-        col = min(x * config.grid_cols // g.width, config.grid_cols - 1)
-        idx = row * config.grid_cols + col
+        idx = _cell(x, y, g, config.grid_rows, config.grid_cols)
         act[idx] += 1.0
         keep[i] = act[idx] >= config.alpha * (sum(act) / n_cells)
     return keep
@@ -307,9 +311,7 @@ def pipeline_bruteforce(config, train_clips, test_clips):
         n_out = configs[-1].n_prototypes
         values = np.zeros(rows * cols * n_out)
         for _, x, y, p in _cascade(layers, config.merge_polarity, filtered):
-            row = min(y * rows // geometry.height, rows - 1)
-            col = min(x * cols // geometry.width, cols - 1)
-            values[(row * cols + col) * n_out + p] += 1.0
+            values[_cell(x, y, geometry, rows, cols) * n_out + p] += 1.0
         total = values.sum()
         return values / total if total else values
 

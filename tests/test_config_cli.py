@@ -155,10 +155,11 @@ def with_header(model: bytes, **fields) -> bytes:
     return model[:4] + zlib.crc32(body).to_bytes(4, "little") + body
 
 
-# Bad values in a config or a model header, each a data error (exit 2):
-# the config lines that replace the lines setting the same keys (or are
-# appended), or the header fields replaced; and the text of the check's
-# own message.
+# Bad values in a config, a model header or a command line, each a data
+# error (exit 2): the config lines that replace the lines setting the same
+# keys (or are appended), the header fields replaced, or the arguments of
+# a command, "{tmp}" standing for a scratch directory; and the text of the
+# check's own message.
 BAD_INPUTS = {
     "epochs-0": ("epochs = 0", "epochs must be >= 1, got 0"),
     "epochs-negative": ("epochs = -1", "epochs must be >= 1, got -1"),
@@ -203,6 +204,11 @@ BAD_INPUTS = {
         {"width": 2, "height": 2, "config": "layers.1.n = 4\nlayers.1.r = 1\n"
          "layers.1.tau_us = 10000\npooling.grid = 3x3\nknn.k = 1\n"},
         "model header: pooling grid 3x3 is finer than the 2x2 array"),
+    "layer-index-skipped": ("layers.3.n = 4\nlayers.3.r = 1\nlayers.3.tau_us = 10000",
+                            "layer indices must be 1..L, got [1, 3]"),
+    "header-no-layers": ({"config": "knn.k = 1\n"}, "no layers configured"),
+    "convert-text-without-geometry": (["convert", "{tmp}/clip.txt", "{tmp}/clip.evs"],
+                                      "clip.txt: text input needs --geometry WxH"),
 }
 
 
@@ -217,7 +223,9 @@ def replace_lines(text: str, lines: str) -> str:
 @pytest.mark.parametrize("fault, named", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_value_exit_2(swipes32, tmp_path, capsys, fault, named):
     manifest, config, model = swipes32
-    if isinstance(fault, dict):
+    if isinstance(fault, list):
+        code = cli.main([arg.format(tmp=tmp_path) for arg in fault])
+    elif isinstance(fault, dict):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(with_header(model.read_bytes(), **fault))
         code = cli.main(["eval", manifest, str(bad)])

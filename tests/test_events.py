@@ -29,7 +29,8 @@ class TestWrapAround:
                         np.array([0]), GEOM)
 
 
-    @pytest.mark.parametrize("entry", ["process_block", "encode", "EventStream"])
+    @pytest.mark.parametrize("entry", ["process_block", "encode", "block_surfaces",
+                                       "EventStream"])
     def test_unsigned_past_int64(self, entry):
         # 2**63 is a uint64 but no int64: the cast to the stream layout
         # would wrap it to -2**63, a stream that goes back in time. 2**63 - 1
@@ -44,6 +45,8 @@ class TestWrapAround:
                 return DbsFilter(geometry).process_block(t, x, y)
             if entry == "encode":
                 return Layer(LayerConfig(2, 1, 100.0, 2), geometry).encode(t, x, y, p)
+            if entry == "block_surfaces":
+                return Layer(LayerConfig(2, 1, 100.0, 2), geometry).block_surfaces(t, x, y, p)
             return EventStream(t, x, y, p, geometry)
 
         with pytest.raises(StreamError, match=f"t={2**63} is not a 64-bit integer at index 1"):
@@ -55,7 +58,7 @@ class TestWrapAround:
         for field, value in (("t", np.nan), ("t", 2.5), ("t", np.inf), ("t", 1e19),
                              ("x", np.nan), ("x", 1.5), ("y", -np.inf), ("p", np.nan),
                              ("p", 0.5))
-        for entry in ("process_block", "encode", "EventStream")
+        for entry in ("process_block", "encode", "block_surfaces", "EventStream")
         if not (entry == "process_block" and field == "p")  # the filter reads no p
     ])
     def test_not_an_integer(self, entry, field, value):
@@ -70,6 +73,8 @@ class TestWrapAround:
                 DbsFilter(geometry).process_block(t, x, y)
             elif entry == "encode":
                 Layer(LayerConfig(2, 1, 100.0, 2), geometry).encode(t, x, y, p)
+            elif entry == "block_surfaces":
+                Layer(LayerConfig(2, 1, 100.0, 2), geometry).block_surfaces(t, x, y, p)
             else:
                 EventStream(t, x, y, p, geometry)
 

@@ -224,6 +224,16 @@ class TestTrain:
         with pytest.raises(UndertrainedLayerError, match="layer 1"):
             train(small_network(), [sparse])
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"mode": "greedy"}, "unknown training mode: 'greedy'"),
+        ({"epochs": 0}, "epochs must be >= 1, got 0"),
+    ], ids=["mode", "epochs"])
+    def test_schedule_refused_before_learning(self, kw, message):
+        net = small_network()
+        with pytest.raises(ValueError, match=message):
+            train(net, [simple_stream(seed=14)], **kw)
+        assert net.layers[0].n_filled == 0 and net.layers[0].tick == 0
+
     def test_two_layer_joint(self):
         net = train(small_network(2), [simple_stream(seed=15, n=6000)])
         assert net.frozen
@@ -1226,11 +1236,12 @@ def chain_cases(draw):
 
 
 def stage_state(filt, layers) -> list:
-    """Every stage's state, as bytes and lists."""
+    """Every stage's state, as bytes and lists: copies, since a call
+    rewrites the layers' count and tick lists in place."""
     state = [] if filt is None else [filt.activity.tobytes(), filt.last_t.tolist()]
     for layer in layers:
-        state += [layer.memory.tobytes(), layer.bank.tobytes(), layer.match_counts,
-                  layer.last_match_tick, layer.tick, layer.since]
+        state += [layer.memory.tobytes(), layer.bank.tobytes(), list(layer.match_counts),
+                  list(layer.last_match_tick), layer.tick, layer.since]
     return state
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from evgesture.events import EventStream, SensorGeometry
 from evgesture.synth import (
     BlobSpec, CompositeSpec, MovingBarSpec, gen_composite, gen_gesture_clip,
-    gen_gesture_set, gen_moving_bar, gen_translating_blob,
+    _blob_draws, _poisson_times_bulk, gen_gesture_set, gen_moving_bar, gen_translating_blob,
 )
 
 GEOM = SensorGeometry(64, 64, 2)
@@ -168,6 +169,56 @@ def _digest(items) -> str:
             h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
         h.update("\n".join(text).encode())
     return h.hexdigest()
+
+
+class FixedUniforms:
+    """Stands in for ``np.random.Generator``: ``random(n)`` serves the next
+    n entries of one fixed array, and the calls are counted."""
+
+    def __init__(self, u):
+        self.u, self.at, self.calls = u, 0, 0
+
+    def random(self, n):
+        out = self.u[self.at:self.at + n]
+        assert len(out) == n, "drew past the fixed uniforms"
+        self.at, self.calls = self.at + n, self.calls + 1
+        return out
+
+
+class TestDrawRefills:
+    """The draws past the first block, which a real seed almost never
+    needs: uniforms below 0.5 make gaps about a third of the mean, so
+    the first block, 1.05 times the expected count plus 64, ends before
+    the duration. Each result equals one long draw of the same uniforms."""
+
+    RATE, DURATION = 5_000.0, 200_000  # 1,000 events expected; these uniforms give 3,304
+    U = np.random.default_rng(5).random(20_000) * 0.5
+
+    def test_poisson_times_refill(self):
+        rng = FixedUniforms(self.U)
+        times = _poisson_times_bulk(self.RATE, self.DURATION, rng)
+        assert rng.calls >= 3
+        ref = np.cumsum(-np.log(1.0 - self.U) * (1_000_000 / self.RATE))
+        assert ref[-1] >= self.DURATION
+        assert times.tolist() == ref[ref < self.DURATION].astype(np.int64).tolist()
+
+    def test_blob_draws_doubling(self):
+        rng = FixedUniforms(self.U)
+        times, angles, radii = _blob_draws(self.RATE, self.DURATION, rng)
+        assert rng.calls >= 3
+        # the scalar order: gaps until one passes the duration, then one
+        # (angle, radius) pair per event
+        scale, t, k, ref = 1_000_000 / self.RATE, 0.0, 0, []
+        while True:
+            t += -math.log(1.0 - self.U[k]) * scale
+            k += 1
+            if t >= self.DURATION:
+                break
+            ref.append(t)
+        n = len(ref)
+        assert times.tolist() == np.array(ref).astype(np.int64).tolist()
+        assert angles.tolist() == self.U[k:k + 2 * n:2].tolist()
+        assert radii.tolist() == self.U[k + 1:k + 2 * n + 1:2].tolist()
 
 
 class TestGoldenStreams:
