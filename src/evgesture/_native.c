@@ -12,9 +12,10 @@
    events that need no cast reach it unchecked.
 
    Two shortcuts skip work only where it changes no bit: suppression
-   memoises its decay, exp of the same argument, for small integer gaps,
-   and the surface reader lists the entries younger than tau first, with
-   no branch, and then divides only those.
+   reads its decay for small integer gaps from a table of exp of the same
+   argument, built once per tau by the caller, and the surface reader
+   lists the entries younger than tau first, with no branch, and then
+   divides only those. The library writes only stage state and outputs.
 
    Every dot product, sum and squared distance that decides an output is
    summed in one fixed order, numpy's pairwise summation, so each equals
@@ -120,13 +121,14 @@ static int64_t first_least(const int64_t *v, int64_t n)
 /* A DBS stage (dbs.DbsFilter): activity and last hold cells + 1
    counters, the whole array's last; row_cell and col_cell hold
    grid_cells at (0, y), for each of height pixel rows, and at (x, 0), for
-   each of width pixel columns. decay memoises the counters' decay over
-   the gaps dt below gaps: exp(-dt / tau), or -1.0 until first needed.
+   each of width pixel columns. decay holds the counters' decay over the
+   gaps dt below gaps, exp(-dt / tau), and is only read.
    channels bounds the events' channels on a pass with no layer. kept
    counts the events the stage keeps; the caller sets it to 0. */
 struct dbs {
     const int64_t *row_cell, *col_cell;
-    double *activity, *decay;
+    double *activity;
+    const double *decay;
     int64_t *last, cells, width, height, channels, gaps, kept;
     double tau, alpha;
 };
@@ -330,30 +332,19 @@ static int64_t read_surface(const struct layer *L, int64_t t, int64_t x, int64_t
 
 /* The time-surfaces of n consecutive events (network.Layer.block_surfaces),
    one row each, written to out; L's memory is updated to include them.
-   Returns 0, or -1 - k, with memory unchanged, if event k lies outside
-   L's pixels or channels. */
-int64_t evg_surfaces(const struct layer *L, const int64_t *t, const int64_t *x,
-                     const int64_t *y, const int64_t *p, int64_t n, double *out)
+   The one caller has checked the events against L's pixels and channels. */
+void evg_surfaces(const struct layer *L, const int64_t *t, const int64_t *x,
+                  const int64_t *y, const int64_t *p, int64_t n, double *out)
 {
-    for (int64_t k = 0; k < n; k++)
-        if (outside(x[k], y[k], p[k], L->width, L->height, L->channels))
-            return -1 - k;
     for (int64_t k = 0; k < n; k++)
         read_surface(L, t[k], x[k], y[k], p[k], out + k * L->d);
-    return 0;
 }
 
-/* exp(-dt / tau) for D's counters, the gap dt >= 0: from D's memo where
-   dt < gaps, computed on first use. The argument and the function are
-   those of the unmemoised call, so the value is the same bit for bit. */
-static double decay(struct dbs *D, int64_t dt)
+/* exp(-dt / tau) for D's counters, the gap dt >= 0: D's table entry
+   where dt < gaps, which holds the value of this same call. */
+static double decay(const struct dbs *D, int64_t dt)
 {
-    if (dt >= D->gaps)
-        return exp(-(double)dt / D->tau);
-    double *e = D->decay + dt;
-    if (*e < 0.0)
-        *e = exp(-(double)dt / D->tau);
-    return *e;
+    return dt < D->gaps ? D->decay[dt] : exp(-(double)dt / D->tau);
 }
 
 /* Background suppression of the event at time t in pixel (x, y): its

@@ -6,16 +6,17 @@ per-event stage: it takes events through background suppression (a
 each event in turn, in one call, or takes surface rows given from Python
 through one layer. Each stage goes in as a record, ``Dbs`` or ``Layer``,
 that points at the stage's own arrays, so the call updates the filter's
-counters and decay memo, the layers' memories and banks in place. The
-pass writes what the callers read: the keep mask, the end ids, and on
-request the kept events' ``t``, ``x`` and ``y``, compacted, or the end
-ids counted into pooled bins; each output array is cut to the length of
-its contents in place, so no select runs after the call and no
-raw-length buffer outlives it. ``surfaces`` calls
-``evg_surfaces``, which reads time-surfaces alone, and ``evg_reduce`` is
-the one summation order. The pass checks the events' order and bounds
-itself; ``run`` calls ``check_events`` first only on events that the
-cast to the stream layout could wrap, and after a refusal, to name it.
+counters, the layers' memories and banks in place, and only reads the
+filter's decay table. The pass writes what the callers read: the keep
+mask, the end ids, and on request the kept events' ``t``, ``x`` and
+``y``, compacted, or the end ids counted into pooled bins; each output
+array is cut to the length of its contents in place, so no select runs
+after the call and no raw-length buffer outlives it. ``surfaces`` calls
+``evg_surfaces``, which reads time-surfaces alone, of events that
+``check_events`` has checked, and ``evg_reduce`` is the one summation
+order. The pass checks the events' order and bounds itself; ``run``
+calls ``check_events`` first only on events that the cast to the stream
+layout could wrap, and after a refusal, to name it.
 
 The library is compiled on first import and kept in the package's
 ``__pycache__``, named by a hash of the source, the compiler and the
@@ -42,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import LAYOUT, StreamError, check_events, check_integers, grid_tables
+from .events import LAYOUT, StreamError, check_events, grid_tables
 
 SOURCE = Path(__file__).with_name("_native.c")
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
@@ -97,7 +98,7 @@ def load(out_dir: str | os.PathLike = SOURCE.parent / "__pycache__",
     lib.evg_reduce.argtypes = [_ptr, _ptr, _i64, ctypes.c_int]
     lib.evg_reduce.restype = _f64
     lib.evg_surfaces.argtypes = [ctypes.POINTER(Layer), *[_ptr] * 4, _i64, _ptr]
-    lib.evg_surfaces.restype = _i64
+    lib.evg_surfaces.restype = None
     lib.evg_pass.argtypes = [ctypes.POINTER(Dbs), ctypes.POINTER(Layer), _i64, *[_ptr] * 5,
                              _i64, *[_ptr] * 8]
     lib.evg_pass.restype = _i64
@@ -200,18 +201,11 @@ def run(lib: ctypes.CDLL, filt, layers, t=None, x=None, y=None, p=None, rows=Non
 def surfaces(lib: ctypes.CDLL, layer, t, x, y, p) -> np.ndarray:
     """``evg_surfaces``: the surfaces of the events ``(t, x, y, p)`` in
     ``layer``'s memory, one row each, recording each event first; raises
-    StreamError, with the memory unchanged, at a value that is not an
-    integer (``check_integers``), if the event fields differ in length, or
-    at an event outside the layer's pixels or channels."""
-    check_integers(zip("txyp", map(np.asarray, (t, x, y, p))))  # before the casts
+    StreamError, with the memory unchanged, where ``check_events``
+    refuses the events on the layer's pixels and channels."""
+    check_events(t, x, y, p, layer.geometry)  # before the casts, which could wrap values
     t, x, y, p = events = [np.ascontiguousarray(v, dtype=np.int64) for v in (t, x, y, p)]
-    if not len(t) == len(x) == len(y) == len(p):
-        raise StreamError("event field arrays must have equal length")
     record, _ = _layer_record(layer)
     out = np.empty((len(t), record.d))
-    k = -1 - lib.evg_surfaces(record, *map(_data, events), len(t), _data(out))
-    if k >= 0:  # the memory is unchanged
-        raise StreamError(f"event {k} at pixel ({x[k]}, {y[k]}) on channel {p[k]} lies outside "
-                          f"the layer's {layer.geometry.width}x{layer.geometry.height} pixels "
-                          f"and {layer.geometry.channels} channels")
+    lib.evg_surfaces(record, *map(_data, events), len(t), _data(out))
     return out

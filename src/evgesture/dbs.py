@@ -16,12 +16,13 @@ filter, or with a network's layers after it (``Network.forward_clip``):
 each event in turn finds its cell from two per-axis tables of
 ``grid_cells``, and runs the rule with libm's ``exp``, the function
 ``math.exp`` calls, so every decision and counter is bit-equal to
-``update_activity``'s. The filter memoises the decay of each integer gap
-below ``DECAY_GAPS`` microseconds: the pass fills an entry with that
-``exp`` the first time a counter needs it, and reads it after that, for
-as long as the filter lives. The argument is the same, so the memo moves
-no bit; larger gaps call ``exp`` each time. ``filter_stream`` takes the
-kept events' times and pixels from the pass, already compacted.
+``update_activity``'s. The decay of each integer gap below
+``DECAY_GAPS`` microseconds is read from ``decay_table``, built once per
+tau with ``update_activity``'s own ``math.exp`` call and shared,
+read-only, by every filter of that tau; the argument and the function
+are the same, so the table moves no bit. Larger gaps call ``exp`` each
+time. ``filter_stream`` takes the kept events' times and pixels from the
+pass, already compacted.
 
 Masks therefore depend on the platform's libm. glibc 2.36 rounds 1 of
 the 1,611 distinct decay arguments of one cluttered test workload
@@ -35,6 +36,7 @@ DBS, may differ.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,7 +46,7 @@ from . import _native
 from .events import EventStream, SensorGeometry, check_grid, grid_tables
 
 _LIB = _native.load()
-DECAY_GAPS = 4096  # the gaps, in microseconds, below which a filter memoises its decay
+DECAY_GAPS = 4096  # the gaps, in microseconds, below which a filter reads its decay
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,16 @@ def update_activity(activity: float, last_t: int, t: int, tau_b_us: float) -> fl
     return activity * math.exp(-(t - last_t) / tau_b_us) + 1.0
 
 
+@functools.lru_cache(maxsize=32)  # a table is 32 KiB; a process uses a few taus
+def decay_table(tau_b_us: float) -> np.ndarray:
+    """The read-only table of ``update_activity``'s decay for each
+    integer gap ``dt`` below ``DECAY_GAPS``: ``math.exp(-dt / tau_b_us)``,
+    built once per tau and shared by every filter of that tau."""
+    table = np.array([math.exp(-dt / tau_b_us) for dt in range(DECAY_GAPS)])
+    table.flags.writeable = False
+    return table
+
+
 @dataclass
 class RetentionStats:
     total: int
@@ -88,8 +100,7 @@ class DbsFilter:
     State is one decaying counter per cell and one for the whole array,
     the sum of all cells' activities: ``activity`` holds their values and
     ``last_t`` the time of each one's last event, the whole array's last.
-    ``decay`` memoises ``exp(-dt / tau_b_us)`` for gaps ``dt`` below
-    ``DECAY_GAPS``, -1.0 where not yet needed.
+    ``decay`` is the tau's ``decay_table``, which the filter only reads.
     Every counter starts at 0.0 at time 0, which the first event's decay
     and +1 take to exactly 1.0. Decay is lazy: a counter's stored value is
     only brought forward on its own events.
@@ -111,7 +122,7 @@ class DbsFilter:
         self.activity = np.zeros(n)
         self.last_t = np.zeros(n, dtype=np.int64)
         self.row_cell, self.col_cell = grid_tables(geometry, rows, cols)
-        self.decay = np.full(DECAY_GAPS, -1.0)
+        self.decay = decay_table(float(config.tau_b_us))  # the pass's tau, a double
 
     def process_block(self, t, x, y) -> np.ndarray:
         """Update state with a sequence of events and return their keep

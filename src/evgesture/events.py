@@ -91,23 +91,6 @@ def check_grid(rows: int, cols: int, geometry: SensorGeometry, what: str) -> Non
                          f"and {geometry.width} columns")
 
 
-def check_integers(fields) -> None:
-    """Raise StreamError at the first value of the ``(name, array)`` pairs
-    ``fields``, taken in turn, that is not a signed 64-bit integer (NaN and
-    unsigned values of 2**63 or more included): the integer rule of
-    ``check_events``."""
-    for name, v in fields:
-        if v.dtype.kind == "i":
-            continue
-        if v.dtype.kind == "u":  # uint64 holds values that int64 does not
-            off = np.flatnonzero(v > np.iinfo(np.int64).max)
-        else:
-            off = np.flatnonzero(~((np.floor(v) == v) & (np.abs(v) < 2.0**63)))
-        if len(off):
-            i = int(off[0])
-            raise StreamError(f"{name}={v[i]} is not a 64-bit integer at index {i}")
-
-
 def check_events(t, x, y, p, geometry: SensorGeometry, since: int | None = None) -> None:
     """The one check of raw event arrays: raise StreamError at the first
     value that is not a signed 64-bit integer (NaN and unsigned values of
@@ -123,7 +106,16 @@ def check_events(t, x, y, p, geometry: SensorGeometry, since: int | None = None)
         raise StreamError("event field arrays must have equal length")
     if len(t) == 0:
         return
-    check_integers((name, v) for name, v, _ in (("t", t, None), *fields))
+    for name, v, _ in (("t", t, None), *fields):
+        if v.dtype.kind == "i":
+            continue
+        if v.dtype.kind == "u":  # uint64 holds values that int64 does not
+            off = np.flatnonzero(v > np.iinfo(np.int64).max)
+        else:
+            off = np.flatnonzero(~((np.floor(v) == v) & (np.abs(v) < 2.0**63)))
+        if len(off):
+            i = int(off[0])
+            raise StreamError(f"{name}={v[i]} is not a 64-bit integer at index {i}")
     if t[0] < 0:
         raise StreamError(f"negative timestamp {int(t[0])} at index 0")
     if since is not None and t[0] < since:

@@ -193,11 +193,15 @@ class Layer:
 
     def install(self, bank, match_counts) -> None:
         """Take a trained N x D bank and its N match counts, and freeze;
-        raises ValueError, changing nothing, on any other shape."""
+        raises ValueError, changing nothing, on any other shape, or at a
+        count outside [0, 2**63), which the compiled pass cannot hold."""
         bank, counts = np.array(bank, dtype=np.float64), list(match_counts)
         if bank.shape != self.bank_shape or len(counts) != len(bank):
             raise ValueError(f"bank {bank.shape} with {len(counts)} counts; the layer "
                              f"takes {self.bank_shape}, one count per row")
+        for i, count in enumerate(counts):
+            if not 0 <= count < 2**63:
+                raise ValueError(f"match count {count} of row {i} is outside [0, 2**63)")
         self.bank, self.match_counts = bank, counts
         self.last_match_tick = [0] * len(counts)
         self.freeze()
@@ -261,10 +265,11 @@ class Layer:
 
         One compiled loop, ``evg_surfaces``, records each event in the
         memory and then reads its field, with the reader of ``evg_pass``.
-        Event times are not checked for order here; raises StreamError,
-        with the memory unchanged, at a value that is not a 64-bit integer,
-        as ``encode`` does, if the event fields differ in length, or at an
-        event outside the layer's pixels or channels.
+        Raises StreamError, with the memory unchanged, where
+        ``check_events`` refuses the events: at a value that is not a
+        64-bit integer, if the event fields differ in length, at a negative
+        first time or one earlier than the event before it within the
+        call, or at an event outside the layer's pixels or channels.
         """
         return _native.surfaces(_LIB, self, t, x, y, p)
 

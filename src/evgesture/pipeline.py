@@ -190,7 +190,11 @@ def load_pipeline(data: bytes) -> TrainedPipeline:
 
     for layer in network.layers:
         n, d = layer.bank_shape
-        layer.install(take(n * d, "<f8").reshape(n, d), take(n, "<u8").tolist())
+        bank, counts = take(n * d, "<f8").reshape(n, d), take(n, "<u8").tolist()
+        try:
+            layer.install(bank, counts)
+        except ValueError as e:
+            raise StreamError(f"model bank: {e}") from None
     labels = header["labels"]
     width = config.pooling.cells * network.out_channels
     signatures = take(len(labels) * width, "<f8").reshape(-1, width).astype(np.float64)

@@ -422,6 +422,28 @@ class TestScalarReference:
             assert set(gaps[gaps < DECAY_GAPS].tolist()) <= set(filled.tolist())
             assert f.decay[filled].tolist() == [math.exp(-int(dt) / tau) for dt in filled]
 
+    def test_decay_table_shared_per_tau(self):
+        # the table depends on tau alone: filters of one tau share one
+        # read-only array whatever their geometry and grid, a pass only
+        # reads it, and another tau gets another array
+        tau = 250.0
+        small = DbsFilter(SensorGeometry(9, 9, 2), DbsConfig(3, 3, tau, 0.5))
+        large = DbsFilter(SensorGeometry(40, 30, 2), DbsConfig(1, 7, tau, 2.0))
+        assert small.decay is large.decay and not small.decay.flags.writeable
+        before = small.decay.tobytes()
+        rng = np.random.default_rng(4)
+        n = 2000
+        stream = EventStream(np.cumsum(rng.integers(0, DECAY_GAPS + 50, n)),
+                             rng.integers(0, 9, n), rng.integers(0, 9, n), np.zeros(n),
+                             small.geometry)
+        filter_stream(small, stream)
+        large.process_block(stream.t, stream.x, stream.y)
+        assert small.decay.tobytes() == before
+        assert len(small.decay) == DECAY_GAPS
+        assert small.decay.tolist() == [math.exp(-dt / tau) for dt in range(DECAY_GAPS)]
+        other = DbsFilter(small.geometry, DbsConfig(3, 3, 2 * tau, 0.5)).decay
+        assert other is not small.decay and other[1] != small.decay[1]
+
     def test_composite_at_scale(self):
         stream = _composite(seed=23)
         for config in (DEFAULT_PARAMS, DbsConfig(1, 7, 2100.0, 1.5)):

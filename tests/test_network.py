@@ -460,6 +460,27 @@ class TestSerialization:
         except StreamError:
             pass
 
+    @pytest.mark.parametrize("count", [2**63, 2**64 - 1])
+    def test_count_past_int64_refused(self, saved, tmp_path, capsys, count):
+        # a count that the compiled pass cannot hold as an int64, in a file
+        # whose CRC agrees: refused by install, so by load and eval
+        trained, data, _, manifest = saved
+        layer = Layer(trained.network.layers[0].config, trained.network.geometry)
+        n, d = layer.bank_shape
+        with pytest.raises(ValueError, match=f"match count {count} of row 1 is outside"):
+            layer.install(np.zeros((n, d)), [1, count] + [1] * (n - 2))
+        with pytest.raises(ValueError, match="match count -1 of row 0"):
+            layer.install(np.zeros((n, d)), [-1] + [1] * (n - 1))
+        assert layer.learning and layer.match_counts == [] and not layer.bank.any()
+        at = 12 + int.from_bytes(data[8:12], "little") + 8 * n * d + 8
+        bad = with_crc(data[:at] + count.to_bytes(8, "little") + data[at + 8:])
+        with pytest.raises(StreamError, match=f"model bank: match count {count} of row 1"):
+            load_pipeline(bad)
+        path = tmp_path / "model.bin"
+        path.write_bytes(bad)
+        assert cli.main(["eval", manifest, str(path)]) == 2
+        assert "is outside [0, 2**63)" in capsys.readouterr().err
+
     def test_cli_eval_exits_2(self, saved, tmp_path, capsys, monkeypatch):
         _, data, _, manifest = saved
         parser = cli.build_parser()  # built once: it is most of a call's cost
@@ -877,7 +898,7 @@ class TestCompiledLayer:
         layer.block_surfaces(*(np.array([v]) for v in (10, 4, 4, 1)))
         before = layer.memory.copy()
         t, x, y, p = (np.array(v) for v in zip((20, 5, 5, 0), (30, *bad)))
-        with pytest.raises(StreamError, match="event 1 at pixel .* outside the layer's 8x8"):
+        with pytest.raises(StreamError, match=r"[xyp]=-?\d+ out of bounds \[0, [28]\) at index 1"):
             layer.block_surfaces(t, x, y, p)
         assert np.array_equal(layer.memory, before)
 
