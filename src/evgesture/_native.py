@@ -200,12 +200,16 @@ def run(lib: ctypes.CDLL, filt, layers, t=None, x=None, y=None, p=None, rows=Non
 
 def surfaces(lib: ctypes.CDLL, layer, t, x, y, p) -> np.ndarray:
     """``evg_surfaces``: the surfaces of the events ``(t, x, y, p)`` in
-    ``layer``'s memory, one row each, recording each event first; raises
-    StreamError, with the memory unchanged, where ``check_events``
-    refuses the events on the layer's pixels and channels."""
-    check_events(t, x, y, p, layer.geometry)  # before the casts, which could wrap values
+    ``layer``'s memory, one row each, recording each event first, and the
+    last event's time as the layer's ``since``; raises StreamError, with
+    the memory unchanged, where ``check_events`` refuses the events on the
+    layer's pixels and channels and behind its ``since``."""
+    # before the casts, which could wrap values
+    check_events(t, x, y, p, layer.geometry, layer.since)
     t, x, y, p = events = [np.ascontiguousarray(v, dtype=np.int64) for v in (t, x, y, p)]
     record, _ = _layer_record(layer)
     out = np.empty((len(t), record.d))
     lib.evg_surfaces(record, *map(_data, events), len(t), _data(out))
+    if len(t):
+        layer.since = int(t[-1])
     return out

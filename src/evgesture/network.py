@@ -44,6 +44,7 @@ are the same bit for bit whatever BLAS kernel numpy loads.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -183,6 +184,17 @@ class Layer:
         self.memory.fill(-np.inf)
         self.since = 0
 
+    def replica(self) -> Layer:
+        """A layer over this one's bank, shared by reference, with its own
+        per-stream state: a memory of its own, allocated on first use,
+        copies of the count and tick lists, and ``tick`` from 0."""
+        twin = copy.copy(self)
+        twin.__dict__.pop("memory", None)
+        twin.match_counts, twin.last_match_tick = list(self.match_counts), \
+            list(self.last_match_tick)
+        twin.tick = 0
+        return twin
+
     def freeze(self) -> None:
         if not self.bank_full:
             raise UndertrainedLayerError(
@@ -261,15 +273,17 @@ class Layer:
     def block_surfaces(self, t, x, y, p) -> np.ndarray:
         """Flattened time-surfaces of consecutive events, one row each,
         equal bit for bit to ``surfaces.extract`` after ``record``; the
-        timestamp memory is updated to include them.
+        timestamp memory is updated to include them, and ``since`` to the
+        last one's time.
 
         One compiled loop, ``evg_surfaces``, records each event in the
         memory and then reads its field, with the reader of ``evg_pass``.
         Raises StreamError, with the memory unchanged, where
         ``check_events`` refuses the events: at a value that is not a
         64-bit integer, if the event fields differ in length, at a negative
-        first time or one earlier than the event before it within the
-        call, or at an event outside the layer's pixels or channels.
+        first time or one earlier than the event before it or than the
+        memory's latest, or at an event outside the layer's pixels or
+        channels.
         """
         return _native.surfaces(_LIB, self, t, x, y, p)
 
@@ -299,6 +313,14 @@ class Network:
     def reset_memories(self) -> None:
         for layer in self.layers:
             layer.reset_memory()
+
+    def replica(self) -> Network:
+        """A network of ``Layer.replica``s: the same banks, per-stream
+        state of its own. A frozen network and its replicas only read the
+        banks, so each can take a stream while the others take theirs."""
+        twin = copy.copy(self)
+        twin.layers = [layer.replica() for layer in self.layers]
+        return twin
 
     def forward_stream(self, stream: EventStream, learn_upto: int | None = None) -> EventStream:
         """Push a stream through the cascade; returns the end layer's output.

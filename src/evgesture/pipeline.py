@@ -9,13 +9,23 @@ each clip once, since every epoch and the signature pass read the same
 filtered stream. All stages are deterministic given their inputs and
 input ordering. No stage reads the config's ``seed``; it is there for
 callers that draw their own train/test split from it.
+
+Labelling, and training's filtering and signatures, use every core
+available to the process (``map_clips``): each clip runs on a fresh
+filter, reset memories and read-only banks, in one compiled call that
+releases the interpreter lock, so clips run on threads at once, each
+thread with its own replica of the network's per-stream state. Outputs
+are bit-identical to one clip after the other; only learning, in which
+every clip moves the banks, takes the clips in turn.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +66,61 @@ def build_network(config: PipelineConfig, geometry: SensorGeometry) -> Network:
     return Network(tuple(layer_configs), geometry, config.merge_polarity)
 
 
+def clip_workers(clips: int) -> int:
+    """The threads ``map_clips`` runs ``clips`` clips on: one per CPU
+    available to the process, at most one per clip, at least one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(clips, cpus))
+
+
+def map_clips(call, clips: list, network: Network | None = None) -> list:
+    """``[call(net, clip) for clip in clips]``, run on ``clip_workers``
+    threads of a pool made for this call. Each thread takes the next clip
+    in input order until none is left, with ``net`` its own: ``network``
+    or one of its replicas (``Network.replica``), or None. Raises what the
+    first clip in input order to fail raised, and ValueError if the
+    network is still learning: then every clip would move the banks the
+    others read.
+
+    Afterwards ``network`` is as the loop would leave it: the same banks
+    and lists, ``tick`` summed over every clip, and the last clip's
+    memories and ``since``, taken from the thread that ran it, which ran
+    no clip after it."""
+    workers = clip_workers(len(clips))
+    if network is None:
+        nets = [None] * workers
+    elif network.frozen:
+        nets = [network, *(network.replica() for _ in range(workers - 1))]
+    else:
+        raise ValueError("a learning network takes its clips in turn")
+    results, failed, last = [None] * len(clips), [], []
+    order = iter(range(len(clips)))  # next() is one call under the interpreter lock
+
+    def drain(net) -> None:
+        for i in order:
+            try:
+                results[i] = call(net, clips[i])
+            except Exception as e:  # raised below, if no earlier clip failed
+                failed.append((i, e))
+                return
+            if i == len(clips) - 1:
+                last.append(net)
+
+    with ThreadPoolExecutor(workers) as pool:
+        for done in [pool.submit(drain, net) for net in nets]:
+            done.result()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    if network is not None and last:
+        for i, layer in enumerate(network.layers):
+            layer.tick += sum(net.layers[i].tick for net in nets[1:])
+            layer.memory, layer.since = last[0].layers[i].memory, last[0].layers[i].since
+    return results
+
+
 def suppress_background(config: PipelineConfig, stream: EventStream):
     """Apply DBS if configured; returns (stream, RetentionStats or None)."""
     if config.dbs is None:
@@ -93,7 +158,7 @@ def train_pipeline(config: PipelineConfig, clips: list[ClipRecord]) -> TrainedPi
     if not clips:
         raise ValueError("no training clips")
     network = build_network(config, clips[0].stream.geometry)
-    filtered = [suppress_background(config, c.stream)[0] for c in clips]
+    filtered = map_clips(lambda _, clip: suppress_background(config, clip.stream)[0], clips)
     events = config.epochs * sum(len(s) for s in filtered)  # one surface each at most
     for i, spec in enumerate(config.layers, start=1):
         if spec.n > events:  # the bank could never fill: fail before sizing it
@@ -101,8 +166,8 @@ def train_pipeline(config: PipelineConfig, clips: list[ClipRecord]) -> TrainedPi
                                              f"see at most {events} events")
     net.train(network, filtered, epochs=config.epochs, mode=config.training_mode)
     model = TrainedModel(
-        signatures=np.stack([stream_signature(config, network, s).values
-                             for s in filtered]),
+        signatures=np.stack(map_clips(
+            lambda own, s: stream_signature(config, own, s).values, filtered, network)),
         labels=[c.label for c in clips],
         k=min(config.k, len(clips)),
     )
@@ -124,10 +189,24 @@ _HEADER_INTS = {name: int(np.iinfo(_HEADER_DTYPE[name]).max)
                 for name in _HEADER_DTYPE.names} | {"k": float("inf")}
 
 
+def _check_signatures(signatures: np.ndarray) -> None:
+    """Raise ValueError at the first signature value outside [0, 1], NaN
+    included: an L1-normalised ``normalize`` output has none, and k-NN's
+    squared differences of values in [0, 1] cannot overflow."""
+    off = np.flatnonzero(~((signatures >= 0) & (signatures <= 1)))
+    if len(off):
+        row, col = divmod(int(off[0]), signatures.shape[1])
+        raise ValueError(f"signature value {signatures[row, col]} at row {row}, "
+                         f"bin {col} is outside [0, 1]")
+
+
 def save_pipeline(trained: TrainedPipeline) -> bytes:
+    """The model file of a frozen pipeline; raises ValueError on a network
+    still learning or a signature value ``load_pipeline`` would refuse."""
     network, model = trained.network, trained.model
     if not network.frozen:
         raise ValueError("only frozen networks are saved")
+    _check_signatures(model.signatures)
     g = network.geometry
     header = json.dumps({
         "config": format_kv(config_echo(trained.config)),
@@ -162,7 +241,7 @@ def _read_header(raw: bytes) -> dict:
 
 def load_pipeline(data: bytes) -> TrainedPipeline:
     """Read a ``save_pipeline`` file; raises StreamError on any byte
-    string that is not one."""
+    string that is not one, a signature value outside [0, 1] included."""
     if data[:4] != _MAGIC:
         raise StreamError("bad magic: not a model file")
     if len(data) < 12:
@@ -200,6 +279,10 @@ def load_pipeline(data: bytes) -> TrainedPipeline:
     signatures = take(len(labels) * width, "<f8").reshape(-1, width).astype(np.float64)
     if offset != len(data):
         raise StreamError(f"{len(data) - offset} trailing bytes after the model")
+    try:
+        _check_signatures(signatures)
+    except ValueError as e:
+        raise StreamError(f"model {e}") from None
     return TrainedPipeline(config=config, network=network,
                            model=TrainedModel(signatures, labels, header["k"]))
 
@@ -242,14 +325,14 @@ def evaluate_pipeline(pipeline: TrainedPipeline,
         raise ValueError("no evaluation clips")
     start = time.perf_counter()
     config = pipeline.config
-    signatures = []
+    labelled = map_clips(lambda own, clip: clip_signature(config, own, clip.stream, config.dbs),
+                         clips, pipeline.network)
     retained: dict[str, list[float]] = {}
-    for clip in clips:
-        signature, kept = clip_signature(config, pipeline.network, clip.stream, config.dbs)
+    for clip, (_, kept) in zip(clips, labelled):
         if config.dbs is not None:  # kept / total, and 0.0 for an empty clip
             retained.setdefault(clip.label, []).append(kept / max(len(clip.stream), 1))
-        signatures.append(signature)
-    result = classify.evaluate(pipeline.model, signatures, [c.label for c in clips])
+    result = classify.evaluate(pipeline.model, [signature for signature, _ in labelled],
+                               [c.label for c in clips])
     return RunReport(
         **vars(result),
         retention_per_class={l: float(np.mean(v)) for l, v in retained.items()},

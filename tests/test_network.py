@@ -4,14 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import warnings
 import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evgesture import _native, cli, network
-from evgesture.classify import PoolingConfig, accumulate, knn_classify
+from evgesture import _native, cli, network, pipeline as pl
+from evgesture.classify import PoolingConfig, TrainedModel, accumulate, knn_classify
 from evgesture.config import LayerSpec, PipelineConfig, parse_config
 from evgesture.dbs import DbsConfig, DbsFilter, filter_stream
 from evgesture.events import (
@@ -25,8 +27,8 @@ from evgesture.oracles import (
     _LayerReference, learn_bruteforce, pipeline_bruteforce, surfaces_bruteforce,
 )
 from evgesture.pipeline import (
-    TrainedPipeline, build_network, evaluate_pipeline, load_pipeline,
-    save_pipeline, stream_signature, suppress_background, train_pipeline,
+    TrainedPipeline, build_network, clip_workers, evaluate_pipeline, load_pipeline,
+    map_clips, save_pipeline, stream_signature, suppress_background, train_pipeline,
 )
 from evgesture.surfaces import TimestampMemory, extract, is_valid
 from evgesture.synth import SWIPE_RATE_HZ, CompositeSpec, gen_composite, gen_gesture_set
@@ -481,6 +483,29 @@ class TestSerialization:
         assert cli.main(["eval", manifest, str(path)]) == 2
         assert "is outside [0, 2**63)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [1e200, -1e-300, 1.0000000000000002, np.inf, np.nan])
+    def test_signature_outside_unit_refused(self, saved, tmp_path, capsys, value):
+        # a signature value that normalize cannot produce, in a file whose
+        # CRC agrees: 1e200 made k-NN's squared differences overflow
+        trained, data, _, manifest = saved
+        rows, width = trained.model.signatures.shape
+        at = len(data) - 8 * rows * width + 8 * (width + 2)  # row 1, bin 2
+        bad = with_crc(data[:at] + np.array([value], dtype="<f8").tobytes() + data[at + 8:])
+        with pytest.raises(StreamError, match=r"model signature value .* at row 1, bin 2 is "
+                                              r"outside \[0, 1\]"):
+            load_pipeline(bad)
+        signatures = trained.model.signatures.copy()
+        signatures[1, 2] = value
+        model = TrainedModel(signatures, trained.model.labels, trained.model.k)
+        with pytest.raises(ValueError, match=r"at row 1, bin 2 is outside \[0, 1\]"):
+            save_pipeline(TrainedPipeline(trained.config, trained.network, model))
+        path = tmp_path / "model.bin"
+        path.write_bytes(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["eval", manifest, str(path)]) == 2
+        assert "is outside [0, 1]" in capsys.readouterr().err
+
     def test_cli_eval_exits_2(self, saved, tmp_path, capsys, monkeypatch):
         _, data, _, manifest = saved
         parser = cli.build_parser()  # built once: it is most of a call's cost
@@ -901,6 +926,22 @@ class TestCompiledLayer:
         with pytest.raises(StreamError, match=r"[xyp]=-?\d+ out of bounds \[0, [28]\) at index 1"):
             layer.block_surfaces(t, x, y, p)
         assert np.array_equal(layer.memory, before)
+
+    def test_block_surfaces_keeps_since(self):
+        # a later call behind the memory's latest time is refused, as by
+        # encode: it would read an age below -tau, a value above 1
+        layer = Layer(LayerConfig(n_prototypes=2, radius=1, tau_us=100.0, in_channels=1),
+                      SensorGeometry(8, 8, 1))
+        layer.block_surfaces((1000,), (4,), (4,), (0,))
+        assert layer.since == 1000
+        before = layer.memory.copy()
+        with pytest.raises(StreamError, match=r"time regression: 10 < 1000 at index 0$"):
+            layer.block_surfaces((10,), (4,), (5,), (0,))
+        assert np.array_equal(layer.memory, before) and layer.since == 1000
+        with pytest.raises(StreamError, match=r"time regression: 10 < 1000 at index 0$"):
+            layer.encode((10,), (4,), (5,), (0,))
+        rows = layer.block_surfaces((1050, 1060), (4, 4), (5, 4), (0, 0))
+        assert layer.since == 1060 and rows.max() <= 1.0
 
     def test_block_surfaces_rejects_unequal_lengths(self):
         layer = Layer(LayerConfig(n_prototypes=2, radius=1, tau_us=100.0, in_channels=1),
@@ -1793,3 +1834,143 @@ class TestPipelineOracle:
                 assert signature.values.tobytes() == values.tobytes()
                 if decided(model, values):
                     assert knn_classify(pipeline.model, signature)[0] == label
+
+
+def serial_loop(call, clips, network=None):
+    """The loop that ``map_clips`` replaces: each clip in turn on the
+    caller's network."""
+    return [call(network, clip) for clip in clips]
+
+
+MAP_CONFIGS = {
+    "dbs-2l": MODEL_CONFIG,
+    "dbs-1l": "dbs.enabled = true\nlayers.1.n = 4\nlayers.1.r = 2\nlayers.1.tau_us = 20000\n"
+              "pooling.grid = 3x3\n",
+    "2l": MODEL_CONFIG.replace("dbs.enabled = true", "dbs.enabled = false"),
+    "1l": "layers.1.n = 6\nlayers.1.r = 1\nlayers.1.tau_us = 50000\nknn.k = 1\n",
+}
+WORKERS = {"one": lambda n: 1, "two": lambda n: 2, "more-than-clips": lambda n: n + 3}
+
+
+@pytest.fixture(scope="module")
+def map_clips_set():
+    """Training and test swipes of unequal lengths, and a clip of another
+    array size, for the clip map."""
+    geometry = SensorGeometry(32, 32, 2)
+    clips = gen_gesture_set(geometry, 2, 29)
+    other = gen_gesture_set(SensorGeometry(24, 32, 2), 1, 30)[0]
+    return clips[::2], clips[1::2], other
+
+
+def run_both(config, train, test):
+    """The trained pipeline, the ``eval`` report without its wall clock,
+    and every layer's state after each of the two calls."""
+    trained = train_pipeline(config, train)
+    trained_state = stage_state(None, trained.network.layers)
+    pairs = evaluate_pipeline(trained, test).to_pairs()
+    pairs.pop("wall_clock_s")
+    return trained, trained_state, pairs, stage_state(None, trained.network.layers)
+
+
+class TestClipMap:
+    """``map_clips``: training and labelling on every core give the
+    outputs and the network state of the loop over the clips, whatever
+    the number of threads."""
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("name", MAP_CONFIGS)
+    def test_equals_serial_loop(self, map_clips_set, monkeypatch, name, workers):
+        train, test, _ = map_clips_set
+        config = parse_config(MAP_CONFIGS[name])
+        monkeypatch.setattr(pl, "map_clips", serial_loop)
+        ref, ref_trained, ref_pairs, ref_labelled = run_both(config, train, test)
+        monkeypatch.setattr(pl, "map_clips", map_clips)
+        monkeypatch.setattr(pl, "clip_workers", WORKERS[workers])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            got, got_trained, got_pairs, got_labelled = run_both(config, train, test)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.model.signatures.tobytes() == ref.model.signatures.tobytes()
+        assert got_trained == ref_trained
+        assert got_pairs == ref_pairs
+        assert got_labelled == ref_labelled
+        assert ref_labelled != ref_trained  # labelling moved tick, memory and since
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_each_clip_once_in_order(self, monkeypatch, workers):
+        monkeypatch.setattr(pl, "clip_workers", WORKERS[workers])
+        seen = []
+        assert map_clips(lambda net, clip: seen.append(clip) or clip * 2, list(range(40))) == \
+            list(range(0, 80, 2))
+        assert sorted(seen) == list(range(40))
+        assert map_clips(lambda net, clip: clip, []) == []
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_first_failing_clip_raises(self, map_clips_set, monkeypatch, workers):
+        train, test, other = map_clips_set
+        trained = train_pipeline(parse_config(MAP_CONFIGS["dbs-2l"]), train)
+        far = ClipRecord("far", "up", "s0", EventStream(
+            np.array([0]), np.array([0]), np.array([0]), np.array([0]),
+            SensorGeometry(40, 40, 2)))
+        clips = [test[0], other, test[1], far, test[2]]  # index 1 of 5, then index 3
+        monkeypatch.setattr(pl, "map_clips", serial_loop)
+        with pytest.raises(StreamError) as expected:
+            evaluate_pipeline(trained, clips)
+        assert str(expected.value) == "stream is 24x32, the network takes 32x32"
+        monkeypatch.setattr(pl, "map_clips", map_clips)
+        monkeypatch.setattr(pl, "clip_workers", WORKERS[workers])
+        threads = threading.active_count()
+        for _ in range(5):
+            with pytest.raises(StreamError) as got:
+                evaluate_pipeline(trained, clips)
+            assert type(got.value) is type(expected.value)
+            assert str(got.value) == str(expected.value)
+        assert threading.active_count() == threads
+
+    def test_cli_eval_exits_2(self, saved, map_clips_set, tmp_path, capsys):
+        _, data, clips, _ = saved
+        other = map_clips_set[2]
+        (tmp_path / "model.bin").write_bytes(data)
+        lines = []
+        for i, clip in enumerate([clips[0], other, *clips[1:4]]):
+            (tmp_path / f"{i}.evs").write_bytes(write_binary_events(clip.stream))
+            lines.append(f"{i}.evs\t{clip.label}\ts0\n")
+        (tmp_path / "manifest.tsv").write_text("".join(lines))
+        assert cli.main(["eval", str(tmp_path / "manifest.tsv"),
+                         str(tmp_path / "model.bin")]) == 2
+        assert "stream is 24x32, the network takes 32x32" in capsys.readouterr().err
+
+    def test_no_thread_left(self, map_clips_set, monkeypatch):
+        train, test, _ = map_clips_set
+        monkeypatch.setattr(pl, "clip_workers", WORKERS["more-than-clips"])
+        threads = threading.active_count()
+        trained = train_pipeline(parse_config(MAP_CONFIGS["dbs-2l"]), train)
+        evaluate_pipeline(trained, test)
+        assert threading.active_count() == threads
+
+    def test_learning_network_refused(self, map_clips_set):
+        train = map_clips_set[0]
+        fresh = build_network(parse_config(MAP_CONFIGS["1l"]), train[0].stream.geometry)
+        with pytest.raises(ValueError, match="learning network"):
+            map_clips(lambda net, clip: None, train, fresh)
+
+    def test_replica_shares_banks_only(self, saved):
+        network = saved[0].network
+        twin = network.replica()
+        for layer, copy in zip(network.layers, twin.layers, strict=True):
+            assert copy.bank is layer.bank and copy.config is layer.config
+            assert copy.memory is not layer.memory and copy.tick == 0
+            assert copy.match_counts == layer.match_counts
+            assert copy.match_counts is not layer.match_counts
+            assert copy.last_match_tick is not layer.last_match_tick
+
+    def test_worker_count(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0))
+        assert [clip_workers(n) for n in (0, 1, cpus, cpus + 5)] == [1, 1, cpus, cpus]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert [clip_workers(n) for n in (2, 9)] == [2, 3]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert clip_workers(9) == 1
