@@ -91,7 +91,7 @@ def cmd_bench(args) -> int:
     bench = pl.benchmark(trained, clips, runs=args.runs)
     sys.stdout.write(format_kv(bench.to_pairs()))
     print(f"# median of {bench.runs} runs, spread = max-min throughput; "
-          "one Python thread, BLAS threads as the environment sets them")
+          "one stream at a time on one thread")
     return EXIT_OK
 
 

@@ -14,9 +14,11 @@ Labelling, and training's filtering and signatures, use every core
 available to the process (``map_clips``): each clip runs on a fresh
 filter, reset memories and read-only banks, in one compiled call that
 releases the interpreter lock, so clips run on threads at once, each
-thread with its own replica of the network's per-stream state. Outputs
-are bit-identical to one clip after the other; only learning, in which
-every clip moves the banks, takes the clips in turn.
+thread on its own replica of the network's per-stream state. A map only
+reads the caller's network, so one trained pipeline may label from
+several threads at once. Outputs are bit-identical to taking one clip
+after another; only learning, in which every clip moves the banks, takes
+the clips in turn.
 """
 
 from __future__ import annotations
@@ -79,24 +81,17 @@ def clip_workers(clips: int) -> int:
 def map_clips(call, clips: list, network: Network | None = None) -> list:
     """``[call(net, clip) for clip in clips]``, run on ``clip_workers``
     threads of a pool made for this call. Each thread takes the next clip
-    in input order until none is left, with ``net`` its own: ``network``
-    or one of its replicas (``Network.replica``), or None. Raises what the
-    first clip in input order to fail raised, and ValueError if the
-    network is still learning: then every clip would move the banks the
-    others read.
+    in input order until none is left, with ``net`` its own replica of
+    ``network`` (``Network.replica``), or None. Raises what the first
+    clip in input order to fail raised, and ValueError if the network is
+    still learning: then every clip would move the banks the others read.
 
-    Afterwards ``network`` is as the loop would leave it: the same banks
-    and lists, ``tick`` summed over every clip, and the last clip's
-    memories and ``since``, taken from the thread that ran it, which ran
-    no clip after it."""
-    workers = clip_workers(len(clips))
-    if network is None:
-        nets = [None] * workers
-    elif network.frozen:
-        nets = [network, *(network.replica() for _ in range(workers - 1))]
-    else:
+    The map only reads ``network``, so several maps may share it at once,
+    and each result is bit-identical to taking the clips one after the
+    other."""
+    if network is not None and not network.frozen:
         raise ValueError("a learning network takes its clips in turn")
-    results, failed, last = [None] * len(clips), [], []
+    results, failed = [None] * len(clips), []
     order = iter(range(len(clips)))  # next() is one call under the interpreter lock
 
     def drain(net) -> None:
@@ -106,18 +101,13 @@ def map_clips(call, clips: list, network: Network | None = None) -> list:
             except Exception as e:  # raised below, if no earlier clip failed
                 failed.append((i, e))
                 return
-            if i == len(clips) - 1:
-                last.append(net)
 
+    workers = clip_workers(len(clips))
     with ThreadPoolExecutor(workers) as pool:
-        for done in [pool.submit(drain, net) for net in nets]:
+        for done in [pool.submit(drain, network and network.replica()) for _ in range(workers)]:
             done.result()
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
-    if network is not None and last:
-        for i, layer in enumerate(network.layers):
-            layer.tick += sum(net.layers[i].tick for net in nets[1:])
-            layer.memory, layer.since = last[0].layers[i].memory, last[0].layers[i].since
     return results
 
 
@@ -158,7 +148,8 @@ def train_pipeline(config: PipelineConfig, clips: list[ClipRecord]) -> TrainedPi
     if not clips:
         raise ValueError("no training clips")
     network = build_network(config, clips[0].stream.geometry)
-    filtered = map_clips(lambda _, clip: suppress_background(config, clip.stream)[0], clips)
+    filtered = [c.stream for c in clips] if config.dbs is None else map_clips(
+        lambda _, clip: suppress_background(config, clip.stream)[0], clips)
     events = config.epochs * sum(len(s) for s in filtered)  # one surface each at most
     for i, spec in enumerate(config.layers, start=1):
         if spec.n > events:  # the bank could never fill: fail before sizing it

@@ -58,6 +58,29 @@ class TestSummarizeMetric:
         s = ab.summarize_metric([2.0], [3.0], "higher", 0.25)
         assert not s["parent_drift"] and s["parent_iqr"] == 0.0 and s["gain_clear"]
 
+    def test_pairs_left_out_count_as_not_won(self):
+        parent, change = [1.0] * 9, [2.0] * 9
+        assert ab.summarize_metric(parent, change, "higher", 0.25)["gain_clear"]
+        s = ab.summarize_metric(parent, change, "higher", 0.25, pairs_run=11)
+        assert s["change_wins"] == "9/9" and not s["gain_clear"]  # 9 of 11 run
+        assert ab.summarize_metric(parent, change, "higher", 0.25, pairs_run=10)["gain_clear"]
+
+    def test_spread_past_the_bound_unresolved(self):
+        # setup_s spread wider than its bound: quartiles 0.216-0.279 s
+        parent = [0.216, 0.216, 0.240, 0.279, 0.314]
+        s = ab.summarize_metric(parent, [0.22, 0.23, 0.25, 0.26, 0.326], "lower", 0.25)
+        assert s["parent_iqr"] == pytest.approx(0.063) and s["within_bound"]
+        assert s["unresolved"]
+        s = ab.summarize_metric(parent, [0.20, 0.21, 0.19, 0.20, 0.21], "lower", 0.25)
+        assert not s["unresolved"]  # every change run beats every parent run
+        s = ab.summarize_metric(parent, [0.20, 0.30, 0.19, 0.20, 0.21], "lower", 0.25)
+        assert s["unresolved"]  # one change run reads worse than a parent run
+        s = ab.summarize_metric(parent, [0.20, 0.21, 0.19, 0.20, 0.21], "lower", 0.30)
+        assert not s["unresolved"]  # 0.063 is within 0.30 x 0.240
+        s = ab.summarize_metric([10.0, 11.0, 12.0, 13.0], [9.0, 12.0, 11.0, 14.0],
+                                "higher", 0.25)
+        assert not s["unresolved"]  # 1.5 is within 0.25 x 11.5
+
     def test_direction_named(self):
         with pytest.raises(ValueError, match="better"):
             ab.summarize_metric([1.0], [1.0], "faster", 0.25)
@@ -80,6 +103,15 @@ class TestSummarizeSeries:
         assert infer["parent"]["median"] == 105.0 and infer["change"]["median"] == 155.0
         assert infer["change_wins"] == "2/2"
         assert s["end_to_end"]["setup_s"]["change_wins"] == "1/2"
+
+    def test_gain_clear_when_every_pair_completes(self):
+        runs = {str(i): {"parent": result(0.2, 100.0 + i), "change": result(0.2, 150.0 + i)}
+                for i in range(8)}
+        infer = ab.summarize_series(runs, END_TO_END)["end_to_end"]["infer_ev_s"]
+        assert infer["change_wins"] == "8/8" and infer["gain_clear"]
+        runs["8"] = {"parent": result(0.2, 100.0), "change": result(0.2, 150.0, exit=1)}
+        infer = ab.summarize_series(runs, END_TO_END)["end_to_end"]["infer_ev_s"]
+        assert infer["change_wins"] == "8/8" and not infer["gain_clear"]  # 8 of 9 run
 
     def test_no_complete_pair(self):
         runs = {"1": {"parent": result(0.2, 1.0), "change": result(0.2, 1.0, exit=2)}}

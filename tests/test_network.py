@@ -7,6 +7,7 @@ import sys
 import threading
 import warnings
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -1837,9 +1838,10 @@ class TestPipelineOracle:
 
 
 def serial_loop(call, clips, network=None):
-    """The loop that ``map_clips`` replaces: each clip in turn on the
-    caller's network."""
-    return [call(network, clip) for clip in clips]
+    """The loop that ``map_clips`` replaces: each clip in turn on one
+    replica of the caller's network, which the loop only reads."""
+    net = network and network.replica()
+    return [call(net, clip) for clip in clips]
 
 
 MAP_CONFIGS = {
@@ -1872,6 +1874,41 @@ def run_both(config, train, test):
     return trained, trained_state, pairs, stage_state(None, trained.network.layers)
 
 
+def shared_pipeline_reports(threads: int = 3, calls: int = 10) -> dict:
+    """Label the test swipes of ``map_clips_set`` with ``calls``
+    ``evaluate_pipeline`` calls on each of ``threads`` threads at once, all
+    on one pipeline trained on its training swipes. Returns one call's
+    report alone, each thread's reports (an exception's type and message
+    where one ended it), and whether every layer's state after the
+    threads equals its state before any call; reports lack the wall
+    clock."""
+    clips = gen_gesture_set(SensorGeometry(32, 32, 2), 2, 29)
+    trained = train_pipeline(parse_config(MAP_CONFIGS["dbs-2l"]), clips[::2])
+    before = stage_state(None, trained.network.layers)
+
+    def report() -> dict:
+        pairs = evaluate_pipeline(trained, clips[1::2]).to_pairs()
+        pairs.pop("wall_clock_s")
+        return pairs
+
+    def label(got: list) -> None:
+        try:
+            for _ in range(calls):
+                got.append(report())
+        except Exception as e:
+            got.append(f"{type(e).__name__}: {e}")
+
+    single = report()
+    reports = [[] for _ in range(threads)]
+    workers = [threading.Thread(target=label, args=(got,)) for got in reports]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    return {"single": single, "reports": reports,
+            "state_kept": stage_state(None, trained.network.layers) == before}
+
+
 class TestClipMap:
     """``map_clips``: training and labelling on every core give the
     outputs and the network state of the loop over the clips, whatever
@@ -1896,7 +1933,7 @@ class TestClipMap:
         assert got_trained == ref_trained
         assert got_pairs == ref_pairs
         assert got_labelled == ref_labelled
-        assert ref_labelled != ref_trained  # labelling moved tick, memory and since
+        assert got_labelled == got_trained
 
     @pytest.mark.parametrize("workers", WORKERS)
     def test_each_clip_once_in_order(self, monkeypatch, workers):
@@ -1949,6 +1986,33 @@ class TestClipMap:
         trained = train_pipeline(parse_config(MAP_CONFIGS["dbs-2l"]), train)
         evaluate_pipeline(trained, test)
         assert threading.active_count() == threads
+
+    def test_threads_share_one_pipeline(self):
+        # in a child process, so that a crash fails this test, not the run
+        code = ("import json, test_network as t\n"
+                "print(json.dumps(t.shared_pipeline_reports()))")
+        here = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([here, os.path.join(here, "..", "src")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=600)
+        assert done.returncode == 0, done.stderr[-2000:]
+        got = json.loads(done.stdout.splitlines()[-1])
+        assert got["reports"] == [[got["single"]] * 10] * 3
+        assert got["state_kept"]
+
+    @pytest.mark.parametrize("name, pools", [("2l", 1), ("dbs-2l", 2)])
+    def test_pools_per_training(self, map_clips_set, monkeypatch, name, pools):
+        # without DBS, training filters nothing, so it maps only the signatures
+        made = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pl, "ThreadPoolExecutor", Counted)
+        train_pipeline(parse_config(MAP_CONFIGS[name]), map_clips_set[0])
+        assert len(made) == pools
 
     def test_learning_network_refused(self, map_clips_set):
         train = map_clips_set[0]

@@ -17,6 +17,13 @@ for each end-to-end metric of the change's ``BENCHMARK.json``:
 - the pairs the change won, ties counting for neither side;
 - the gap between the medians in the better direction, against the
   parent's quartile distance;
+- ``gain_clear``: whether the change won at least nine tenths of all
+  pairs run, a pair with a failed run counting as not won, and the gap
+  exceeds the parent's quartile distance;
+- ``unresolved``: whether the parent's quartile distance exceeds the
+  bound times the parent's median, so that the runs cannot tell a
+  change within the bound from one past it, unless every run of the
+  change beats every run of the parent;
 - whether the change's median is worse than the parent's by more than
   the metric's bound;
 - ``parent_drift``: whether the medians of the first and second halves of
@@ -48,9 +55,10 @@ def quartiles(values) -> dict:
 
 
 def summarize_metric(parent: list[float], change: list[float], better: str,
-                     bound: float) -> dict:
+                     bound: float, pairs_run: int | None = None) -> dict:
     """The comparison of one metric over pairs: ``parent[i]`` and
-    ``change[i]`` are the two runs of pair i."""
+    ``change[i]`` are the two runs of pair i. ``pairs_run`` counts these
+    and the pairs left out for a failed run (default: none left out)."""
     if better not in ("higher", "lower"):
         raise ValueError(f"better must be 'higher' or 'lower', got {better!r}")
     sign = 1.0 if better == "higher" else -1.0
@@ -62,6 +70,7 @@ def summarize_metric(parent: list[float], change: list[float], better: str,
     gap = sign * (c["median"] - p["median"])
     drift = half > 0 and abs(float(np.median(parent[:half]))
                              - float(np.median(parent[half:]))) > iqr
+    apart = min(sign * b for b in change) > max(sign * a for a in parent)
     return {
         "better": better, "bound": bound, "parent": p, "change": c,
         "ratio_of_medians": c["median"] / p["median"],
@@ -69,10 +78,11 @@ def summarize_metric(parent: list[float], change: list[float], better: str,
         "min_pair_ratio": min(ratios), "max_pair_ratio": max(ratios),
         "change_wins": f"{wins}/{len(parent)}",
         "median_gap": gap, "parent_iqr": iqr,
-        "gain_clear": 10 * wins >= 9 * len(parent) and gap > iqr,
+        "gain_clear": 10 * wins >= 9 * (pairs_run or len(parent)) and gap > iqr,
         "change_worse_by_fraction_of_parent_median": -gap / p["median"],
         "within_bound": -gap <= bound * p["median"],
         "parent_drift": drift,
+        "unresolved": iqr > bound * p["median"] and not apart,
     }
 
 
@@ -99,7 +109,7 @@ def summarize_series(runs: dict, end_to_end: list[dict]) -> dict:
             values = {side: [pair[side]["metrics"][m["name"]]["value"] for pair in done]
                       for side in SIDES}
             summary["end_to_end"][m["name"]] = summarize_metric(
-                values["parent"], values["change"], m["better"], m["bound"])
+                values["parent"], values["change"], m["better"], m["bound"], len(runs))
     return summary
 
 
