@@ -23,15 +23,17 @@ config = PipelineConfig(
 )
 pipeline = train_pipeline(config, clips)
 
-# Each stage runs 5 times over the same clips; the report keeps the
-# median and the spread so a one-off scheduler hiccup does not skew it.
+# Each stage runs 5 times over the same clips, timed in the CPU time of
+# this one thread; the report keeps the best run and the spread, so
+# neither another process's load nor a one-off hiccup skews it.
 report = benchmark(pipeline, clips, runs=5)
 print(f"timed {report.total_events} events per run, {report.runs} runs")
 for stage in ("dbs", "layers", "full"):
     m = report.stages[stage]
     print(f"  {stage:>6}: {m['events_per_s']:>10.0f} ev/s over its "
           f"{int(m['events_in'])} input events, {int(m['events_out'])} out "
-          f"(median over runs, spread {m['spread']:.0f} ev/s)")
+          f"(best of {report.runs} runs, one thread's CPU time, "
+          f"spread {m['spread']:.0f} ev/s)")
 slowest = min(("dbs", "layers"), key=lambda s: report.stages[s]["events_per_s"])
 print(f"the full cascade is bounded by its slowest stage, here {slowest}; "
       "both take each clip's events in one compiled pass")

@@ -332,9 +332,10 @@ static int64_t read_surface(const struct layer *L, int64_t t, int64_t x, int64_t
 
 /* The time-surfaces of n consecutive events (network.Layer.block_surfaces),
    one row each, written to out; L's memory is updated to include them.
-   The one caller has checked the events against L's pixels and channels. */
-void evg_surfaces(const struct layer *L, const int64_t *t, const int64_t *x,
-                  const int64_t *y, const int64_t *p, int64_t n, double *out)
+   The events are in evg_pass's layout, and the one caller has checked
+   them against L's pixels and channels. */
+void evg_surfaces(const struct layer *L, const int64_t *t, const int32_t *x,
+                  const int32_t *y, const int32_t *p, int64_t n, double *out)
 {
     for (int64_t k = 0; k < n; k++)
         read_surface(L, t[k], x[k], y[k], p[k], out + k * L->d);

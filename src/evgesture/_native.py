@@ -12,11 +12,13 @@ mask, the end ids, and on request the kept events' ``t``, ``x`` and
 ``y``, compacted, or the end ids counted into pooled bins; each output
 array is cut to the length of its contents in place, so no select runs
 after the call and no raw-length buffer outlives it. ``surfaces`` calls
-``evg_surfaces``, which reads time-surfaces alone, of events that
-``check_events`` has checked, and ``evg_reduce`` is the one summation
-order. The pass checks the events' order and bounds itself; ``run``
-calls ``check_events`` first only on events that the cast to the stream
-layout could wrap, and after a refusal, to name it.
+``evg_surfaces``, which reads time-surfaces alone, of events in the
+stream layout that ``check_events`` has checked, and ``evg_reduce`` is
+the one summation order. A call holds every array its records point at,
+so rebinding a stage's arrays while it runs frees none of them. The pass
+checks the events' order and bounds itself; ``run`` calls
+``check_events`` first only on events that the cast to the stream layout
+could wrap, and after a refusal, to name it.
 
 The library is compiled on first import and kept in the package's
 ``__pycache__``, named by a hash of the source, the compiler and the
@@ -110,20 +112,21 @@ def _data(a: np.ndarray | None) -> int | None:
 
 
 def _layer_record(layer) -> tuple[Layer, list[np.ndarray]]:
-    """The record of a ``network.Layer``, and the arrays it points at
-    besides the layer's own: the int64 match counts over ticks, then the
-    scratch. The bank is made a writable C-order float64 array in place,
-    if it is not one already."""
+    """The record of a ``network.Layer``, and every array it points at, to
+    be held while a call reads the record, so that rebinding the layer's
+    bank or memory frees neither: the int64 match counts over ticks, the
+    scratch, the nonzero list, the bank and the memory. The bank is made
+    a writable C-order float64 array in place, if it is not one already."""
     bank = layer.bank = np.require(layer.bank, np.float64, "CW")
-    (n, d), filled = bank.shape, len(layer.match_counts)
+    memory, (n, d), filled = layer.memory, bank.shape, len(layer.match_counts)
     state = np.zeros((2, n), dtype=np.int64)
     state[:, :filled] = layer.match_counts, layer.last_match_tick
     scratch, nz = np.empty(n * (d + 2) + 2 * d), np.empty(d, dtype=np.int64)
     g, c = layer.geometry, layer.config
-    record = Layer(*map(_data, (bank, layer.memory, scratch, *state, nz)), n, d, filled,
+    record = Layer(*map(_data, (bank, memory, scratch, *state, nz)), n, d, filled,
                    layer.tick, layer.since, c.reinit_window, layer.learning, g.channels,
                    g.height, g.width, c.radius, c.tau_us)
-    return record, [state, scratch, nz]
+    return record, [state, scratch, nz, bank, memory]
 
 
 def _stream_layout(t, x, y, p) -> bool:
@@ -206,7 +209,8 @@ def surfaces(lib: ctypes.CDLL, layer, t, x, y, p) -> np.ndarray:
     layer's pixels and channels and behind its ``since``."""
     # before the casts, which could wrap values
     check_events(t, x, y, p, layer.geometry, layer.since)
-    t, x, y, p = events = [np.ascontiguousarray(v, dtype=np.int64) for v in (t, x, y, p)]
+    t, x, y, p = events = [np.ascontiguousarray(v, dtype=dtype)
+                           for v, dtype in zip((t, x, y, p), LAYOUT)]
     record, _ = _layer_record(layer)
     out = np.empty((len(t), record.d))
     lib.evg_surfaces(record, *map(_data, events), len(t), _data(out))

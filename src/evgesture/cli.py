@@ -90,8 +90,8 @@ def cmd_bench(args) -> int:
     trained = pl.train_pipeline(config, clips)
     bench = pl.benchmark(trained, clips, runs=args.runs)
     sys.stdout.write(format_kv(bench.to_pairs()))
-    print(f"# median of {bench.runs} runs, spread = max-min throughput; "
-          "one stream at a time on one thread")
+    print(f"# best of {bench.runs} runs, one thread's CPU time, spread = max-min "
+          "throughput; one stream at a time")
     return EXIT_OK
 
 

@@ -111,14 +111,6 @@ def map_clips(call, clips: list, network: Network | None = None) -> list:
     return results
 
 
-def suppress_background(config: PipelineConfig, stream: EventStream):
-    """Apply DBS if configured; returns (stream, RetentionStats or None)."""
-    if config.dbs is None:
-        return stream, None
-    filt = DbsFilter(stream.geometry, config.dbs)
-    return filter_stream(filt, stream)
-
-
 def clip_signature(config: PipelineConfig, network: Network, stream: EventStream,
                    dbs: DbsConfig | None) -> tuple[Signature, int]:
     """The normalised pooled signature of a stream taken through DBS by
@@ -149,7 +141,8 @@ def train_pipeline(config: PipelineConfig, clips: list[ClipRecord]) -> TrainedPi
         raise ValueError("no training clips")
     network = build_network(config, clips[0].stream.geometry)
     filtered = [c.stream for c in clips] if config.dbs is None else map_clips(
-        lambda _, clip: suppress_background(config, clip.stream)[0], clips)
+        lambda _, clip: filter_stream(DbsFilter(clip.stream.geometry, config.dbs),
+                                      clip.stream)[0], clips)
     events = config.epochs * sum(len(s) for s in filtered)  # one surface each at most
     for i, spec in enumerate(config.layers, start=1):
         if spec.n > events:  # the bank could never fill: fail before sizing it
@@ -334,6 +327,8 @@ def evaluate_pipeline(pipeline: TrainedPipeline,
 
 @dataclass
 class BenchReport:
+    """``benchmark``'s report: each stage's events in over the best of
+    ``runs`` runs, one thread's CPU time."""
     # stage -> {events_per_s, spread, events_in, events_out}
     stages: dict[str, dict[str, float]]
     total_events: int
@@ -352,20 +347,24 @@ class BenchReport:
 
 def benchmark(pipeline: TrainedPipeline, clips: list[ClipRecord],
               runs: int = 5) -> BenchReport:
-    """Median per-stage throughput over ``runs`` repeated runs.
+    """Per-stage throughput, best of ``runs`` runs, one thread's CPU time.
 
-    Stages: dbs (filter alone, ``DbsFilter.process_block``), layers
-    (cascade and signature on filtered events, ``stream_signature``),
-    full (filter, cascade and signature, ``clip_signature``). Each is one
-    call of the compiled pass per clip, and layers and full both count
-    the end layer's events into pooled bins inside it, so no stage builds
-    outputs that the others skip. Each stage's rate is over the events
-    that enter it: raw events for dbs and full, the DBS-kept events for
-    layers. Stages also report events in and out (the output of layers
-    and full is the end layer's events).
+    Stages: dbs (the filter alone, ``DbsFilter.process_block``), layers
+    (the cascade on the DBS-kept events, counted into pooled bins,
+    ``Network.pooled_counts`` without DBS) and full (filter and cascade,
+    ``pooled_counts`` with DBS). Each is one call of the compiled pass per
+    clip, and layers and full run on a replica of the pipeline's network
+    (``Network.replica``), so the benchmark only reads the trained
+    pipeline. Each stage's rate is over the events that enter it: raw
+    events for dbs and full, the DBS-kept events for layers. Its events
+    out are counted from its own calls' outputs, outside the timed
+    region: the dbs masks' kept events, and the end layer's events in the
+    pooled counts of layers and full.
 
-    Each run times every stage in turn, so a burst of load on a shared
-    machine slows one run of each stage rather than every run of one.
+    Each run times every stage in turn with ``time.thread_time``. The
+    calls, the compiled pass included, run on the caller's thread, so
+    another process's load moves a stage's time far less than it moves
+    the wall clock.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -374,32 +373,28 @@ def benchmark(pipeline: TrainedPipeline, clips: list[ClipRecord],
     total = sum(len(s) for s in streams)
     if total == 0:
         return BenchReport(stages={}, total_events=0, runs=0)
-    filtered = [suppress_background(config, s)[0] for s in streams]
-    kept = sum(len(s) for s in filtered)
-    network = pipeline.network
-    emitted = sum(len(network.forward_stream(s)) for s in filtered)
-    # each stage: its name, its inputs, one call per input, events in and out
-    plan = [("layers", filtered, lambda s: stream_signature(config, network, s),
-             kept, emitted),
-            ("full", streams, lambda s: clip_signature(config, network, s, config.dbs),
-             total, emitted)]
+    filtered = streams if config.dbs is None else [
+        filter_stream(DbsFilter(s.geometry, config.dbs), s)[0] for s in streams]
+    network = pipeline.network.replica()
+    # each stage: its name, its inputs, one call per input
+    plan = [("layers", filtered, lambda s: network.pooled_counts(s, None, config.pooling)[0]),
+            ("full", streams, lambda s: network.pooled_counts(s, config.dbs, config.pooling)[0])]
     if config.dbs is not None:
         plan.insert(0, ("dbs", streams, lambda s: DbsFilter(s.geometry, config.dbs)
-                        .process_block(s.t, s.x, s.y), total, kept))
-    times = {name: [] for name, *_ in plan}
+                        .process_block(s.t, s.x, s.y)))
+    times, outputs = {name: [] for name, *_ in plan}, {}
     for _ in range(runs):
-        for name, inputs, call, *_ in plan:
-            t0 = time.perf_counter()
-            for s in inputs:
-                call(s)
-            times[name].append(time.perf_counter() - t0)
+        for name, inputs, call in plan:
+            t0 = time.thread_time()
+            outputs[name] = [call(s) for s in inputs]
+            times[name].append(time.thread_time() - t0)
     stages = {}
-    for name, _, _, n_in, n_out in plan:
-        med = float(np.median(times[name]))
+    for name, inputs, _ in plan:
+        n_in, best, worst = sum(len(s) for s in inputs), min(times[name]), max(times[name])
         stages[name] = {
-            "events_per_s": n_in / med,
-            "spread": n_in / min(times[name]) - n_in / max(times[name]),
+            "events_per_s": n_in / best,
+            "spread": n_in / best - n_in / worst,
             "events_in": float(n_in),
-            "events_out": float(n_out),
+            "events_out": float(sum(out.sum() for out in outputs[name])),
         }
     return BenchReport(stages=stages, total_events=total, runs=runs)

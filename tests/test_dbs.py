@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evgesture.dbs import (
-    DECAY_GAPS, DbsConfig, DbsFilter, RetentionStats, filter_stream, update_activity,
+    DECAY_GAPS, DbsConfig, DbsFilter, RetentionStats, decay_table, filter_stream,
+    update_activity,
 )
 from evgesture.events import EventStream, SensorGeometry, StreamError, grid_cells, grid_tables
 from evgesture.oracles import dbs_decisions_eager, dbs_decisions_history, dbs_scalar
@@ -396,9 +397,9 @@ class TestScalarReference:
 
     @pytest.mark.parametrize("tau", [3.0, 0.5, 300.0, 5000.0])
     def test_decay_memo_edges(self, tau):
-        # gaps at the memo's first and last entries and either side of its
+        # gaps at the table's first and last entries and either side of its
         # end, runs of equal times, and gaps past 745 tau, where exp
-        # underflows to 0.0: inside the memo for tau 3.0 and 0.5, past it
+        # underflows to 0.0: inside the table for tau 3.0 and 0.5, past it
         # for the others. The pixels cycle over the cells, so each cell's
         # own gaps differ from the whole array's.
         geometry, config = SensorGeometry(9, 9, 2), DbsConfig(3, 3, tau, 0.5)
@@ -416,11 +417,10 @@ class TestScalarReference:
                 a, k = b, k + 1
             assert masks == ref_mask.tolist()
             assert _state(f) == ref_state
-            # the memo holds the unmemoised decay of every gap it was asked
-            # for, the whole array's gaps among them, and -1.0 elsewhere
-            filled = np.flatnonzero(f.decay != -1.0)
-            assert set(gaps[gaps < DECAY_GAPS].tolist()) <= set(filled.tolist())
-            assert f.decay[filled].tolist() == [math.exp(-int(dt) / tau) for dt in filled]
+            # the filter reads its tau's shared table, which holds the
+            # decay of every gap below DECAY_GAPS, the whole array's too
+            assert f.decay is decay_table(tau)
+            assert f.decay.tolist() == [math.exp(-dt / tau) for dt in range(DECAY_GAPS)]
 
     def test_decay_table_shared_per_tau(self):
         # the table depends on tau alone: filters of one tau share one

@@ -29,7 +29,7 @@ from evgesture.oracles import (
 )
 from evgesture.pipeline import (
     TrainedPipeline, build_network, clip_workers, evaluate_pipeline, load_pipeline,
-    map_clips, save_pipeline, stream_signature, suppress_background, train_pipeline,
+    map_clips, save_pipeline, stream_signature, train_pipeline,
 )
 from evgesture.surfaces import TimestampMemory, extract, is_valid
 from evgesture.synth import SWIPE_RATE_HZ, CompositeSpec, gen_composite, gen_gesture_set
@@ -1620,6 +1620,17 @@ class TestRecords:
             expected += [getattr(record, field).offset for field, _ in record._fields_]
         assert [int(v) for v in printed] == expected
 
+    def test_record_holds_every_array(self):
+        # the pass reads raw addresses, so a layer's bank or memory rebound
+        # while it runs must stay alive through the arrays the call holds
+        layer = Layer(LayerConfig(n_prototypes=3, radius=1, tau_us=1e4, in_channels=2), GEOM)
+        record, held = _native._layer_record(layer)
+        spans = [(a.ctypes.data, a.ctypes.data + a.nbytes) for a in held]
+        for name, kind in record._fields_:
+            if kind is ctypes.c_void_p:
+                address = getattr(record, name)
+                assert any(lo <= address < hi for lo, hi in spans), name
+
 
 class TestCompiledRule:
     """The compiled learning rule: its one summation order, and its build."""
@@ -1830,7 +1841,8 @@ class TestPipelineOracle:
         assert (trained.model.labels, trained.model.k) == (model.labels, model.k)
         for pipeline in (trained, load_pipeline(save_pipeline(trained))):
             for clip, values, label in zip(test, signatures, labels, strict=True):
-                filtered = suppress_background(config, clip.stream)[0]
+                filtered = clip.stream if config.dbs is None else filter_stream(
+                    DbsFilter(clip.stream.geometry, config.dbs), clip.stream)[0]
                 signature = stream_signature(config, pipeline.network, filtered)
                 assert signature.values.tobytes() == values.tobytes()
                 if decided(model, values):
@@ -2038,3 +2050,25 @@ class TestClipMap:
         assert [clip_workers(n) for n in (2, 9)] == [2, 3]
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert clip_workers(9) == 1
+
+
+class TestBenchmark:
+    """``benchmark`` counts each stage's events from its own calls and
+    only reads the trained pipeline."""
+
+    @pytest.mark.parametrize("name", ["dbs-2l", "2l"])
+    def test_only_reads_the_pipeline(self, map_clips_set, name):
+        train, test, _ = map_clips_set
+        config = parse_config(MAP_CONFIGS[name])
+        trained = train_pipeline(config, train)
+        before = stage_state(None, trained.network.layers)
+        report = pl.benchmark(trained, test, runs=2)
+        assert stage_state(None, trained.network.layers) == before
+        streams = [clip.stream for clip in test]
+        filtered = streams if config.dbs is None else [
+            filter_stream(DbsFilter(s.geometry, config.dbs), s)[0] for s in streams]
+        emitted = sum(len(trained.network.replica().forward_stream(s)) for s in filtered)
+        counts = {stage: (m["events_in"], m["events_out"]) for stage, m in report.stages.items()}
+        total, kept = sum(map(len, streams)), sum(map(len, filtered))
+        assert counts == {"layers": (kept, emitted), "full": (total, emitted)} | (
+            {} if config.dbs is None else {"dbs": (total, kept)})
