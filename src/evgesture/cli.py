@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import pipeline as pl
@@ -101,9 +102,10 @@ def cmd_synth(args) -> int:
                               args.seed, args.classes)
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest_lines = []
-    for k, (record, tags) in enumerate(clips):
-        name = f"{record.label}_{k % args.clips_per_class:03d}.evs"
+    manifest_lines, made = [], Counter()  # made: each label's clips written so far
+    for record, tags in clips:
+        name = f"{record.label}_{made[record.label]:03d}.evs"
+        made[record.label] += 1
         (out / name).write_bytes(write_binary_events(record.stream))
         (out / (name + ".tags")).write_text("".join(tag + "\n" for tag in tags))
         manifest_lines.append(f"{name}\t{record.label}\t{record.subject}")

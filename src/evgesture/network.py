@@ -144,7 +144,10 @@ class Layer:
     or a match against the bank (frozen); ``forward_event`` and
     ``process_surface`` are its one-event and one-surface calls.
     ``memory`` is per-stream state and must be reset between clips; the
-    prototype bank persists. Building a layer sizes nothing by its config.
+    prototype bank persists. ``encode`` writes the layer it is called on,
+    its memory, ``since`` and ticks, so one layer takes one stream at a
+    time; ``Network`` gives each pass of a frozen network a ``replica``.
+    Building a layer sizes nothing by its config.
     """
 
     def __init__(self, config: LayerConfig, geometry: SensorGeometry):
@@ -175,21 +178,25 @@ class Layer:
     def memory(self) -> np.ndarray:
         """The latest timestamp of every (channel, y, x), -inf where nothing
         fired, inside an R-wide -inf border so that every receptive field
-        lies within the array. Allocated on first use, then reused."""
+        lies within the array. Allocated on first use, and again on the
+        first use after ``reset_memory``."""
         R = self.config.radius
         g = self.geometry
         return np.full((g.channels, g.height + 2 * R, g.width + 2 * R), -np.inf)
 
     def reset_memory(self) -> None:
-        self.memory.fill(-np.inf)
+        """Start a fresh stream: drop the memory, which is allocated again
+        at -inf on next use, and take ``since`` back to 0."""
+        self.__dict__.pop("memory", None)
         self.since = 0
 
     def replica(self) -> Layer:
         """A layer over this one's bank, shared by reference, with its own
-        per-stream state: a memory of its own, allocated on first use,
-        copies of the count and tick lists, and ``tick`` from 0."""
+        per-stream state: a fresh stream's memory and ``since``
+        (``reset_memory``), copies of the count and tick lists, and
+        ``tick`` from 0."""
         twin = copy.copy(self)
-        twin.__dict__.pop("memory", None)
+        twin.reset_memory()
         twin.match_counts, twin.last_match_tick = list(self.match_counts), \
             list(self.last_match_tick)
         twin.tick = 0
@@ -316,8 +323,9 @@ class Network:
 
     def replica(self) -> Network:
         """A network of ``Layer.replica``s: the same banks, per-stream
-        state of its own. A frozen network and its replicas only read the
-        banks, so each can take a stream while the others take theirs."""
+        state of its own. Each pass of a frozen network runs on one, so
+        the pass only reads the network and its banks, and several
+        threads may pass streams through one frozen network at once."""
         twin = copy.copy(self)
         twin.layers = [layer.replica() for layer in self.layers]
         return twin
@@ -339,13 +347,14 @@ class Network:
         layer's output and the number of events the filter kept.
 
         Memories are reset first; streams are always processed against
-        fresh per-clip context. Each event in turn goes through the filter
-        and then every layer, learning where a layer is still learning,
-        and stops at the first stage that drops it. A stage's state
-        depends only on its own input sequence, so this equals each stage
-        taking the whole stream the stage before it emits. The pass
-        writes the kept events' times and pixels itself, so no mask
-        selects them.
+        fresh per-clip context, which a frozen network keeps in a
+        ``replica``, so the call only reads it. Each event in turn goes
+        through the filter and then every layer, learning where a layer is
+        still learning, and stops at the first stage that drops it. A
+        stage's state depends only on its own input sequence, so this
+        equals each stage taking the whole stream the stage before it
+        emits. The pass writes the kept events' times and pixels itself,
+        so no mask selects them.
 
         Raises StreamError if the stream's array size differs from the
         network's, or, without polarity merge, if it has more channels
@@ -371,7 +380,10 @@ class Network:
               **outputs) -> tuple:
         """``_native.run`` of a fresh filter of ``dbs`` and the layers up
         to ``learn_upto``, their memories reset, on ``stream``, asking for
-        ``outputs``; the checks of ``forward_clip``."""
+        ``outputs``; the checks of ``forward_clip``. A frozen network's
+        pass runs on a ``replica``, which holds the stream's state, so it
+        only reads the network; a learning network's pass writes its own
+        layers, since training moves their banks, counts and ticks."""
         g, own = stream.geometry, self.geometry
         if (g.width, g.height) != (own.width, own.height):
             raise StreamError(f"stream is {g.width}x{g.height}, the network "
@@ -379,8 +391,9 @@ class Network:
         if not self.merge_polarity and g.channels > self.layers[0].config.in_channels:
             raise StreamError(f"stream has {g.channels} channels, the network "
                               f"takes {self.layers[0].config.in_channels}")
-        self.reset_memories()
-        layers = self.layers if learn_upto is None else self.layers[: learn_upto + 1]
+        net = self.replica() if self.frozen else self
+        net.reset_memories()
+        layers = net.layers if learn_upto is None else net.layers[: learn_upto + 1]
         filt = None if dbs is None else DbsFilter(g, dbs)
         return _native.run(_LIB, filt, layers, stream.t, stream.x, stream.y,
                            None if self.merge_polarity else stream.p, **outputs)

@@ -13,12 +13,12 @@ callers that draw their own train/test split from it.
 Labelling, and training's filtering and signatures, use every core
 available to the process (``map_clips``): each clip runs on a fresh
 filter, reset memories and read-only banks, in one compiled call that
-releases the interpreter lock, so clips run on threads at once, each
-thread on its own replica of the network's per-stream state. A map only
-reads the caller's network, so one trained pipeline may label from
-several threads at once. Outputs are bit-identical to taking one clip
-after another; only learning, in which every clip moves the banks, takes
-the clips in turn.
+releases the interpreter lock, so clips run on threads at once. Every
+pass of a trained network keeps the stream's state in a replica of its
+own (``Network.replica``) and only reads the network, so one trained
+pipeline may label from several threads at once. Outputs are
+bit-identical to taking one clip after another; only learning, in which
+every clip moves the banks, takes the clips in turn.
 """
 
 from __future__ import annotations
@@ -81,30 +81,30 @@ def clip_workers(clips: int) -> int:
 def map_clips(call, clips: list, network: Network | None = None) -> list:
     """``[call(net, clip) for clip in clips]``, run on ``clip_workers``
     threads of a pool made for this call. Each thread takes the next clip
-    in input order until none is left, with ``net`` its own replica of
-    ``network`` (``Network.replica``), or None. Raises what the first
-    clip in input order to fail raised, and ValueError if the network is
-    still learning: then every clip would move the banks the others read.
+    in input order until none is left, with ``net`` the caller's
+    ``network``, or None. Raises what the first clip in input order to
+    fail raised, and ValueError if the network is still learning: then
+    every clip would move the banks the others read.
 
-    The map only reads ``network``, so several maps may share it at once,
-    and each result is bit-identical to taking the clips one after the
-    other."""
+    A pass of a trained network only reads it, so the threads, and
+    several maps, may share it at once, and each result is bit-identical
+    to taking the clips one after the other."""
     if network is not None and not network.frozen:
         raise ValueError("a learning network takes its clips in turn")
     results, failed = [None] * len(clips), []
     order = iter(range(len(clips)))  # next() is one call under the interpreter lock
 
-    def drain(net) -> None:
+    def drain() -> None:
         for i in order:
             try:
-                results[i] = call(net, clips[i])
+                results[i] = call(network, clips[i])
             except Exception as e:  # raised below, if no earlier clip failed
                 failed.append((i, e))
                 return
 
     workers = clip_workers(len(clips))
     with ThreadPoolExecutor(workers) as pool:
-        for done in [pool.submit(drain, network and network.replica()) for _ in range(workers)]:
+        for done in [pool.submit(drain) for _ in range(workers)]:
             done.result()
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
@@ -353,13 +353,12 @@ def benchmark(pipeline: TrainedPipeline, clips: list[ClipRecord],
     (the cascade on the DBS-kept events, counted into pooled bins,
     ``Network.pooled_counts`` without DBS) and full (filter and cascade,
     ``pooled_counts`` with DBS). Each is one call of the compiled pass per
-    clip, and layers and full run on a replica of the pipeline's network
-    (``Network.replica``), so the benchmark only reads the trained
-    pipeline. Each stage's rate is over the events that enter it: raw
-    events for dbs and full, the DBS-kept events for layers. Its events
-    out are counted from its own calls' outputs, outside the timed
-    region: the dbs masks' kept events, and the end layer's events in the
-    pooled counts of layers and full.
+    clip. A pass of the trained network only reads it, so the benchmark
+    only reads the trained pipeline. Each stage's rate is over the events
+    that enter it: raw events for dbs and full, the DBS-kept events for
+    layers. Its events out are counted from its own calls' outputs,
+    outside the timed region: the dbs masks' kept events, and the end
+    layer's events in the pooled counts of layers and full.
 
     Each run times every stage in turn with ``time.thread_time``. The
     calls, the compiled pass included, run on the caller's thread, so
@@ -375,7 +374,7 @@ def benchmark(pipeline: TrainedPipeline, clips: list[ClipRecord],
         return BenchReport(stages={}, total_events=0, runs=0)
     filtered = streams if config.dbs is None else [
         filter_stream(DbsFilter(s.geometry, config.dbs), s)[0] for s in streams]
-    network = pipeline.network.replica()
+    network = pipeline.network
     # each stage: its name, its inputs, one call per input
     plan = [("layers", filtered, lambda s: network.pooled_counts(s, None, config.pooling)[0]),
             ("full", streams, lambda s: network.pooled_counts(s, config.dbs, config.pooling)[0])]

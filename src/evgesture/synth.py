@@ -306,5 +306,6 @@ def gen_composite(spec: CompositeSpec, seed: int) -> LabeledStream:
         np.concatenate([y_fg, y_bg])[order], np.concatenate([p_fg, p_bg])[order],
         g,
     )
-    tags = np.where(order < n_fg, "foreground", "background").tolist()
+    names = np.array(["background", "foreground"], dtype=object)
+    tags = names[(order < n_fg).view(np.int8)].tolist()
     return LabeledStream(stream, tags, "composite")

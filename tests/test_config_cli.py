@@ -434,24 +434,26 @@ class TestCli:
                 assert f1.read() == f2.read()
 
     def test_synth_equals_gen_gesture_set(self, tmp_path):
-        out = str(tmp_path / "synthset")
-        assert cli.main(["synth", out, "--classes", "right", "up", "--clips-per-class",
-                         "3", "--seed", "4", "--geometry", "37x29"]) == 0
-        records = gen_gesture_set(SensorGeometry(37, 29, 2), 3, 4, ("right", "up"))
-        lines = open(os.path.join(out, "manifest.tsv")).read().splitlines()
-        assert len(lines) == len(records)
-        for line, record in zip(lines, records):
-            path, label, subject = line.split("\t")
-            assert (label, subject) == (record.label, record.subject)
-            with open(os.path.join(out, path), "rb") as f:
-                stream = read_binary_events(f.read())
-            expected = record.stream
-            assert stream.geometry == expected.geometry
-            for a, b in zip((stream.t, stream.x, stream.y, stream.p),
-                            (expected.t, expected.x, expected.y, expected.p)):
-                assert np.array_equal(a, b)
-            tags = open(os.path.join(out, path + ".tags")).read().splitlines()
-            assert tags == ["gesture"] * len(stream)
+        # a class given twice is a legal call that makes its clips twice over
+        for i, classes in enumerate([("right", "up"), ("up", "up")]):
+            out = str(tmp_path / f"synthset{i}")
+            assert cli.main(["synth", out, "--classes", *classes, "--clips-per-class",
+                             "3", "--seed", "4", "--geometry", "37x29"]) == 0
+            records = gen_gesture_set(SensorGeometry(37, 29, 2), 3, 4, classes)
+            lines = open(os.path.join(out, "manifest.tsv")).read().splitlines()
+            assert len(lines) == len(records)
+            for line, record in zip(lines, records):
+                path, label, subject = line.split("\t")
+                assert (label, subject) == (record.label, record.subject)
+                with open(os.path.join(out, path), "rb") as f:
+                    stream = read_binary_events(f.read())
+                expected = record.stream
+                assert stream.geometry == expected.geometry
+                for a, b in zip((stream.t, stream.x, stream.y, stream.p),
+                                (expected.t, expected.x, expected.y, expected.p)):
+                    assert np.array_equal(a, b)
+                tags = open(os.path.join(out, path + ".tags")).read().splitlines()
+                assert tags == ["gesture"] * len(stream)
 
     def test_synth_unknown_class_exit_2(self, tmp_path, capsys):
         out = tmp_path / "synthset"

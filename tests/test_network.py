@@ -1380,10 +1380,12 @@ class TestOnePass:
         net, stream = case
         if dbs.grid_rows > stream.geometry.height or dbs.grid_cols > stream.geometry.width:
             dbs = DbsConfig(1, 1, dbs.tau_b_us, dbs.alpha)
+        before = stage_state(None, net.layers)
         out, kept = net.forward_clip(stream, dbs)
         filtered, stats = filter_stream(DbsFilter(stream.geometry, dbs), stream)
         assert out == net.forward_stream(filtered)
         assert kept == stats.kept
+        assert stage_state(None, net.layers) == before  # a frozen network is only read
 
 
     @settings(max_examples=60, deadline=None)
@@ -1850,10 +1852,9 @@ class TestPipelineOracle:
 
 
 def serial_loop(call, clips, network=None):
-    """The loop that ``map_clips`` replaces: each clip in turn on one
-    replica of the caller's network, which the loop only reads."""
-    net = network and network.replica()
-    return [call(net, clip) for clip in clips]
+    """The loop that ``map_clips`` replaces: each clip in turn on the
+    caller's network."""
+    return [call(network, clip) for clip in clips]
 
 
 MAP_CONFIGS = {
@@ -1886,22 +1887,43 @@ def run_both(config, train, test):
     return trained, trained_state, pairs, stage_state(None, trained.network.layers)
 
 
-def shared_pipeline_reports(threads: int = 3, calls: int = 10) -> dict:
-    """Label the test swipes of ``map_clips_set`` with ``calls``
-    ``evaluate_pipeline`` calls on each of ``threads`` threads at once, all
-    on one pipeline trained on its training swipes. Returns one call's
-    report alone, each thread's reports (an exception's type and message
-    where one ended it), and whether every layer's state after the
-    threads equals its state before any call; reports lack the wall
-    clock."""
+def digest(*arrays) -> str:
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+def eval_pairs(trained, clips) -> dict:
+    pairs = evaluate_pipeline(trained, clips).to_pairs()
+    pairs.pop("wall_clock_s")
+    return pairs
+
+
+# what a thread calls on a trained pipeline, for all the clips at once:
+# the report without its wall clock, or each clip's outputs as digests
+SHARED_ENTRIES = {
+    "evaluate_pipeline": eval_pairs,
+    "pooled_counts": lambda trained, clips: [
+        (digest(counts), kept) for counts, kept in (trained.network.pooled_counts(
+            clip.stream, trained.config.dbs, trained.config.pooling) for clip in clips)],
+    "forward_stream": lambda trained, clips: [
+        digest(out.t, out.x, out.y, out.p)
+        for out in (trained.network.forward_stream(clip.stream) for clip in clips)],
+}
+
+
+def shared_pipeline_reports(entry: str = "evaluate_pipeline", threads: int = 3,
+                            calls: int = 10) -> dict:
+    """Take the test swipes of ``map_clips_set`` through ``calls`` calls
+    of ``SHARED_ENTRIES[entry]`` on each of ``threads`` threads at once,
+    all on one pipeline trained on its training swipes. Returns one
+    call's result alone, each thread's results (an exception's type and
+    message where one ended it), and whether every layer's state after
+    the threads equals its state before any call."""
     clips = gen_gesture_set(SensorGeometry(32, 32, 2), 2, 29)
     trained = train_pipeline(parse_config(MAP_CONFIGS["dbs-2l"]), clips[::2])
     before = stage_state(None, trained.network.layers)
 
-    def report() -> dict:
-        pairs = evaluate_pipeline(trained, clips[1::2]).to_pairs()
-        pairs.pop("wall_clock_s")
-        return pairs
+    def report():
+        return SHARED_ENTRIES[entry](trained, clips[1::2])
 
     def label(got: list) -> None:
         try:
@@ -1999,10 +2021,11 @@ class TestClipMap:
         evaluate_pipeline(trained, test)
         assert threading.active_count() == threads
 
-    def test_threads_share_one_pipeline(self):
+    @pytest.mark.parametrize("entry", SHARED_ENTRIES)
+    def test_threads_share_one_pipeline(self, entry):
         # in a child process, so that a crash fails this test, not the run
         code = ("import json, test_network as t\n"
-                "print(json.dumps(t.shared_pipeline_reports()))")
+                f"print(json.dumps(t.shared_pipeline_reports({entry!r})))")
         here = os.path.dirname(os.path.abspath(__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([here, os.path.join(here, "..", "src")]))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -2038,6 +2061,7 @@ class TestClipMap:
         for layer, copy in zip(network.layers, twin.layers, strict=True):
             assert copy.bank is layer.bank and copy.config is layer.config
             assert copy.memory is not layer.memory and copy.tick == 0
+            assert layer.since > 0 and copy.since == 0
             assert copy.match_counts == layer.match_counts
             assert copy.match_counts is not layer.match_counts
             assert copy.last_match_tick is not layer.last_match_tick
@@ -2067,7 +2091,7 @@ class TestBenchmark:
         streams = [clip.stream for clip in test]
         filtered = streams if config.dbs is None else [
             filter_stream(DbsFilter(s.geometry, config.dbs), s)[0] for s in streams]
-        emitted = sum(len(trained.network.replica().forward_stream(s)) for s in filtered)
+        emitted = sum(len(trained.network.forward_stream(s)) for s in filtered)
         counts = {stage: (m["events_in"], m["events_out"]) for stage, m in report.stages.items()}
         total, kept = sum(map(len, streams)), sum(map(len, filtered))
         assert counts == {"layers": (kept, emitted), "full": (total, emitted)} | (
