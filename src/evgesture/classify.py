@@ -59,6 +59,19 @@ def normalize(signature: Signature) -> Signature:
     return Signature(signature.values / total)
 
 
+def check_unit(values: np.ndarray, name: str, column: str) -> None:
+    """Raise ValueError at the first value of the matrix ``values``
+    outside [0, 1], NaN included, naming it ``name`` with its row and its
+    ``column``. A ``normalize`` output and a learned bank row, a convex
+    combination of surfaces, have none, and the squared differences of
+    k-NN and of matching cannot overflow on values in [0, 1]."""
+    off = np.flatnonzero(~((values >= 0) & (values <= 1)))
+    if len(off):
+        row, col = divmod(int(off[0]), values.shape[1])
+        raise ValueError(f"{name} value {values[row, col]} at row {row}, {column} {col} "
+                         f"is outside [0, 1]")
+
+
 @dataclass
 class TrainedModel:
     signatures: np.ndarray  # (n, d)

@@ -52,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _native
-from .classify import PoolingConfig
+from .classify import PoolingConfig, check_unit
 from .dbs import DbsConfig, DbsFilter
 from .events import Event, EventStream, SensorGeometry, StreamError
 from .surfaces import TimeSurfaceConfig
@@ -212,12 +212,15 @@ class Layer:
 
     def install(self, bank, match_counts) -> None:
         """Take a trained N x D bank and its N match counts, and freeze;
-        raises ValueError, changing nothing, on any other shape, or at a
-        count outside [0, 2**63), which the compiled pass cannot hold."""
+        raises ValueError, changing nothing, on any other shape, at a bank
+        value outside [0, 1] (``classify.check_unit``), which no learned
+        row holds, or at a count outside [0, 2**63), which the compiled
+        pass cannot hold."""
         bank, counts = np.array(bank, dtype=np.float64), list(match_counts)
         if bank.shape != self.bank_shape or len(counts) != len(bank):
             raise ValueError(f"bank {bank.shape} with {len(counts)} counts; the layer "
                              f"takes {self.bank_shape}, one count per row")
+        check_unit(bank, "bank", "entry")
         for i, count in enumerate(counts):
             if not 0 <= count < 2**63:
                 raise ValueError(f"match count {count} of row {i} is outside [0, 2**63)")

@@ -127,11 +127,26 @@ def stream_signature(config: PipelineConfig, network: Network,
     return clip_signature(config, network, filtered, None)[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainedPipeline:
+    """A frozen network and the k-NN model of its signatures: the one
+    place that says what a trained pipeline is. Raises ValueError on a
+    network still learning, whose every pass would move its banks, and on
+    a signature matrix that is not one row per label of
+    ``config.pooling.cells`` x ``network.out_channels`` bins with every
+    value in [0, 1] (``classify.check_unit``)."""
     config: PipelineConfig
     network: Network
     model: TrainedModel
+
+    def __post_init__(self):
+        if not self.network.frozen:
+            raise ValueError("a trained pipeline takes a frozen network, not a learning one")
+        model, width = self.model, self.config.pooling.cells * self.network.out_channels
+        if model.signatures.shape != (len(model.labels), width):
+            raise ValueError(f"signatures {model.signatures.shape}: the network takes "
+                             f"{len(model.labels)} rows, one per label, of {width} bins")
+        classify.check_unit(model.signatures, "signature", "bin")
 
 
 def train_pipeline(config: PipelineConfig, clips: list[ClipRecord]) -> TrainedPipeline:
@@ -173,32 +188,17 @@ _HEADER_INTS = {name: int(np.iinfo(_HEADER_DTYPE[name]).max)
                 for name in _HEADER_DTYPE.names} | {"k": float("inf")}
 
 
-def _check_signatures(signatures: np.ndarray) -> None:
-    """Raise ValueError at the first signature value outside [0, 1], NaN
-    included: an L1-normalised ``normalize`` output has none, and k-NN's
-    squared differences of values in [0, 1] cannot overflow."""
-    off = np.flatnonzero(~((signatures >= 0) & (signatures <= 1)))
-    if len(off):
-        row, col = divmod(int(off[0]), signatures.shape[1])
-        raise ValueError(f"signature value {signatures[row, col]} at row {row}, "
-                         f"bin {col} is outside [0, 1]")
-
-
 def save_pipeline(trained: TrainedPipeline) -> bytes:
-    """The model file of a frozen pipeline; raises ValueError on a network
-    still learning or a signature value ``load_pipeline`` would refuse."""
-    network, model = trained.network, trained.model
-    if not network.frozen:
-        raise ValueError("only frozen networks are saved")
-    _check_signatures(model.signatures)
-    g = network.geometry
+    """The model file of a trained pipeline. The pipeline checked itself
+    when it was made (``TrainedPipeline``), so saving only writes bytes."""
+    model, g = trained.model, trained.network.geometry
     header = json.dumps({
         "config": format_kv(config_echo(trained.config)),
         "width": g.width, "height": g.height, "channels": g.channels,
         "k": model.k, "labels": model.labels,
     }).encode("utf-8")
     parts = [len(header).to_bytes(4, "little"), header]
-    for layer in network.layers:
+    for layer in trained.network.layers:
         parts.append(layer.bank.astype("<f8").tobytes())
         parts.append(np.asarray(layer.match_counts, dtype="<u8").tobytes())
     parts.append(model.signatures.astype("<f8").tobytes())
@@ -225,7 +225,10 @@ def _read_header(raw: bytes) -> dict:
 
 def load_pipeline(data: bytes) -> TrainedPipeline:
     """Read a ``save_pipeline`` file; raises StreamError on any byte
-    string that is not one, a signature value outside [0, 1] included."""
+    string that is not one: bad magic, CRC, header or config, a length
+    that does not fit them, or what ``Layer.install`` or
+    ``TrainedPipeline`` refuses, a bank or signature value outside
+    [0, 1] included."""
     if data[:4] != _MAGIC:
         raise StreamError("bad magic: not a model file")
     if len(data) < 12:
@@ -264,11 +267,10 @@ def load_pipeline(data: bytes) -> TrainedPipeline:
     if offset != len(data):
         raise StreamError(f"{len(data) - offset} trailing bytes after the model")
     try:
-        _check_signatures(signatures)
+        return TrainedPipeline(config=config, network=network,
+                               model=TrainedModel(signatures, labels, header["k"]))
     except ValueError as e:
         raise StreamError(f"model {e}") from None
-    return TrainedPipeline(config=config, network=network,
-                           model=TrainedModel(signatures, labels, header["k"]))
 
 
 @dataclass
@@ -353,8 +355,9 @@ def benchmark(pipeline: TrainedPipeline, clips: list[ClipRecord],
     (the cascade on the DBS-kept events, counted into pooled bins,
     ``Network.pooled_counts`` without DBS) and full (filter and cascade,
     ``pooled_counts`` with DBS). Each is one call of the compiled pass per
-    clip. A pass of the trained network only reads it, so the benchmark
-    only reads the trained pipeline. Each stage's rate is over the events
+    clip. A ``TrainedPipeline`` holds a frozen network, and a pass of a
+    frozen network only reads it, so every benchmark only reads the
+    pipeline it is given. Each stage's rate is over the events
     that enter it: raw events for dbs and full, the DBS-kept events for
     layers. Its events out are counted from its own calls' outputs,
     outside the timed region: the dbs masks' kept events, and the end

@@ -2,6 +2,8 @@
 benchmark, on fixed run records; no benchmark runs."""
 
 import importlib.util
+import json
+import os
 from pathlib import Path
 
 import pytest
@@ -116,6 +118,48 @@ class TestSummarizeSeries:
     def test_no_complete_pair(self):
         runs = {"1": {"parent": result(0.2, 1.0), "change": result(0.2, 1.0, exit=2)}}
         assert ab.summarize_series(runs, END_TO_END)["end_to_end"] == {}
+
+
+# A stand-in for perfbench/run.py: prints a result line and, unless told
+# not to by its tree's ``quiet`` file, writes the details file.
+STUB_RUN = """\
+import json, pathlib, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+out = pathlib.Path("perfbench/out")
+if not pathlib.Path("quiet").exists():
+    name = f"{args['--workload']}-seed{args['--seed']}-trace0.json"
+    (out / name).write_text(json.dumps({"accuracy": 0.65, "accuracy_floor": 0.75,
+                                        "problems": ["accuracy 0.6500 below the floor 0.75"],
+                                        "seed": int(args["--seed"])}))
+print(json.dumps({"correct": False, "attempted": 3, "failed": 0, "metrics": {}}))
+"""
+
+
+class TestRunOnce:
+    @pytest.fixture
+    def tree(self, tmp_path):
+        (tmp_path / "perfbench" / "out").mkdir(parents=True)
+        (tmp_path / "perfbench" / "run.py").write_text(STUB_RUN)
+        return tmp_path
+
+    def test_details_of_the_run_recorded(self, tree):
+        details = tree / "perfbench" / "out" / "w-seed7-trace0.json"
+        details.write_text(json.dumps({"accuracy": 1.0}))  # an earlier run's
+        os.utime(details, ns=(0, 0))
+        run = ab.run_once(tree, "w", 7, 1.0)
+        assert run == {"correct": False, "attempted": 3, "failed": 0, "metrics": {},
+                       "accuracy": 0.65, "accuracy_floor": 0.75,
+                       "problems": ["accuracy 0.6500 below the floor 0.75"], "exit": 0}
+
+    def test_stale_details_ignored(self, tree):
+        (tree / "quiet").touch()
+        assert "accuracy" not in ab.run_once(tree, "w", 7, 1.0)  # no file at all
+        details = tree / "perfbench" / "out" / "w-seed7-trace0.json"
+        details.write_text(json.dumps({"accuracy": 1.0, "accuracy_floor": 0.75,
+                                       "problems": []}))
+        run = ab.run_once(tree, "w", 7, 1.0)
+        assert run == {"correct": False, "attempted": 3, "failed": 0, "metrics": {},
+                       "exit": 0}
 
 
 def test_seed_ranges():

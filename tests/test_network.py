@@ -433,6 +433,11 @@ class TestSerialization:
         fresh = build_network(trained.config, trained.network.geometry)
         with pytest.raises(ValueError, match="frozen"):
             save_pipeline(TrainedPipeline(trained.config, fresh, trained.model))
+        # the pipeline refuses it itself, so no evaluate or benchmark
+        # call can take a learning network and train it
+        with pytest.raises(ValueError, match="frozen"):
+            TrainedPipeline(trained.config, fresh, trained.model)
+        assert fresh.layers[0].learning and not fresh.layers[0].bank.any()
 
     def test_rejects_bad_magic(self, saved):
         with pytest.raises(StreamError, match="magic"):
@@ -506,6 +511,48 @@ class TestSerialization:
             warnings.simplefilter("error")
             assert cli.main(["eval", manifest, str(path)]) == 2
         assert "is outside [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [1e200, -1e-300, 1.0000000000000002, np.inf, np.nan])
+    def test_bank_outside_unit_refused(self, saved, tmp_path, capsys, value):
+        # a bank value that no learned row holds, in a file whose CRC
+        # agrees: refused by install, so by load and eval
+        trained, data, _, manifest = saved
+        trained_layer = trained.network.layers[0]
+        bank = trained_layer.bank.copy()
+        bank[1, 2] = value
+        layer = Layer(trained_layer.config, trained.network.geometry)
+        with pytest.raises(ValueError, match=r"bank value .* at row 1, entry 2 is outside "
+                                              r"\[0, 1\]"):
+            layer.install(bank, trained_layer.match_counts)
+        assert layer.learning and layer.match_counts == [] and not layer.bank.any()
+        d = bank.shape[1]
+        at = 12 + int.from_bytes(data[8:12], "little") + 8 * (d + 2)  # row 1, entry 2
+        bad = with_crc(data[:at] + np.array([value], dtype="<f8").tobytes() + data[at + 8:])
+        with pytest.raises(StreamError, match=r"model bank: bank value .* at row 1, entry 2 "
+                                              r"is outside \[0, 1\]"):
+            load_pipeline(bad)
+        path = tmp_path / "model.bin"
+        path.write_bytes(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["eval", manifest, str(path)]) == 2
+        assert "is outside [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("misfit", ["fewer rows", "wider rows"])
+    def test_signatures_that_do_not_fit_refused(self, saved, misfit):
+        # fewer rows than labels once labelled with the wrong rows and
+        # saved a file that load refused as truncated; a wider row made
+        # evaluate raise numpy's broadcast error
+        trained = saved[0]
+        signatures = trained.model.signatures
+        rows, width = signatures.shape
+        signatures = (signatures[:rows - 2] if misfit == "fewer rows"
+                      else np.hstack([signatures, np.zeros((rows, 1))]))
+        model = TrainedModel(signatures, trained.model.labels, trained.model.k)
+        with pytest.raises(ValueError, match=rf"signatures \({signatures.shape[0]}, "
+                                             rf"{signatures.shape[1]}\): the network takes "
+                                             rf"{rows} rows, one per label, of {width} bins"):
+            TrainedPipeline(trained.config, trained.network, model)
 
     def test_cli_eval_exits_2(self, saved, tmp_path, capsys, monkeypatch):
         _, data, _, manifest = saved

@@ -7,9 +7,11 @@ Each seed is one pair: ``python3 perfbench/run.py --workload W --seed N
 --seconds S`` run once in each checkout, one run at a time, the parent
 first on even pair indices and the change first on odd ones. Each run's
 last line of standard output is its result (correct, attempted, failed,
-metrics). The series goes into ``--out`` under the key ``W (seeds
-A-B)``, beside the series the file already holds, with every run and,
-for each end-to-end metric of the change's ``BENCHMARK.json``:
+metrics); its accuracy, accuracy floor and problems come from the
+details file the run wrote under ``perfbench/out/``. The series goes
+into ``--out`` under the key ``W (seeds A-B)``, beside the series the
+file already holds, with every run and, for each end-to-end metric of
+the change's ``BENCHMARK.json``:
 
 - each side's quartiles and median (numpy's linear percentiles);
 - the ratio of the medians, and the median, least and largest of the
@@ -114,7 +116,13 @@ def summarize_series(runs: dict, end_to_end: list[dict]) -> dict:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``tree``: its result line, plus ``exit``."""
+    """One benchmark run in ``tree``: its result line, plus ``exit``, and
+    the ``accuracy``, ``accuracy_floor`` and ``problems`` of the details
+    file the run wrote, ``perfbench/out/<workload>-seed<seed>-trace0.json``,
+    so that an incorrect run says why. A details file the run did not
+    write (its modification time unchanged) is left out."""
+    details = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    before = details.stat().st_mtime_ns if details.exists() else None
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)], cwd=tree, capture_output=True, text=True)
@@ -123,6 +131,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         result = {"correct": False, "stderr_tail": proc.stderr[-2000:]}
+    if details.exists() and details.stat().st_mtime_ns != before:
+        written = json.loads(details.read_text(encoding="utf-8"))
+        result.update({key: written.get(key)
+                       for key in ("accuracy", "accuracy_floor", "problems")})
     return {**result, "exit": proc.returncode}
 
 
